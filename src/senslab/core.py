@@ -91,12 +91,15 @@ class TruthTable:
 
     def __init__(self, n: int, values):
         check_n(n)
-        arr = np.asarray(values, dtype=np.uint8)
-        if arr.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} values for n={n}, got {arr.shape}")
-        if arr.max(initial=0) > 1:
+        raw = np.asarray(values)
+        if raw.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} values for n={n}, got {raw.shape}")
+        # check before casting: the uint8 cast turns 256 and 0.7 into valid bits
+        bits = (raw.max(initial=0) <= 1 if raw.dtype == np.uint8
+                else np.array_equal(raw, raw.astype(bool)))
+        if not bits:
             raise ValueError("truth-table values must be 0/1")
-        arr = arr.copy()
+        arr = raw.astype(np.uint8)
         arr.setflags(write=False)
         self.n = n
         self.values = arr
@@ -289,37 +292,34 @@ def sensitivity(f: TruthTable) -> SensResult:
 # ---------------------------------------------------------------------------
 # multilinear (Mobius) machinery
 
+def _butterfly(arr: np.ndarray, op: Callable[[np.ndarray, np.ndarray], object]) -> np.ndarray:
+    """In-place Yates butterfly over the last axis (length 2^n); leading axes
+    are batch axes.  Stage h calls op(lo, hi) on the views of the indices
+    with bit h clear and set; op must update them in place."""
+    if not arr.flags.c_contiguous:
+        raise ValueError("butterfly needs a C-contiguous array")
+    size = arr.shape[-1]
+    h = 1
+    while h < size:
+        pairs = arr.reshape(arr.shape[:-1] + (size // (2 * h), 2, h))
+        op(pairs[..., 0, :], pairs[..., 1, :])
+        h <<= 1
+    return arr
+
+
 def _mobius_int(arr: np.ndarray) -> np.ndarray:
     """In-place subset Mobius transform over the integers; arr length 2^n."""
-    size = arr.shape[-1]
-    bit = 1
-    while bit < size:
-        sel = (np.arange(size) & bit).astype(bool)
-        arr[..., sel] -= arr[..., ~sel]
-        bit <<= 1
-    return arr
+    return _butterfly(arr, lambda lo, hi: np.subtract(hi, lo, out=hi))
 
 
 def _zeta_int(arr: np.ndarray) -> np.ndarray:
     """In-place subset sum (zeta) transform; inverse of `_mobius_int`."""
-    size = arr.shape[-1]
-    bit = 1
-    while bit < size:
-        sel = (np.arange(size) & bit).astype(bool)
-        arr[..., sel] += arr[..., ~sel]
-        bit <<= 1
-    return arr
+    return _butterfly(arr, lambda lo, hi: np.add(hi, lo, out=hi))
 
 
 def _zeta_f2(arr: np.ndarray) -> np.ndarray:
     """In-place subset transform mod 2 (self-inverse)."""
-    size = arr.shape[-1]
-    bit = 1
-    while bit < size:
-        sel = (np.arange(size) & bit).astype(bool)
-        arr[..., sel] ^= arr[..., ~sel]
-        bit <<= 1
-    return arr
+    return _butterfly(arr, lambda lo, hi: np.bitwise_xor(hi, lo, out=hi))
 
 
 def mobius_coefficients(f: TruthTable) -> IntegerFunction:

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import TruthTable, sensitivity, weights_vector
+from .core import TruthTable, _mobius_int, sensitivity, weights_vector
 
 ENUM_MAX_N = 4
 LONG_ENUM_N = 5
@@ -43,13 +43,7 @@ def per_function_sensitivity(tables: np.ndarray, n: int) -> np.ndarray:
 
 def per_function_degree(tables: np.ndarray, n: int) -> np.ndarray:
     """deg(f) for every row (batched subset Mobius transform)."""
-    coeffs = tables.astype(np.int64)
-    size = 1 << n
-    bit = 1
-    while bit < size:
-        sel = (np.arange(size) & bit).astype(bool)
-        coeffs[:, sel] -= coeffs[:, ~sel]
-        bit <<= 1
+    coeffs = _mobius_int(tables.astype(np.int64, order="C"))
     w = weights_vector(n).astype(np.int64)
     return np.where(coeffs != 0, w[None, :], -1).max(axis=1).clip(min=0).astype(np.uint8)
 

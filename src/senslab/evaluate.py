@@ -185,21 +185,22 @@ def bottom_up_all(f: TruthTable, s: int) -> TruthTable:
     """
     n = f.n
     r = min(2 * s, n)
-    advice = {i: int(f.values[i]) for i in ball_indices(n, 0, r)}
     if r >= n:
         return TruthTable(n, f.values)
     offs, plans = _shift_plan(n, r)
     balls = np.zeros((1 << n, len(offs)), dtype=np.uint8)
-    balls[0] = [advice[m] for m in offs]
-    for x in range(1, 1 << n):
-        hb = x.bit_length() - 1
-        prev = balls[x ^ (1 << hb)]
+    balls[0] = f.values[offs]  # the advice: f on B(0, r)
+    for hb in range(n):
+        # rows [2^hb, 2^(hb+1)) are one shift by bit hb past rows [0, 2^hb)
+        prev = balls[:1 << hb]
+        cur = balls[1 << hb:2 << hb]
         copy_src, new_rows, gather = plans[hb]
-        cur = prev[np.maximum(copy_src, 0)]
+        np.take(prev, np.maximum(copy_src, 0), axis=1, out=cur, mode="clip")
         if len(new_rows):
-            votes = prev[gather].sum(axis=1, dtype=np.int64)
-            cur[new_rows] = (2 * votes > gather.shape[1]).astype(np.uint8)
-        balls[x] = cur
+            votes = np.zeros((len(prev), len(new_rows)), dtype=np.uint8)
+            for col in gather.T:
+                votes += prev[:, col]
+            cur[:, new_rows] = 2 * votes > gather.shape[1]
     return TruthTable(n, balls[:, 0])
 
 
@@ -280,14 +281,11 @@ def set_bits_table(n: int) -> np.ndarray:
     t = _BITS_TABLE_CACHE.get(n)
     if t is None:
         t = np.full((1 << n, n), 255, dtype=np.uint8)
-        for x in range(1 << n):
-            j = 0
-            rest = x
-            while rest:
-                low = rest & -rest
-                t[x, j] = low.bit_length() - 1
-                rest ^= low
-                j += 1
+        x = np.arange(1 << n, dtype=np.uint32)
+        for i in range(n):
+            # bit i of x is its j-th lowest set bit, j = popcount(x & (2^i - 1))
+            rows = np.nonzero((x >> i) & 1)[0]
+            t[rows, np.bitwise_count(x[rows] & ((1 << i) - 1))] = i
         t.setflags(write=False)
         _BITS_TABLE_CACHE[n] = t
     return t

@@ -148,8 +148,13 @@ def random_function(n: int, seed: int) -> TruthTable:
 
 def gen_family(kind: str, n: int, **kw) -> TruthTable:
     """String-keyed dispatcher used by the CLI `gen` subcommand."""
+    def need(key: str):
+        if kw.get(key) is None:
+            raise ValueError(f"family {kind!r} needs the {key!r} parameter")
+        return kw[key]
+
     if kind == "constant":
-        return constant(n, kw["value"])
+        return constant(n, need("value"))
     if kind == "dictator":
         return dictator(n, kw.get("var", 1))
     if kind == "or":
@@ -162,13 +167,13 @@ def gen_family(kind: str, n: int, **kw) -> TruthTable:
     if kind == "majority":
         return majority(n)
     if kind == "tribes":
-        return tribes(kw["s"], n)
+        return tribes(need("s"), n)
     if kind == "addressing":
-        return addressing(kw["s"], n)
+        return addressing(need("s"), n)
     if kind == "junta-lift":
-        return junta_lift(kw["inner"], n, kw.get("positions"))
+        return junta_lift(need("inner"), n, kw.get("positions"))
     if kind == "random-dt":
-        return random_dt(n, kw["depth"], kw["seed"])
+        return random_dt(n, need("depth"), need("seed"))
     if kind == "random":
-        return random_function(n, kw["seed"])
+        return random_function(n, need("seed"))
     raise ValueError(f"unknown family {kind!r}")

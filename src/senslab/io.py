@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .core import BallAdvice, Point, TruthTable, ball_indices
+from .core import BallAdvice, Point, TruthTable, ball_indices, check_n
 
 
 class FormatError(ValueError):
@@ -36,6 +36,7 @@ def read_truth_table(path: str | Path) -> TruthTable:
     n = int(m.group(1))
     bits = lines[1].strip()
     try:
+        check_n(n)
         return TruthTable.from_bits(n, bits)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from e
@@ -56,6 +57,10 @@ def read_ball_advice(path: str | Path) -> BallAdvice:
     if not m:
         raise FormatError(f"{path}: bad header {lines[0]!r}")
     n, center_bits, radius = int(m.group(1)), m.group(2), int(m.group(3))
+    try:
+        check_n(n)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
     if len(center_bits) != n:
         raise FormatError(f"{path}: center has {len(center_bits)} bits, expected {n}")
     center = Point.from_bits(center_bits)

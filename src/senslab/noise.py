@@ -21,6 +21,7 @@ from .core import (
     PAIRWISE_MAX_N,
     Point,
     TruthTable,
+    _butterfly,
     check_n,
     lower_shadow,
     popcount,
@@ -70,17 +71,12 @@ def sample_noisy(x: Point, delta, rng: np.random.Generator) -> Point:
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Unnormalized transform W[S] = sum_x (-1)^{|x & S|} v[x]; self-inverse
     up to the factor 2^n."""
-    out = np.asarray(values, dtype=np.float64).copy()
-    size = out.shape[0]
-    bit = 1
-    while bit < size:
-        sel = (np.arange(size) & bit).astype(bool)
-        lo = out[~sel].copy()
-        hi = out[sel].copy()
-        out[~sel] = lo + hi
-        out[sel] = lo - hi
-        bit <<= 1
-    return out
+    def step(lo, hi):
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+
+    return _butterfly(np.array(values, dtype=np.float64, order="C"), step)
 
 
 def noise_operator(f: TruthTable, delta) -> RealFunction:
@@ -192,14 +188,11 @@ def downward_mismatch_sampled(
 def ones_by_codistance(values: np.ndarray, n: int) -> np.ndarray:
     """z[x, j] = sum of values[y] over subsets y of x with wt(x) - wt(y) = j,
     by a bit-at-a-time subset DP (O(n^2 2^n))."""
-    z = np.zeros((1 << n, n + 1), dtype=np.int64)
-    z[:, 0] = np.asarray(values, dtype=np.int64)
-    idx = np.arange(1 << n)
-    for i in range(n):
-        has = ((idx >> i) & 1).astype(bool)
-        # rows without bit i are final for the bits processed so far
-        z[has, 1:] += z[idx[has] ^ (1 << i), :-1]
-    return z
+    z = np.zeros((n + 1, 1 << n), dtype=np.int64)
+    z[0] = values
+    # row j holds codistance j; a superset gains one codistance per added bit
+    _butterfly(z, lambda lo, hi: np.add(hi[1:], lo[:-1], out=hi[1:]))
+    return np.ascontiguousarray(z.T)
 
 
 def downward_mismatch_table(f: TruthTable) -> np.ndarray:

@@ -68,9 +68,10 @@ def _spheres_by_distance(n: int, center: int) -> list[list[int]]:
     return [np.nonzero(dist == k)[0].tolist() for k in range(n + 1)]
 
 
-def majority_extend(advice: BallAdvice) -> ExtensionOutcome:
-    n, center, r = advice.n, advice.center.index, advice.radius
-    vals = advice.dense()
+def _outward_majority(vals: np.ndarray, n: int, center: int, r: int) -> Point | None:
+    """Fill every point beyond distance r from center in place, one sphere
+    at a time, with the majority of its inward neighbors.  Returns the first
+    tie point (vals is then only partly filled), or None."""
     spheres = _spheres_by_distance(n, center)
     for k in range(r, n):
         for idx in spheres[k + 1]:
@@ -84,8 +85,16 @@ def majority_extend(advice: BallAdvice) -> ExtensionOutcome:
             elif 2 * ones < k + 1:
                 vals[idx] = 0
             else:
-                return ExtensionOutcome.failed(Point(n, int(idx)), TIE)
-    return ExtensionOutcome.extended(TruthTable(n, vals))
+                return Point(n, int(idx))
+    return None
+
+
+def majority_extend(advice: BallAdvice) -> ExtensionOutcome:
+    vals = advice.dense()
+    tie = _outward_majority(vals, advice.n, advice.center.index, advice.radius)
+    if tie is not None:
+        return ExtensionOutcome.failed(tie, TIE)
+    return ExtensionOutcome.extended(TruthTable(advice.n, vals))
 
 
 def majority_extend_batch(
@@ -125,10 +134,10 @@ def _truncate_extend(padded: np.ndarray, n: int, radius: int, mod2: bool) -> np.
     """
     w = weights_vector(n)
     if mod2:
-        coeffs = _zeta_f2(padded.astype(np.uint8))
+        coeffs = _zeta_f2(padded.astype(np.uint8, order="C"))
         coeffs[..., w > radius] = 0
         return _zeta_f2(coeffs)
-    coeffs = _mobius_int(padded.astype(np.int64))
+    coeffs = _mobius_int(padded.astype(np.int64, order="C"))
     coeffs[..., w > radius] = 0
     return _zeta_int(coeffs)
 
@@ -188,8 +197,7 @@ def sphere_extend(
     if 4 * s > n:
         return ExtensionOutcome.failed(center, OUT_OF_RANGE)
     r = 2 * s
-    spheres = _spheres_by_distance(n, center.index)
-    expected = sorted(spheres[r])
+    expected = _spheres_by_distance(n, center.index)[r]
     if sorted(values) != expected:
         raise ValueError("advice domain is not exactly the radius-2s sphere")
     vals = np.full(1 << n, 255, dtype=np.uint8)
@@ -197,19 +205,9 @@ def sphere_extend(
         if v not in (0, 1):
             raise ValueError("sphere values must be bits")
         vals[i] = v
-    for k in range(r, n):
-        for idx in spheres[k + 1]:
-            diff = idx ^ center.index
-            ones = 0
-            for i in range(n):
-                if (diff >> i) & 1:
-                    ones += int(vals[idx ^ (1 << i)])
-            if 2 * ones > k + 1:
-                vals[idx] = 1
-            elif 2 * ones < k + 1:
-                vals[idx] = 0
-            else:
-                return ExtensionOutcome.failed(Point(n, int(idx)), TIE)
+    tie = _outward_majority(vals, n, center.index, r)
+    if tie is not None:
+        return ExtensionOutcome.failed(tie, TIE)
     anti = Point(n, center.index ^ ((1 << n) - 1))
     far_idx = np.nonzero(weights_vector(n)[np.arange(1 << n) ^ anti.index] <= r)[0]
     far = {int(i): int(vals[i]) for i in far_idx}

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import senslab
 from senslab.cli import main
 from senslab.core import Point, restrict_to_ball
 from senslab.families import dictator, random_dt, tribes
@@ -164,6 +169,37 @@ def test_bad_usage_exits_two(tmp_path, capsys):
     bad.write_text("n=2\n01\n")
     code, _ = run(capsys, "measure", "--in", str(bad))
     assert code == 2
+
+
+def run_subprocess(*argv, timeout=30):
+    """Run the CLI in a fresh interpreter, so that a hang fails instead of blocking."""
+    src = str(Path(senslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "senslab", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def assert_usage_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("family", ["tribes", "junta-lift"])
+def test_gen_missing_family_parameter_exits_two(tmp_path, family):
+    proc = run_subprocess("gen", "--family", family, "--n", "4", "--out", str(tmp_path / "x.tt"))
+    assert_usage_error(proc)
+    assert not (tmp_path / "x.tt").exists()
+
+
+def test_oversized_headers_exit_two(tmp_path):
+    ball = tmp_path / "big.ball"
+    ball.write_text("n=40 center=" + "0" * 40 + " radius=20\n")
+    assert_usage_error(run_subprocess("eval", "--algo", "bottom-up", "--advice", str(ball),
+                                      "--s", "1", "--x", "0" * 40))
+    tt = tmp_path / "big.tt"
+    tt.write_text("n=40\n01\n")
+    assert_usage_error(run_subprocess("measure", "--in", str(tt)))
 
 
 def test_seed_echoed_in_reports(tmp_path, capsys):

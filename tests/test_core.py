@@ -6,6 +6,9 @@ import hypothesis.strategies as st
 
 from senslab.core import (
     BallAdvice,
+    _mobius_int,
+    _zeta_f2,
+    _zeta_int,
     Point,
     TruthTable,
     all_neighbors,
@@ -37,6 +40,7 @@ from senslab.core import (
     zeta_transform,
 )
 from senslab.families import and_fn, constant, dictator, majority, or_fn, parity
+from senslab.noise import walsh_hadamard
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=10)
 tables = st.integers(min_value=1, max_value=6).flatmap(
@@ -123,6 +127,19 @@ def test_truth_table_validation():
         TruthTable.from_bits(2, "0121")
 
 
+@pytest.mark.parametrize("values", [[256, 1], [0.7, 1.0], [-1, 0], [2, 1], [float("nan"), 1]])
+def test_truth_table_rejects_non_bits(values):
+    # a uint8 cast would turn 256 and 0.7 into valid-looking bits
+    with pytest.raises(ValueError, match="0/1"):
+        TruthTable(1, values)
+
+
+def test_truth_table_accepts_bits_of_any_type():
+    for values in ([False, True], [0, 1], np.array([0, 1], dtype=np.int64), [0.0, 1.0]):
+        f = TruthTable(1, values)
+        assert f.values.dtype == np.uint8 and f.bits_string() == "01"
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 
@@ -185,6 +202,30 @@ def test_f2_degree_at_most_degree_exhaustive():
     for m in range(1 << 8):
         f = TruthTable(3, np.array([(m >> i) & 1 for i in range(8)], dtype=np.uint8))
         assert degree_f2(f) <= degree(f)
+
+
+def _subset_sum_reference(rows, sign):
+    """O(4^n) definition: out[S] = sum over T subset of S of sign^(|S|-|T|) v[T]."""
+    size = rows.shape[1]
+    out = np.zeros_like(rows)
+    for s_mask in range(size):
+        for t_mask in range(size):
+            if t_mask & s_mask == t_mask:
+                out[:, s_mask] += sign ** bin(s_mask ^ t_mask).count("1") * rows[:, t_mask]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_butterfly_batches_match_definitions(n):
+    rng = seeded_rng(7, "butterfly", n)
+    ints = rng.integers(-5, 6, size=(3, 1 << n)).astype(np.int64)
+    bits = rng.integers(0, 2, size=(3, 1 << n)).astype(np.uint8)
+    assert (_mobius_int(ints.copy()) == _subset_sum_reference(ints, -1)).all()
+    assert (_zeta_int(ints.copy()) == _subset_sum_reference(ints, 1)).all()
+    assert (_zeta_f2(bits.copy()) == _subset_sum_reference(bits.astype(np.int64), 1) % 2).all()
+    idx = np.arange(1 << n)
+    signs = (-1.0) ** np.bitwise_count(idx[:, None] & idx[None, :])
+    assert (walsh_hadamard(ints) == ints.astype(np.float64) @ signs).all()
 
 
 def test_mobius_f2_agrees_mod2():

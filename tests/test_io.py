@@ -63,3 +63,14 @@ def test_ball_advice_bad_inputs(tmp_path):
     path.write_text("n=2 center=00 radius=1\n00 0\n10 0\n10 0\n01 1\n")  # duplicate
     with pytest.raises(FormatError):
         read_ball_advice(path)
+
+
+def test_oversized_headers_rejected_before_enumeration(tmp_path):
+    path = tmp_path / "big.tt"
+    path.write_text("n=40\n01\n")
+    with pytest.raises(FormatError, match="outside supported range"):
+        read_truth_table(path)
+    path = tmp_path / "big.ball"
+    path.write_text("n=25 center=" + "0" * 25 + " radius=0\n" + "0" * 25 + " 1\n")
+    with pytest.raises(FormatError, match="outside supported range"):
+        read_ball_advice(path)

@@ -148,6 +148,15 @@ def test_sphere_extend_low_sensitivity():
     assert out.ok and out.value == f
 
 
+def test_sphere_extend_outward_tie_reported():
+    # weight-3 points 7 and 13 take 1 and points 11 and 14 take 0, so 1111 ties
+    values = {3: 1, 5: 1, 6: 0, 9: 0, 10: 0, 12: 1}
+    out = sphere_extend(4, Point(4, 0), 1, values)
+    assert not out.ok
+    assert out.reason == "tie"
+    assert out.failed_point == Point(4, 15)
+
+
 def test_sphere_extend_out_of_range():
     f = parity(4)  # s = 4 > 4/4
     out = sphere_extend(4, Point(4, 0), 4, {})
