@@ -69,6 +69,7 @@ class Point(NamedTuple):
     def from_bits(cls, s: str) -> "Point":
         if set(s) - {"0", "1"}:
             raise ValueError(f"invalid bitstring {s!r}")
+        check_n(len(s))
         idx = sum(1 << i for i, ch in enumerate(s) if ch == "1")
         return cls(len(s), idx)
 
@@ -164,10 +165,15 @@ class IntegerFunction:
     values: np.ndarray  # int64, length 2^n
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.int64)
-        if arr.shape != (1 << self.n,):
+        raw = np.asarray(self.values)
+        if raw.shape != (1 << self.n,):
             raise ValueError("bad length")
-        arr = arr.copy()
+        # check before casting: the int64 cast truncates 0.5 and overflows on 2**70
+        if raw.dtype.kind not in "biu" or (
+            raw.dtype.kind == "u" and raw.max(initial=0) > np.iinfo(np.int64).max
+        ):
+            raise ValueError("integer-function values must be integers in the int64 range")
+        arr = raw.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -271,14 +277,19 @@ def sensitivity_at(f: TruthTable, x: Point) -> int:
     return int(sum(f.values[idx ^ (1 << i)] != v for i in range(f.n)))
 
 
+def _sensitivity_counts(values: np.ndarray, n: int) -> np.ndarray:
+    """Pointwise sensitivities over the last axis (length 2^n); leading axes
+    are a batch of tables.  One gather per coordinate, counted in uint8."""
+    idx = np.arange(1 << n)
+    counts = np.zeros(values.shape, dtype=np.uint8)
+    for i in range(n):
+        counts += values != values[..., idx ^ (1 << i)]
+    return counts
+
+
 def pointwise_sensitivity(f: TruthTable) -> np.ndarray:
     """s(f, x) for every x at once (uint8 array of length 2^n)."""
-    n = f.n
-    idx = np.arange(1 << n)
-    counts = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        counts += f.values != f.values[idx ^ (1 << i)]
-    return counts
+    return _sensitivity_counts(f.values, f.n)
 
 
 def sensitivity(f: TruthTable) -> SensResult:

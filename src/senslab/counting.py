@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import TruthTable, _mobius_int, sensitivity, weights_vector
+from .core import TruthTable, _mobius_int, _sensitivity_counts, sensitivity, weights_vector
 
 ENUM_MAX_N = 4
 LONG_ENUM_N = 5
@@ -33,12 +33,7 @@ def all_tables(n: int) -> np.ndarray:
 
 def per_function_sensitivity(tables: np.ndarray, n: int) -> np.ndarray:
     """s(f) for every row of a (rows, 2^n) table matrix."""
-    size = 1 << n
-    idx = np.arange(size)
-    counts = np.zeros(tables.shape, dtype=np.uint8)
-    for i in range(n):
-        counts += tables != tables[:, idx ^ (1 << i)]
-    return counts.max(axis=1)
+    return _sensitivity_counts(tables, n).max(axis=1)
 
 
 def per_function_degree(tables: np.ndarray, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .core import BallAdvice, Point, TruthTable, ball_indices, check_n
+from .core import BallAdvice, Point, TruthTable, check_n
 
 
 class FormatError(ValueError):
@@ -64,25 +64,21 @@ def read_ball_advice(path: str | Path) -> BallAdvice:
     if len(center_bits) != n:
         raise FormatError(f"{path}: center has {len(center_bits)} bits, expected {n}")
     center = Point.from_bits(center_bits)
-    expected = ball_indices(n, center.index, radius)
     values: dict[int, int] = {}
-    order: list[int] = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2 or parts[1] not in ("0", "1"):
             raise FormatError(f"{path}: bad advice line {ln!r}")
-        pt = Point.from_bits(parts[0])
-        if pt.n != n:
+        if len(parts[0]) != n:
             raise FormatError(f"{path}: point {parts[0]!r} has wrong length")
+        pt = Point.from_bits(parts[0])
         if pt.index in values:
             raise FormatError(f"{path}: duplicate point {parts[0]!r}")
         values[pt.index] = int(parts[1])
-        order.append(pt.index)
-    if order != sorted(order):
+    if list(values) != sorted(values):
         raise FormatError(f"{path}: points not in increasing index order")
-    if order != expected:
-        raise FormatError(
-            f"{path}: advice domain is not exactly the ball "
-            f"(got {len(order)} points, ball has {len(expected)})"
-        )
-    return BallAdvice(center, radius, values)
+    # the ball is never enumerated: BallAdvice checks the radius, the count and each point
+    try:
+        return BallAdvice(center, radius, values)
+    except ValueError as e:
+        raise FormatError(f"{path}: advice domain is not exactly the ball: {e}") from e

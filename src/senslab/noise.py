@@ -1,11 +1,12 @@
 """Noise-operator machinery.
 
 `T_rho` with rho = 1-2*delta replaces each coordinate independently: y_i = x_i
-with probability 1-delta and flipped with probability delta.  Two evaluation
-paths are kept deliberately: a float character-transform path (O(n 2^n)) and
-an exact rational direct sum (big-integer weights p^d (q-p)^(n-d) over q^n for
-delta = p/q).  Threshold decisions landing within 1e-9 of the float threshold
-are re-run on the exact path.
+with probability 1-delta and flipped with probability delta.  The float path
+is the character transform; the exact path is the integer step
+[[q-p, p], [p, q-p]] (delta = p/q) on the same butterfly, giving q^n T_rho f
+at every point.  Threshold decisions (Lambda-sets, the majority step) take the
+float path outside a 1e-9 band and settle the points inside it exactly: a few
+by their distance census, many by one pass of the integer step.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from .core import (
     _butterfly,
     check_n,
     lower_shadow,
-    popcount,
     weight,
     weights_vector,
 )
 
+# Float threshold decisions within this band are re-decided exactly.  The forward
+# transform of 0/1 values is exact, and Cauchy-Schwarz on the damped spectrum bounds
+# the round-off of `noise_operator` by (n+2) 2^-53 2^(n/2), 1.2e-11 at n = 24.
 THRESHOLD_BAND = 1e-9
 ENUM_GUARD = 1 << 20
 
@@ -85,49 +88,78 @@ def noise_operator(f: TruthTable, delta) -> RealFunction:
     check_n(f.n)
     rho = 1.0 - 2.0 * float(delta)
     coeffs = walsh_hadamard(f.values.astype(np.float64)) / (1 << f.n)
-    levels = np.bitwise_count(np.arange(1 << f.n, dtype=np.uint32)).astype(np.float64)
-    coeffs *= rho ** levels
+    coeffs *= rho ** weights_vector(f.n)
     return RealFunction(f.n, walsh_hadamard(coeffs))
 
 
 # ---------------------------------------------------------------------------
-# exact path: distance census + big-integer weights
+# exact path: the integer noise step on the butterfly
+
+def _noise_numerators(values: np.ndarray, n: int, delta: Fraction) -> np.ndarray:
+    """q^n * T_{1-2delta} f at every point for delta = p/q: one butterfly pass of the
+    integer step [[q-p, p], [p, q-p]], in int64 when q^n < 2^63 (no partial sum
+    exceeds q^n) and in Python ints otherwise."""
+    p, q = delta.numerator, delta.denominator
+    arr = np.array(values, dtype=np.int64 if q**n < 1 << 63 else object)
+
+    def step(lo, hi):
+        lo[...], hi[...] = (q - p) * lo + p * hi, p * lo + (q - p) * hi
+
+    return _butterfly(arr, step)
+
+
+def _census_numerators(values: np.ndarray, n: int, delta: Fraction, points) -> np.ndarray:
+    """q^n * T_{1-2delta} f at each of `points` from its distance census to the ones of
+    f: O(2^n) numpy work and memory per point, Python ints only in the n+1 weights."""
+    p, q = delta.numerator, delta.denominator
+    ones, w = np.flatnonzero(values), weights_vector(n)
+    census = [np.bincount(w[ones ^ x], minlength=n + 1).tolist() for x in points]
+    terms = np.array([p**d * (q - p) ** (n - d) for d in range(n + 1)], dtype=object)
+    return np.array(census, dtype=object).reshape(-1, n + 1) @ terms
+
+
+def _noise_signs(values: np.ndarray, n: int, delta: Fraction, theta: Fraction) -> np.ndarray:
+    """Exact sign (int8) of T_{1-2delta} f(x) - theta at every x: the float path outside
+    THRESHOLD_BAND; inside, b * N(x) vs a * q^n in Python ints (N = q^n T f, theta = a/b)."""
+    gap = noise_operator(TruthTable(n, values), delta).values - float(theta)
+    signs = np.sign(gap).astype(np.int8)
+    band = np.flatnonzero(np.abs(gap) <= THRESHOLD_BAND)
+    if len(band):
+        # one census costs about 1/(2n) of an int64 butterfly pass, 1/(64n) of a Python-int one
+        if len(band) <= (2 if delta.denominator**n < 1 << 63 else 64) * n:
+            nums = _census_numerators(values, n, delta, band.tolist())
+        else:
+            nums = _noise_numerators(values, n, delta)[band].astype(object)
+        signs[band] = np.sign(nums * theta.denominator - theta.numerator * delta.denominator**n)
+    return signs
+
 
 def distance_census(values: np.ndarray, n: int) -> np.ndarray:
-    """census[x, d] = #{y : d(x,y) = d and values[y] = 1}.  O(4^n), guarded."""
+    """census[x, d] = #{y : d(x,y) = d and values[y] = 1} by a two-sided codistance
+    butterfly (O(n^2 2^n), guarded): each coordinate moves a partner's row d to d+1."""
     check_n(n, PAIRWISE_MAX_N)
-    idx = np.arange(1 << n)
-    census = np.zeros((1 << n, n + 1), dtype=np.int64)
-    vals = np.asarray(values, dtype=np.int64)
-    for mask in range(1 << n):
-        census[:, popcount(mask)] += vals[idx ^ mask]
-    return census
+    z = np.zeros((n + 1, 1 << n), dtype=np.int64)
+    z[0] = values
 
+    def step(lo, hi):
+        lo[1:], hi[1:] = lo[1:] + hi[:-1], hi[1:] + lo[:-1]
 
-def _point_census(values: np.ndarray, n: int, index: int) -> list[int]:
-    idx = np.arange(1 << n)
-    dist = np.bitwise_count((idx ^ index).astype(np.uint32))
-    return [int(np.asarray(values, dtype=np.int64)[dist == d].sum()) for d in range(n + 1)]
-
-
-def _census_to_fraction(census_row, n: int, delta: Fraction) -> Fraction:
-    p, q = delta.numerator, delta.denominator
-    num = sum(int(c) * p**d * (q - p) ** (n - d) for d, c in enumerate(census_row))
-    return Fraction(num, q**n)
+    return np.ascontiguousarray(_butterfly(z, step).T)
 
 
 def exact_noise_value(f_or_values, x: Point, delta) -> Fraction:
     """T_{1-2delta} f(x) as an exact rational (single point, O(2^n))."""
     delta = noise_rate(delta)
-    values = f_or_values.values if isinstance(f_or_values, TruthTable) else f_or_values
-    return _census_to_fraction(_point_census(values, x.n, x.index), x.n, delta)
+    f = f_or_values if isinstance(f_or_values, TruthTable) else TruthTable(x.n, f_or_values)
+    return Fraction(_census_numerators(f.values, x.n, delta, [x.index])[0], delta.denominator**x.n)
 
 
 def exact_noise_values(f: TruthTable, delta) -> list[Fraction]:
-    """All of T_{1-2delta} f as exact rationals (O(4^n), guarded)."""
+    """All of T_{1-2delta} f as exact rationals (guarded like the census)."""
     delta = noise_rate(delta)
-    census = distance_census(f.values, f.n)
-    return [_census_to_fraction(row, f.n, delta) for row in census]
+    check_n(f.n, PAIRWISE_MAX_N)
+    denom = delta.denominator**f.n
+    return [Fraction(num, denom) for num in _noise_numerators(f.values, f.n, delta).tolist()]
 
 
 def noise_sensitivity_at(f: TruthTable, x: Point, delta) -> Fraction:
@@ -213,28 +245,20 @@ def downward_mismatch_table(f: TruthTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lambda sets and the small-set expansion checks
 
-def _indicator(n: int, members: Iterable) -> np.ndarray:
-    vals = np.zeros(1 << n, dtype=np.uint8)
-    for m in members:
-        vals[m.index if isinstance(m, Point) else int(m)] = 1
-    return vals
-
-
 def lambda_set(n: int, members: Iterable, delta, theta) -> frozenset[int]:
-    """Lambda_{delta,theta}(S) = {x : Pr_{y ~ N_{1-2delta}(x)}[y in S] >= theta},
-    decided on the float path with exact re-checks inside the 1e-9 band."""
+    """Lambda_{delta,theta}(S) = {x : Pr_{y ~ N_{1-2delta}(x)}[y in S] >= theta}, exact."""
     delta = noise_rate(delta)
     theta = Fraction(theta)
     check_n(n, PAIRWISE_MAX_N)
-    ind = _indicator(n, members)
-    tvals = noise_operator(TruthTable(n, ind), delta).values
-    theta_f = float(theta)
-    out = set(np.nonzero(tvals >= theta_f + THRESHOLD_BAND)[0].tolist())
-    boundary = np.nonzero(np.abs(tvals - theta_f) <= THRESHOLD_BAND)[0]
-    for i in boundary.tolist():
-        if exact_noise_value(ind, Point(n, int(i)), delta) >= theta:
-            out.add(int(i))
-    return frozenset(int(i) for i in out)
+    ind = TruthTable.from_indices(n, [m.index if isinstance(m, Point) else int(m) for m in members])
+    return frozenset(np.flatnonzero(_noise_signs(ind.values, n, delta, theta) >= 0).tolist())
+
+
+def _expansion_measures(n: int, members: Iterable, delta: Fraction, theta: Fraction):
+    """mu(S), mu(Lambda_{delta,theta}(S)) and the Lambda-set itself."""
+    members = {m.index if isinstance(m, Point) else int(m) for m in members}
+    lam = lambda_set(n, members, delta, theta)
+    return Fraction(len(members), 1 << n), Fraction(len(lam), 1 << n), lam
 
 
 @dataclass(frozen=True)
@@ -251,9 +275,7 @@ def hypercontractivity_check(n: int, members: Iterable, delta, theta) -> SseRepo
     exactly by raising both sides to the power q for delta = p/q."""
     delta = noise_rate(delta)
     theta = Fraction(theta)
-    lam = lambda_set(n, members, delta, theta)
-    mu_s = Fraction(len(set(m.index if isinstance(m, Point) else int(m) for m in members)), 1 << n)
-    mu_l = Fraction(len(lam), 1 << n)
+    mu_s, mu_l, lam = _expansion_measures(n, members, delta, theta)
     p, q = delta.numerator, delta.denominator
     base = mu_s / theta**2
     holds = mu_l**q <= base ** (q + 2 * p)
@@ -280,9 +302,7 @@ def sse_corollary_check(n: int, members: Iterable, delta, theta) -> CorSseReport
     delta = noise_rate(delta)
     theta = Fraction(theta)
     p, q = delta.numerator, delta.denominator
-    lam = lambda_set(n, members, delta, theta)
-    mu_s = Fraction(len(set(m.index if isinstance(m, Point) else int(m) for m in members)), 1 << n)
-    mu_l = Fraction(len(lam), 1 << n)
+    mu_s, mu_l, _ = _expansion_measures(n, members, delta, theta)
     premise = mu_s**p <= theta ** (4 * p + 2 * q)
     bound = mu_l**q <= mu_s ** (q + p)
     return CorSseReport(mu_S=mu_s, mu_Lambda=mu_l, premise=bool(premise), bound=bool(bound))

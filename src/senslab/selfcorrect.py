@@ -17,16 +17,9 @@ from math import ceil, log2
 
 import numpy as np
 
-from .core import Point, TruthTable, ball_indices, check_n
+from .core import Point, TruthTable, weights_vector
 from .evaluate import majority_threshold_c
-from .noise import (
-    THRESHOLD_BAND,
-    exact_noise_value,
-    lambda_set,
-    noise_operator,
-    noise_rate,
-    sample_noisy,
-)
+from .noise import _noise_signs, lambda_set, noise_rate, sample_noisy
 
 
 @dataclass
@@ -57,8 +50,7 @@ class CorruptedOracle:
 
     def corrupted_table(self) -> TruthTable:
         vals = self.truth.values.copy()
-        for i in self.corrupted:
-            vals[i] ^= 1
+        vals[list(self.corrupted)] ^= 1
         return TruthTable(self.truth.n, vals)
 
 
@@ -119,18 +111,10 @@ def corrupt_targeted(f: TruthTable, x: Point, count: int) -> tuple[CorruptedOrac
     (increasing distance, then index) — the region local queries sample."""
     if not 0 <= count <= (1 << f.n):
         raise ValueError("count out of range")
-    chosen: set[int] = set()
-    ordered: list[int] = []
-    for r in range(f.n + 1):
-        if len(ordered) >= count:
-            break
-        for i in ball_indices(f.n, x.index, r):
-            if len(ordered) >= count:
-                break
-            if i not in chosen:
-                chosen.add(i)
-                ordered.append(i)
-    oracle = CorruptedOracle(f, frozenset(ordered))
+    dist = weights_vector(f.n)[np.arange(1 << f.n) ^ x.index]
+    # a stable sort by distance keeps ties in index order
+    nearest = np.argsort(dist, kind="stable")[:count]
+    oracle = CorruptedOracle(f, frozenset(nearest.tolist()))
     return oracle, oracle.corrupted_table()
 
 
@@ -146,21 +130,11 @@ def error_set(g: TruthTable, f: TruthTable) -> frozenset[int]:
 def majority_step(g: TruthTable, delta) -> tuple[TruthTable, frozenset[int]]:
     """One smoothing step: out(x) = [T_{1-2delta} g(x) > 1/2], exact on the
     boundary; exact ties keep g(x) and are reported."""
-    delta = noise_rate(delta)
-    tvals = noise_operator(g, delta).values
-    out = (tvals > 0.5 + THRESHOLD_BAND).astype(np.uint8)
-    ties: set[int] = set()
-    boundary = np.nonzero(np.abs(tvals - 0.5) <= THRESHOLD_BAND)[0]
-    for i in boundary.tolist():
-        exact = exact_noise_value(g.values, Point(g.n, int(i)), delta)
-        if exact > Fraction(1, 2):
-            out[i] = 1
-        elif exact < Fraction(1, 2):
-            out[i] = 0
-        else:
-            out[i] = g.values[i]
-            ties.add(int(i))
-    return TruthTable(g.n, out), frozenset(ties)
+    signs = _noise_signs(g.values, g.n, noise_rate(delta), Fraction(1, 2))
+    ties = np.flatnonzero(signs == 0)
+    out = (signs > 0).astype(np.uint8)
+    out[ties] = g.values[ties]
+    return TruthTable(g.n, out), frozenset(ties.tolist())
 
 
 @dataclass
@@ -201,7 +175,6 @@ def global_correct(
         if truth is not None:
             trace.append(len(error_set(nxt, truth)))
             if check_contraction:
-                check_n(r.n, 13)
                 prev_err = error_set(cur, truth)
                 lam = lambda_set(r.n, prev_err, params.delta, Fraction(2, 5))
                 if not error_set(nxt, truth) <= lam:

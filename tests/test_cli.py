@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,16 @@ def test_oversized_headers_exit_two(tmp_path):
     tt = tmp_path / "big.tt"
     tt.write_text("n=40\n01\n")
     assert_usage_error(run_subprocess("measure", "--in", str(tt)))
+
+
+def test_short_advice_for_a_large_ball_exits_two_fast(tmp_path):
+    # B(0, 12) at n = 24 has 9,740,686 points; the point count must fail before any enumeration
+    ball = tmp_path / "short.ball"
+    ball.write_text("n=24 center=" + "0" * 24 + " radius=12\n")
+    started = time.perf_counter()
+    assert_usage_error(run_subprocess("eval", "--algo", "bottom-up", "--advice", str(ball),
+                                      "--s", "1", "--x", "0" * 24, timeout=30))
+    assert time.perf_counter() - started < 5
 
 
 def test_seed_echoed_in_reports(tmp_path, capsys):

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from senslab.core import (
     BallAdvice,
+    IntegerFunction,
     _mobius_int,
     _zeta_f2,
     _zeta_int,
@@ -73,6 +74,12 @@ def test_point_validation():
         point(3, -1)
 
 
+@pytest.mark.parametrize("bits", ["", "0" * 40])
+def test_point_from_bits_checks_n(bits):
+    with pytest.raises(ValueError, match="outside supported range"):
+        Point.from_bits(bits)
+
+
 def test_neighbor_enumerations():
     x = Point(3, 7)  # 111
     assert {y.index for y in all_neighbors(x)} == {3, 5, 6}
@@ -138,6 +145,21 @@ def test_truth_table_accepts_bits_of_any_type():
     for values in ([False, True], [0, 1], np.array([0, 1], dtype=np.int64), [0.0, 1.0]):
         f = TruthTable(1, values)
         assert f.values.dtype == np.uint8 and f.bits_string() == "01"
+
+
+@pytest.mark.parametrize(
+    "values", [[0.5, 1, 2, 3], [2**70, 1, 2, 3], [2**63, 0, 0, 0], ["0", "1", "2", "3"]]
+)
+def test_integer_function_rejects_before_cast(values):
+    # an int64 cast would truncate 0.5 and overflow on 2**70
+    with pytest.raises(ValueError, match="integers in the int64 range"):
+        IntegerFunction(2, values)
+
+
+def test_integer_function_accepts_ints_and_bools():
+    for values in ([0, -1, 2, 3], [True, False, True, True], np.arange(4, dtype=np.uint64)):
+        c = IntegerFunction(2, values)
+        assert c.values.dtype == np.int64 and c.values.tolist() == [int(v) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,20 @@ def test_ball_advice_bad_inputs(tmp_path):
     path.write_text("n=2 center=00 radius=1\n00 0\n01 1\n")  # missing 10
     with pytest.raises(FormatError):
         read_ball_advice(path)
-    path.write_text("n=2 center=00 radius=1\n00 0\n10 0\n01 1\n11 1\n")  # outside
-    with pytest.raises(FormatError):
+    path.write_text("n=2 center=00 radius=1\n00 0\n01 1\n11 1\n")  # outside
+    with pytest.raises(FormatError, match="outside the ball"):
         read_ball_advice(path)
     path.write_text("n=2 center=00 radius=1\n00 0\n01 1\n10 0\n")  # wrong order
     with pytest.raises(FormatError):
         read_ball_advice(path)
-    path.write_text("n=2 center=00 radius=1\n00 0\n10 0\n10 0\n01 1\n")  # duplicate
-    with pytest.raises(FormatError):
+    path.write_text("n=2 center=00 radius=1\n00 0\n10 0\n10 0\n")  # duplicate
+    with pytest.raises(FormatError, match="duplicate"):
+        read_ball_advice(path)
+    path.write_text("n=2 center=00 radius=3\n00 0\n")  # radius beyond n
+    with pytest.raises(FormatError, match="radius 3 out of range"):
+        read_ball_advice(path)
+    path.write_text("n=2 center=00 radius=1\n00 0\n10 0\n0 1\n")  # short point
+    with pytest.raises(FormatError, match="wrong length"):
         read_ball_advice(path)
 
 

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from senslab.core import Point, TruthTable, seeded_rng, weight
 from senslab.families import dictator, majority, parity, random_function, tribes
 from senslab.noise import (
+    distance_census,
     downward_mismatch,
     downward_mismatch_sampled,
     downward_mismatch_table,
@@ -85,6 +86,29 @@ def test_exact_matches_float(f):
     exact = exact_noise_values(f, delta)
     approx = noise_operator(f, delta).values
     assert max(abs(float(e) - a) for e, a in zip(exact, approx)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_distance_census_matches_pairwise_definition(n):
+    vals = seeded_rng(n, "census").integers(0, 2, size=1 << n, dtype=np.uint8)
+    idx = np.arange(1 << n)
+    dist = np.bitwise_count(idx[:, None] ^ idx[None, :])  # all 4^n pairs
+    brute = np.stack([((dist == d) * vals[None, :]).sum(axis=1) for d in range(n + 1)], axis=1)
+    census = distance_census(vals, n)
+    assert census.dtype == np.int64 and census.flags.c_contiguous
+    assert np.array_equal(census, brute)
+
+
+# (6, 1/20): q^n fits int64; (13, 1/40): q^n > 2^63, so the exact pass uses Python ints
+REGIMES = [(6, Fraction(1, 20)), (13, Fraction(1, 40))]
+
+
+@pytest.mark.parametrize("n, delta", REGIMES)
+def test_exact_noise_values_match_single_points(n, delta):
+    f = random_function(n, 11)
+    vals = exact_noise_values(f, delta)
+    for i in (0, 1, (1 << n) // 3, (1 << n) - 1):
+        assert vals[i] == exact_noise_value(f, Point(n, i), delta)
 
 
 def test_noise_sensitivity_dictator():
@@ -180,9 +204,34 @@ def test_lambda_set_exact_threshold():
     assert lambda_set(4, [0], Fraction(1, 2), Fraction(1, 16) + Fraction(1, 10**6)) == frozenset()
 
 
+@pytest.mark.parametrize("n, delta", REGIMES)
+def test_lambda_set_decides_singleton_peak_exactly(n, delta):
+    # T 1_{0}(0) = (1-delta)^n exactly; 1e-40 above it lies deep inside the float band
+    theta = (1 - delta) ** n
+    assert 0 in lambda_set(n, [0], delta, theta)
+    assert 0 not in lambda_set(n, [0], delta, theta + Fraction(1, 10**40))
+
+
+@pytest.mark.parametrize("n, delta", REGIMES)
+def test_lambda_set_decides_a_large_band_exactly(n, delta):
+    # S = {y : y_0 = 1} gives T 1_S(x) = 1 - delta exactly on half the cube: a band
+    # too large for one census per point, so all points go through one butterfly pass
+    half = [i for i in range(1 << n) if i & 1]
+    assert lambda_set(n, half, delta, 1 - delta) == frozenset(half)
+    assert lambda_set(n, half, delta, 1 - delta + Fraction(1, 10**40)) == frozenset()
+
+
+def test_exact_noise_value_rejects_non_boolean_values():
+    with pytest.raises(ValueError):
+        exact_noise_value(np.array([0, 2, 0, 0]), Point(2, 0), Fraction(1, 4))
+
+
 def test_hypercontractivity_report_fields():
     rep = hypercontractivity_check(6, range(4), Fraction(1, 20), Fraction(2, 5))
     assert rep.mu_S == Fraction(4, 64)
     assert rep.holds
     cor = sse_corollary_check(6, range(4), Fraction(1, 20), Fraction(2, 5))
     assert cor.bound or not cor.premise
+    # a one-shot iterator of members is read once for both Lambda and mu(S)
+    assert hypercontractivity_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == rep
+    assert sse_corollary_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == cor
