@@ -391,47 +391,58 @@ def parallel_eval_batch(
 
     Distributionally identical to parallel_eval (same sampling law per node,
     independent subtrees); used for large statistical sweeps.
+
+    Since n <= 20, every point that recurses has s = 1 (for s >= 2 the
+    cutoff min(10s, n) is n) and weight 11..20, so t = floor(wt/11) = 1: each
+    sample clears one uniformly chosen set bit.
+
+    Stream contract: trials run one after another; within a trial each
+    recursion level takes one rng.random(c * L) call for its L live nodes,
+    shaped (c, L), and sample j of node i clears set bit floor(u[j, i] * wt).
+    The next level holds the children of the deeper nodes in (node, sample)
+    order.  Seeded outputs replay byte for byte.
     """
     if s < 1:
         raise ValueError("parallel evaluation needs s >= 1")
     n = f.n
     check_n(n, 20)
     c = parallel_sample_count()
-    bits = set_bits_table(n)
+    bits = set_bits_table(n).reshape(-1)  # flat index x * n + j
     w = weights_vector(n)
     cutoff = min(10 * s, n)
+    # leafval[x * n + j] = f(x with its j-th set bit cleared), filled at weight
+    # cutoff + 1 only: those nodes vote straight from the advice region
+    leafval = np.zeros((1 << n) * n, dtype=np.uint8)
+    leaf_rows = np.flatnonzero(w == cutoff + 1)  # empty when cutoff = n
+    for j in range(min(cutoff + 1, n)):
+        at = leaf_rows * n + j
+        leafval[at] = f.values[leaf_rows ^ (1 << bits[at].astype(np.int64))]
 
-    def sample_children(live: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """One uniformly-chosen t-subset of set bits cleared per point."""
-        if int(t.max()) == 1:
-            slot = (rng.random(len(live)) * w[live]).astype(np.int64)
-            return live ^ (np.int64(1) << bits[live, slot].astype(np.int64))
-        keys = rng.random((len(live), n))
-        keys[bits[live] == 255] = np.inf  # ignore padding columns
-        order = np.argsort(keys, axis=1)
-        masks = np.zeros(len(live), dtype=np.int64)
-        for q in range(int(t.max())):
-            take = q < t
-            ones_pos = bits[live[take], order[take, q]].astype(np.int64)
-            masks[take] |= np.int64(1) << ones_pos
-        return live ^ masks
-
-    def eval_points(pts: np.ndarray) -> np.ndarray:
-        done = w[pts] <= cutoff
-        out = np.empty(len(pts), dtype=np.uint8)
-        out[done] = f.values[pts[done]]
-        live = pts[~done]
-        if len(live):
-            t = w[live].astype(np.int64) // (10 * s + 1)
-            children = np.empty((len(live), c), dtype=np.int64)
-            for j in range(c):
-                children[:, j] = sample_children(live, t)
-            votes = eval_points(children.reshape(-1)).reshape(len(live), c)
-            out[~done] = (2 * votes.sum(axis=1, dtype=np.int64) > c).astype(np.uint8)
-        return out
+    def live_votes(live: np.ndarray) -> np.ndarray:
+        """Majority of c samples at each node of weight > cutoff."""
+        wt = w[live]
+        slot = rng.random(c * len(live)).reshape(c, len(live))
+        slot *= wt
+        flat = slot.astype(np.int64)  # floor(u * wt), then the flat index
+        del slot
+        flat += live * n
+        # right at weight cutoff + 1; the deeper nodes are overwritten below
+        votes = leafval[flat].sum(axis=0, dtype=np.uint8)
+        deep = np.flatnonzero(wt > cutoff + 1)
+        if len(deep):
+            # children in (node, sample) order
+            children = live[deep, None] ^ (1 << bits[flat[:, deep].T].astype(np.int64))
+            del flat
+            child_votes = live_votes(children.reshape(-1)).reshape(-1, c)
+            votes[deep] = child_votes.sum(axis=1, dtype=np.uint8)
+        return (votes > c // 2).astype(np.uint8)  # c is odd
 
     points = np.asarray(points, dtype=np.int64)
+    recurse = w[points] > cutoff
+    live = points[recurse]
     results = np.empty((len(points), trials), dtype=np.uint8)
-    for tr in range(trials):
-        results[:, tr] = eval_points(points)
+    results[:] = f.values[points][:, None]
+    if len(live):
+        for tr in range(trials):
+            results[recurse, tr] = live_votes(live)
     return results

@@ -50,10 +50,15 @@ class RealFunction:
     values: np.ndarray  # float64, length 2^n
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.asarray(self.values)
+        # check before the cast: float64 would parse strings and take complex parts
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"values must be real numbers, not dtype {arr.dtype}")
         if arr.shape != (1 << self.n,):
             raise ValueError("bad length")
-        arr = arr.copy()
+        arr = arr.astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

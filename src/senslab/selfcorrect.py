@@ -11,7 +11,7 @@ the c^k leaves only, and folding majorities upward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log2
 
@@ -27,31 +27,29 @@ class CorruptedOracle:
     truth: TruthTable
     corrupted: frozenset[int]
     query_count: int = 0
+    # _flipped[x] = 1 iff x is corrupted; built once from `corrupted`
+    _flipped: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.corrupted = frozenset(int(i) for i in self.corrupted)
         bad = [i for i in self.corrupted if not 0 <= i < (1 << self.truth.n)]
         if bad:
             raise ValueError(f"corrupted points out of range: {bad[:3]}")
+        self._flipped = np.zeros(1 << self.truth.n, dtype=np.uint8)
+        self._flipped[list(self.corrupted)] = 1
+        self._flipped.setflags(write=False)
 
     def answer(self, x: Point | int) -> int:
         idx = x.index if isinstance(x, Point) else int(x)
         self.query_count += 1
-        return int(self.truth.values[idx]) ^ (idx in self.corrupted)
+        return int(self.truth.values[idx] ^ self._flipped[idx])
 
     def answer_batch(self, indices: np.ndarray) -> np.ndarray:
         self.query_count += len(indices)
-        vals = self.truth.values[indices].copy()
-        if self.corrupted:
-            mask = np.zeros(1 << self.truth.n, dtype=bool)
-            mask[list(self.corrupted)] = True
-            vals ^= mask[indices]
-        return vals
+        return self.truth.values[indices] ^ self._flipped[indices]
 
     def corrupted_table(self) -> TruthTable:
-        vals = self.truth.values.copy()
-        vals[list(self.corrupted)] ^= 1
-        return TruthTable(self.truth.n, vals)
+        return TruthTable(self.truth.n, self.truth.values ^ self._flipped)
 
 
 @dataclass(frozen=True)
@@ -238,6 +236,7 @@ def local_correct_batch(
         k = params.k if params.k is not None else params.local_k(n)
     c = params.local_c()
     p, q = params.delta.numerator, params.delta.denominator
+    row_bytes = (n + 7) // 8
     out = np.empty(trials, dtype=np.uint8)
     done = 0
     while done < trials:
@@ -245,13 +244,19 @@ def local_correct_batch(
         pts = np.full(m, x.index, dtype=np.int64)
         for _ in range(k):
             pts = np.repeat(pts, c)
-            draws = rng.integers(0, q, size=(len(pts), n)) < p
-            masks = (draws.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=1)
-            pts ^= masks
-        votes = oracle.answer_batch(pts).astype(np.int64)
+            # bit i of a flip mask is draw i of its row: rows padded to whole
+            # bytes pack in one flat pass (a per-row packbits axis is several
+            # times slower), and a row's bytes, zero-extended to 8, read as
+            # one little-endian int64 (n <= 24 fills at most 3)
+            flips = np.zeros((len(pts), 8 * row_bytes), dtype=bool)
+            flips[:, :n] = rng.integers(0, q, size=(len(pts), n)) < p
+            masks = np.zeros((len(pts), 8), dtype=np.uint8)
+            packed = np.packbits(flips.reshape(-1), bitorder="little")
+            masks[:, :row_bytes] = packed.reshape(-1, row_bytes)
+            pts ^= masks.view("<i8")[:, 0]
+        votes = oracle.answer_batch(pts)
         for _ in range(k):
-            votes = votes.reshape(-1, c).sum(axis=1)
-            votes = (2 * votes > c).astype(np.int64)
-        out[done : done + m] = votes.astype(np.uint8)
+            votes = (votes.reshape(-1, c).sum(axis=1) > c // 2).astype(np.uint8)  # c is odd
+        out[done : done + m] = votes
         done += m
     return out

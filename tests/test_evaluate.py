@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -211,3 +213,76 @@ def test_parallel_batch_error_rate_high_weight():
     out = parallel_eval_batch(f, 1, pts, 200, seeded_rng(3, "batch-err"))
     errors = (out != f.values[pts][:, None]).sum(axis=1)
     assert errors.max() <= 10  # per-sample error ~1/11, majority-of-7 ~0.002
+
+
+def test_parallel_one_level_law():
+    # at n = 12, s = 1 a weight-11 point p votes over c uniform lower
+    # neighbours, all inside the advice region, so Pr[eval(p) = 1] =
+    # Pr[Bin(c, a(p)) > c/2] with a(p) the share of them where f = 1
+    f = random_dt(12, 1, seed=5)
+    assert 0 < f.values.sum() < 1 << 12
+    c, trials = parallel_sample_count(), 4000
+    pts = np.array([4095 ^ (1 << i) for i in range(12)])
+    share = np.array([np.mean([f(p ^ (1 << j)) for j in range(12) if p >> j & 1]) for p in pts])
+    law = binom.sf(c // 2, c, share)
+    assert law.min() == 0 and 0.99 < law.max() < 1  # a sure point and a random one
+    sigma = np.sqrt(law * (1 - law) / trials)
+    freq = parallel_eval_batch(f, 1, pts, trials, seeded_rng(5, "law")).mean(axis=1)
+    assert (np.abs(freq - law) <= 4 * sigma).all()
+    adv = restrict_to_ball(f, Point(12, 0), 10)
+    rng = seeded_rng(5, "law-scalar")
+    for i in (int(law.argmin()), int(law.argmax())):
+        hits = sum(parallel_eval(adv, 1, Point(12, int(pts[i])), rng) for _ in range(trials))
+        assert abs(hits / trials - law[i]) <= 4 * sigma[i]
+
+
+# ---------------------------------------------------------------------------
+# seeded streams: parallel_eval_batch must replay byte for byte
+
+def _stream_digest(out, rng):
+    """sha256 of the outputs, the next 8 bytes of the stream (which pins how
+    many draws the call took), dtype and shape."""
+    return hashlib.sha256(out.tobytes()).hexdigest(), rng.bytes(8).hex(), str(out.dtype), out.shape
+
+
+def _parallel_stream_case(name):
+    dneg16 = dictator(16, 9).complement()
+    if name == "dictator-neg-16":
+        return dneg16, 1, np.arange(1 << 16), 2
+    if name == "random-dt-12-reversed-duplicates":
+        pts = np.concatenate([np.arange(1 << 12)[::-1], [4095, 4095, 2047, 0, 2047]])
+        return random_dt(12, 1, seed=5), 1, pts, 200
+    if name == "random-dt-20-random-points":
+        pts = seeded_rng(41, "golden", "pts20").integers(0, 1 << 20, size=2000)
+        return random_dt(20, 1, seed=3), 1, pts, 4
+    if name == "empty":
+        return dneg16, 1, np.empty(0, dtype=np.int64), 5
+    assert name == "s2-never-recurses"
+    return random_dt(16, 2, seed=5), 2, np.arange(1 << 16), 3
+
+
+PARALLEL_STREAMS = {
+    "dictator-neg-16": (
+        "1246ca03f408b9d2528d86f1d7664e4457a75c3372092e5b8f767c188b29920c", "71e24dc0d994815e",
+        "uint8", (65536, 2)),
+    "random-dt-12-reversed-duplicates": (
+        "d23f3f7f6f504d9abb2e2f52d32180aafa1b21da5f50f9d9f1ad166e77a5bef9", "f5eb47be407ef45e",
+        "uint8", (4101, 200)),
+    "random-dt-20-random-points": (
+        "444e4dacddec8df347d33489419ce07e15ef50162a2ef645e5f32b61a882730f", "87cba7cfc2924b4a",
+        "uint8", (2000, 4)),
+    "empty": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d441c3a6811d9a34",
+        "uint8", (0, 5)),
+    "s2-never-recurses": (
+        "157a6268d0b39e3ac3c2ed0099a4a28bffc5ba587833781de3c65df7f7204915", "430a1aa80754ffc5",
+        "uint8", (65536, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARALLEL_STREAMS))
+def test_parallel_batch_stream_is_pinned(name):
+    f, s, pts, trials = _parallel_stream_case(name)
+    rng = seeded_rng(41, "golden", name)
+    out = parallel_eval_batch(f, s, pts, trials, rng)
+    assert _stream_digest(out, rng) == PARALLEL_STREAMS[name]

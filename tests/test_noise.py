@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from senslab.core import Point, TruthTable, seeded_rng, weight
 from senslab.families import dictator, majority, parity, random_function, tribes
 from senslab.noise import (
+    RealFunction,
     distance_census,
     downward_mismatch,
     downward_mismatch_sampled,
@@ -78,6 +79,40 @@ def test_noise_operator_semigroup():
     twice = walsh_hadamard(coeffs * (1.0 - 2.0 * float(d1)) ** levels)
     assert np.allclose(twice, combined, atol=1e-10)
 
+
+
+@pytest.mark.parametrize("values", [
+    ["0.5", "1", "0", "1"],
+    np.array([1 + 0j, 0, 0, 1]),
+    np.array([0.5, None, 0, 1], dtype=object),
+    [2**70, 0, 0, 1],
+    [0.5, np.nan, 0, 1],
+    [0, np.inf, 0, 1],
+    [-np.inf, 0, 0, 1],
+], ids=["strings", "complex", "object", "big-int-object", "nan", "inf", "-inf"])
+def test_real_function_rejects_before_cast(values):
+    with pytest.raises(ValueError):
+        RealFunction(2, values)
+
+
+@pytest.mark.parametrize("values", [
+    [True, False, True, True],
+    [0, 1, -2, 3],
+    np.array([1, 2, 3, 2**63], dtype=np.uint64),
+    np.array([0.25, -1.5, 0, 1], dtype=np.float32),
+    [0.25, -1.5, 0, 1e300],
+], ids=["bool", "int", "uint64", "float32", "float64"])
+def test_real_function_accepts_real_input(values):
+    rf = RealFunction(2, values)
+    assert rf.values.dtype == np.float64 and not rf.values.flags.writeable
+    assert rf.values.tolist() == [float(v) for v in values]
+
+
+def test_real_function_accepts_noise_operator_outputs():
+    for f in (tribes(2, 6), parity(5), majority(7)):
+        for delta in (Fraction(1, 20), Fraction(1, 2)):
+            out = noise_operator(f, delta)
+            assert np.array_equal(RealFunction(f.n, out.values).values, out.values)
 
 @given(small_tables)
 @settings(max_examples=25)

@@ -1,9 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from senslab.core import Point, TruthTable, seeded_rng
-from senslab.families import dictator, random_dt, tribes
+from senslab.families import dictator, random_dt, random_function, tribes
 from senslab.selfcorrect import (
     CorrectorParams,
     CorruptedOracle,
@@ -30,6 +33,24 @@ def test_oracle_answers_and_counts():
     assert batch.tolist() == [f(3) ^ 1, f(5), f(7) ^ 1]
     assert oracle.query_count == 5
     assert error_set(oracle.corrupted_table(), f) == frozenset({3, 7})
+
+
+def test_oracle_batch_repeats_without_a_mask_per_call():
+    f = random_dt(20, 2, seed=3)
+    oracle = CorruptedOracle(f, frozenset({5, 1 << 19}))
+    idx = np.array([5, 6, 1 << 19])
+    expect = [f(5) ^ 1, f(6), f(1 << 19) ^ 1]
+    tracemalloc.start()
+    try:
+        first = oracle.answer_batch(idx)
+        second = oracle.answer_batch(idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.dtype == second.dtype == np.uint8
+    assert first.tolist() == second.tolist() == expect
+    assert oracle.query_count == 6
+    assert peak < (1 << 20) // 8  # far below one 2^n-entry mask
 
 
 def test_oracle_rejects_out_of_range():
@@ -173,3 +194,31 @@ def test_local_corrects_corrupted_query_point():
     oracle, _ = corrupt_targeted(f, x, 1)
     out = local_correct_batch(oracle, x, CorrectorParams(s=1), 200, seeded_rng(14, "la"), k=4)
     assert (out == f(x)).mean() >= 0.97
+
+
+# ---------------------------------------------------------------------------
+# seeded streams: local_correct_batch must replay byte for byte
+
+LOCAL_STREAMS = {  # (n, k): (sha256 of outputs, next 8 stream bytes, dtype, shape)
+    (13, 2): ("e12280c0c688d6706beab94d4c1a62dc89a2322bbf4e2ce07388e600c20edfb0", "1565d0226c4091c5",
+              "uint8", (450,)),
+    (13, 4): ("0aa7dd1f83acd80dafacce371652b524d437cba71086d425b08c5a899fac604b", "8c1f9a983c83499f",
+              "uint8", (450,)),
+    (16, 2): ("8200cf0597aa77007a4ee71c9dee750ab41cfde914cbe862c2d94172ba8da238", "eaac62225dd79e6e",
+              "uint8", (450,)),
+    (16, 4): ("3936cebb88e1e3444ad4433eebc2854b789453e299362515b74e286f432a5daf", "13b7f73e942d77ca",
+              "uint8", (450,)),
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(LOCAL_STREAMS))
+def test_local_batch_stream_is_pinned(n, k):
+    # 450 trials is not a multiple of trial_chunk, and 13 bits do not fill
+    # whole bytes; the random truth table keeps the outputs stream-dependent
+    oracle, _ = corrupt(random_function(n, seed=11), Fraction(1, 64), seeded_rng(41, "golden", "corrupt", n))
+    x = Point(n, (1 << n) - 7)
+    rng = seeded_rng(41, "golden", "local", n, k)
+    out = local_correct_batch(oracle, x, CorrectorParams(s=1), 450, rng, k=k)
+    digest = (hashlib.sha256(out.tobytes()).hexdigest(), rng.bytes(8).hex(), str(out.dtype), out.shape)
+    assert digest == LOCAL_STREAMS[n, k]
+    assert oracle.query_count == 450 * 7**k
