@@ -46,7 +46,6 @@ from .counting import (
     xor_sensitivity_check,
 )
 from .evaluate import (
-    AdviceInconsistent,
     EvalStats,
     amplified_eval,
     bottom_up_all,

@@ -21,13 +21,11 @@ from . import counting, evaluate, families, noise, reconstruct, selfcorrect, ver
 from .core import (
     MAX_N,
     Point,
-    TruthTable,
     max_n,
     profile,
-    restrict_to_ball,
     seeded_rng,
 )
-from .io import FormatError, read_ball_advice, read_truth_table, write_ball_advice, write_truth_table
+from .io import FormatError, read_ball_advice, read_truth_table, write_truth_table
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     if args.x is None:
         raise ValueError("local mode needs --x")
     x = _parse_x(args.x, r.n)
-    k_eff = args.k if args.k is not None else params_obj.local_k(r.n)
+    k_eff = args.k if args.k is not None else params_obj.default_k(r.n)
     if params_obj.local_c() ** k_eff > 10**8:
         raise ValueError(
             f"local correction would issue c^k = {params_obj.local_c()}^{k_eff} "
@@ -496,9 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         _note(f"error: {e}")
         return 2
-    except evaluate.AdviceInconsistent as e:
-        _note(f"advice inconsistent: {e}")
-        return 1
 
 
 if __name__ == "__main__":

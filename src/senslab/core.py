@@ -277,13 +277,20 @@ def sensitivity_at(f: TruthTable, x: Point) -> int:
     return int(sum(f.values[idx ^ (1 << i)] != v for i in range(f.n)))
 
 
-def _sensitivity_counts(values: np.ndarray, n: int) -> np.ndarray:
-    """Pointwise sensitivities over the last axis (length 2^n); leading axes
-    are a batch of tables.  One gather per coordinate, counted in uint8."""
+def _coordinate_flips(values: np.ndarray, n: int):
+    """For each coordinate i, the mask values != (values with bit i of the
+    index flipped), over the last axis (length 2^n); leading axes are a
+    batch of tables.  One gather per coordinate."""
     idx = np.arange(1 << n)
-    counts = np.zeros(values.shape, dtype=np.uint8)
     for i in range(n):
-        counts += values != values[..., idx ^ (1 << i)]
+        yield values != values[..., idx ^ (1 << i)]
+
+
+def _sensitivity_counts(values: np.ndarray, n: int) -> np.ndarray:
+    """Pointwise sensitivities over the last axis, counted in uint8."""
+    counts = np.zeros(values.shape, dtype=np.uint8)
+    for flips in _coordinate_flips(values, n):
+        counts += flips
     return counts
 
 
@@ -430,12 +437,7 @@ def check_bias_bound(f: TruthTable) -> BiasBoundReport:
 
 def relevant_variables(f: TruthTable) -> frozenset[int]:
     """1-based indices i such that f(x) != f(x ^ e_i) for some x."""
-    idx = np.arange(1 << f.n)
-    rel = []
-    for i in range(f.n):
-        if (f.values != f.values[idx ^ (1 << i)]).any():
-            rel.append(i + 1)
-    return frozenset(rel)
+    return frozenset(i + 1 for i, flips in enumerate(_coordinate_flips(f.values, f.n)) if flips.any())
 
 
 def distance_fraction(f: TruthTable, g: TruthTable) -> Fraction:

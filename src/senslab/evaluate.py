@@ -6,7 +6,8 @@ its values near 0^n:
   * bottom-up: slide a radius-2s ball along a shortest path from 0^n to x,
     one coordinate flip at a time (one-coordinates of x in increasing index
     order); each point entering the ball takes the majority of its 2s+1
-    neighbors in the previous ball.
+    neighbors in the previous ball.  bottom_up_eval walks one x and
+    bottom_up_all sweeps every x, both on the per-bit plans of _shift_plan.
   * top-down: memoized recursion; a point of weight > 2s takes the majority
     of 2s+1 of its lower neighbors (clear the lowest set bits one at a time).
   * parallel: randomized recursive majority over samples from the lower
@@ -37,10 +38,6 @@ from .core import (
 )
 
 
-class AdviceInconsistent(Exception):
-    """The advice cannot come from a function of the promised sensitivity."""
-
-
 @dataclass
 class EvalStats:
     points_computed: int = 0
@@ -53,6 +50,13 @@ class EvalStats:
     def record_point(self, w: int) -> None:
         self.points_computed += 1
         self.points_by_weight[w] = self.points_by_weight.get(w, 0) + 1
+
+    def record_points(self, indices: np.ndarray) -> None:
+        """record_point for every index, by its weight."""
+        for w, k in enumerate(np.bincount(np.bitwise_count(indices)).tolist()):
+            if k:
+                self.points_by_weight[w] = self.points_by_weight.get(w, 0) + k
+        self.points_computed += len(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +91,8 @@ def majority_threshold_c(mu, delta_target) -> int:
 # bottom-up
 
 def _require_advice(advice: BallAdvice, s: int, factor: int) -> int:
+    if s < 0:
+        raise ValueError(f"sensitivity bound s must be >= 0, got {s}")
     if advice.center.index != 0:
         raise ValueError("advice must be centered at 0^n")
     need = min(factor * s, advice.n)
@@ -98,8 +104,10 @@ def _require_advice(advice: BallAdvice, s: int, factor: int) -> int:
 def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats]:
     """Ball-shifting evaluation; returns (f(x), stats).
 
-    points_computed counts initial advice reads plus every majority-filled
-    point; the ball size is checked to stay constant across shifts.
+    Walks the per-bit plans that bottom_up_all sweeps: the ball is a uint8
+    array in offset order, and each set bit of x, in increasing order,
+    shifts it once.  points_computed counts initial advice reads plus every
+    majority-filled point.
     """
     stats = EvalStats()
     r = _require_advice(advice, s, 2)
@@ -107,39 +115,21 @@ def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats
         stats.record_point(weight(x))
         return advice[x], stats
 
-    ball = {i: advice[i] for i in ball_indices(x.n, 0, r)}
-    size = len(ball)
-    for i in ball:
-        stats.record_point(popcount(i))
+    offs, plans = _shift_plan(x.n, r)
+    offs_arr = np.asarray(offs, dtype=np.int64)
+    ball = np.array([advice[m] for m in offs], dtype=np.uint8)
+    stats.record_points(offs_arr)
     center = 0
-    for bit in (1 << i for i in range(x.n) if (x.index >> i) & 1):
-        new_center = center ^ bit
-        new_ball: dict[int, int] = {}
-        for m in ball_indices(x.n, 0, r):
-            p = new_center ^ m
-            if popcount(p ^ center) <= r:
-                new_ball[p] = ball[p]
-            else:
-                diff = p ^ center
-                votes = 0
-                arity = 0
-                for j in range(x.n):
-                    if (diff >> j) & 1:
-                        votes += ball[p ^ (1 << j)]
-                        arity += 1
-                if 2 * votes == arity:
-                    raise AdviceInconsistent(
-                        f"tie at point index {p} while shifting to {new_center}"
-                    )
-                new_ball[p] = 1 if 2 * votes > arity else 0
-                stats.record_point(popcount(p))
-                stats.majority_votes += 1
-        ball = new_ball
-        center = new_center
+    for i in (i for i in range(x.n) if (x.index >> i) & 1):
+        copy_src, new_rows, gather = plans[i]
+        center ^= 1 << i
+        shifted = ball[np.maximum(copy_src, 0)]
+        shifted[new_rows] = 2 * ball[gather].sum(axis=1) > gather.shape[1]
+        ball = shifted
+        stats.record_points(center ^ offs_arr[new_rows])
+        stats.majority_votes += len(new_rows)
         stats.ball_shifts += 1
-        if len(ball) != size:
-            raise AssertionError("ball size changed across a shift")
-    return ball[x.index], stats
+    return int(ball[0]), stats
 
 
 @lru_cache(maxsize=8)
@@ -153,26 +143,21 @@ def _shift_plan(n: int, r: int):
     in m ^ bit} of the old ball.
     """
     offs = ball_indices(n, 0, r)
-    pos = {m: j for j, m in enumerate(offs)}
+    masks = np.asarray(offs, dtype=np.int64)  # sorted, so index_of is a searchsorted
     plans = []
     for i in range(n):
-        bit = 1 << i
-        copy_src = np.empty(len(offs), dtype=np.int64)
-        new_rows = []
-        gather = []
-        for j, m in enumerate(offs):
-            old = m ^ bit
-            if popcount(old) <= r:
-                copy_src[j] = pos[old]
-            else:
-                copy_src[j] = -1
-                new_rows.append(j)
-                gather.append([pos[old ^ (1 << q)] for q in range(n) if (old >> q) & 1])
-        plans.append((
-            copy_src,
-            np.asarray(new_rows, dtype=np.int64),
-            np.asarray(gather, dtype=np.int64) if gather else np.empty((0, r + 1), dtype=np.int64),
-        ))
+        old = masks ^ (1 << i)
+        kept = np.bitwise_count(old) <= r
+        copy_src = np.where(kept, np.searchsorted(masks, old), -1)
+        new_rows = np.flatnonzero(~kept)
+        fresh = old[new_rows]  # weight r + 1
+        gather = np.empty((len(new_rows), r + 1), dtype=np.int64)
+        for q in range(n):
+            has = np.flatnonzero((fresh >> q) & 1)
+            # bit q is the k-th lowest set bit of its row, k = wt(row & (2^q - 1))
+            col = np.bitwise_count(fresh[has] & ((1 << q) - 1))
+            gather[has, col] = np.searchsorted(masks, fresh[has] ^ (1 << q))
+        plans.append((copy_src, new_rows, gather))
     return offs, plans
 
 
@@ -338,7 +323,6 @@ def parallel_eval(
         raise ValueError("parallel evaluation needs s >= 1")
     _require_advice(advice, s, 10)
     c = parallel_sample_count()
-    ones_cache = set_bits_table(advice.n) if advice.n <= 16 else None
 
     def rec(p: int, depth: int) -> int:
         d = popcount(p)
@@ -349,18 +333,15 @@ def parallel_eval(
                 stats.record_point(d)
             return advice[p]
         t = d // (10 * s + 1)
+        ones = [i for i in range(advice.n) if (p >> i) & 1]
         votes = 0
         for _ in range(c):
-            if ones_cache is not None:
-                ones = ones_cache[p, :d].astype(np.int64)
-            else:
-                ones = np.asarray([i for i in range(advice.n) if (p >> i) & 1])
             chosen = rng.choice(d, size=t, replace=False)
             if stats is not None:
                 stats.rng_draws += 1
             mask = 0
-            for j in chosen:
-                mask |= 1 << int(ones[int(j)])
+            for j in chosen.tolist():
+                mask |= 1 << ones[j]
             votes += rec(p ^ mask, depth + 1)
         if stats is not None:
             stats.majority_votes += 1

@@ -8,8 +8,10 @@ Three rules:
     the advice radius all vanish (integer-valued, not necessarily Boolean).
   * f2: the same construction mod 2 (always Boolean).
 
-Points are processed in increasing distance from the center, then increasing
-index, so failures are deterministic.
+Parity and f2, scalar and batched, share one engine, _low_degree_extend.
+The majority rule processes points in increasing distance from the center,
+then increasing index, so failures are deterministic.  r_bruteforce_batch
+is the one brute-force radius scan for both rules.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .core import (
     _zeta_int,
     check_n,
     degree,
-    popcount,
     restrict_to_ball,
     sensitivity,
     weights_vector,
@@ -125,61 +126,48 @@ def majority_extend_batch(
 # ---------------------------------------------------------------------------
 # parity and F2 rules
 
-def _truncate_extend(padded: np.ndarray, n: int, radius: int, mod2: bool) -> np.ndarray:
-    """Zero every multilinear coefficient of weight > radius and re-evaluate.
+def _low_degree_extend(
+    n: int, center: int, radius: int, tables: np.ndarray, mod2: bool
+) -> np.ndarray:
+    """The extension with every multilinear coefficient (mod 2 with `mod2`)
+    of weight > radius zero, over the last axis; leading axes are a batch.
+    Entries outside B(center, radius) are ignored.
 
-    Equivalent to applying the level-by-level rule that forces each point at
-    ball level >= radius+1 to make its own coefficient vanish (induction on
-    the level), but runs as two butterfly transforms.
+    Translates to center 0 (real and F2 degree are invariant under
+    y -> y xor center), zeroes the high coefficients and re-evaluates: two
+    butterflies.  This equals the level-by-level rule that forces each point
+    at ball level >= radius+1 to make its own coefficient vanish.
     """
-    w = weights_vector(n)
+    idx = np.arange(1 << n) ^ center
+    high = weights_vector(n) > radius
+    moved = np.where(high, 0, np.asarray(tables)[..., idx])
     if mod2:
-        coeffs = _zeta_f2(padded.astype(np.uint8, order="C"))
-        coeffs[..., w > radius] = 0
-        return _zeta_f2(coeffs)
-    coeffs = _mobius_int(padded.astype(np.int64, order="C"))
-    coeffs[..., w > radius] = 0
-    return _zeta_int(coeffs)
-
-
-def _conjugated_extend(advice: BallAdvice, mod2: bool) -> np.ndarray:
-    """Translate the advice to center 0, extend, translate back.  Both real
-    and F2 degree are invariant under y -> y xor x0, so the translated
-    extension pulls back to the unique low-degree extension at the original
-    center."""
-    n, c = advice.n, advice.center.index
-    idx = np.arange(1 << n)
-    padded = np.zeros(1 << n, dtype=np.int64)
-    for i, v in advice.values.items():
-        padded[i ^ c] = v
-    ext = _truncate_extend(padded, n, advice.radius, mod2)
-    return ext[idx ^ c]
+        coeffs = _zeta_f2(moved.astype(np.uint8, order="C"))
+        coeffs[..., high] = 0
+        return _zeta_f2(coeffs)[..., idx]
+    coeffs = _mobius_int(moved.astype(np.int64, order="C"))
+    coeffs[..., high] = 0
+    return _zeta_int(coeffs)[..., idx]
 
 
 def parity_extend(advice: BallAdvice) -> IntegerFunction:
-    return IntegerFunction(advice.n, _conjugated_extend(advice, mod2=False))
+    return IntegerFunction(advice.n, _low_degree_extend(
+        advice.n, advice.center.index, advice.radius, advice.dense(), mod2=False))
 
 
 def f2_extend(advice: BallAdvice) -> TruthTable:
-    return TruthTable(advice.n, _conjugated_extend(advice, mod2=True).astype(np.uint8))
+    return TruthTable(advice.n, _low_degree_extend(
+        advice.n, advice.center.index, advice.radius, advice.dense(), mod2=True))
 
 
 def parity_extend_batch(n: int, center: int, radius: int, tables: np.ndarray) -> np.ndarray:
     """Parity rule over many functions: rows are full tables whose values
     outside B(center, radius) are ignored.  Returns int64 extensions."""
-    idx = np.arange(1 << n)
-    dist = weights_vector(n)[idx ^ center]
-    padded = np.where(dist <= radius, tables, 0).astype(np.int64)[:, idx ^ center]
-    ext = _truncate_extend(padded, n, radius, mod2=False)
-    return ext[:, idx ^ center]
+    return _low_degree_extend(n, center, radius, tables, mod2=False)
 
 
 def f2_extend_batch(n: int, center: int, radius: int, tables: np.ndarray) -> np.ndarray:
-    idx = np.arange(1 << n)
-    dist = weights_vector(n)[idx ^ center]
-    padded = np.where(dist <= radius, tables, 0).astype(np.uint8)[:, idx ^ center]
-    ext = _truncate_extend(padded, n, radius, mod2=True)
-    return ext[:, idx ^ center]
+    return _low_degree_extend(n, center, radius, tables, mod2=True)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +223,8 @@ def _extends_everywhere_maj(f: TruthTable, r: int) -> bool:
 
 def r_maj_bruteforce(f: TruthTable) -> int:
     """Smallest r such that the majority rule recovers f from B(x0, r) for
-    every center x0.  Gated to small n."""
+    every center x0.  Gated to small n; the scalar reference for
+    r_bruteforce_batch."""
     check_n(f.n, BRUTE_FORCE_MAX_N)
     for r in range(f.n + 1):
         if _extends_everywhere_maj(f, r):
@@ -243,15 +232,29 @@ def r_maj_bruteforce(f: TruthTable) -> int:
     raise AssertionError("radius n always extends")
 
 
+def r_bruteforce_batch(n: int, tables: np.ndarray, rule: str, centers=None) -> np.ndarray:
+    """Least radius at which `rule` ("maj" or "par") recovers each row of
+    `tables` from B(x0, r) for every center x0 in `centers` (all by
+    default), scanning radii upward; -1 where no radius does."""
+    centers = range(1 << n) if centers is None else centers
+    first = np.full(len(tables), -1, dtype=np.int64)
+    for r in range(n + 1):
+        ok = np.ones(len(tables), dtype=bool)
+        for center in centers:
+            if rule == "maj":
+                ext, ties = majority_extend_batch(n, center, r, tables)
+                ok &= ~ties & (ext == tables).all(axis=1)
+            else:
+                ok &= (parity_extend_batch(n, center, r, tables) == tables).all(axis=1)
+            if not ok.any():
+                break
+        first[(first < 0) & ok] = r
+    return first
+
+
 def r_par_bruteforce(f: TruthTable, all_centers: bool = True) -> int:
     """Smallest r such that the parity rule recovers f from B(x0, r), either
     for every center or for x0 = 0 only."""
     check_n(f.n, BRUTE_FORCE_MAX_N)
-    centers = range(1 << f.n) if all_centers else [0]
-    for r in range(f.n + 1):
-        if all(
-            parity_extend(restrict_to_ball(f, Point(f.n, c), r)) == f
-            for c in centers
-        ):
-            return r
-    raise AssertionError("radius n always extends")
+    centers = None if all_centers else [0]
+    return int(r_bruteforce_batch(f.n, f.values[None, :], "par", centers)[0])

@@ -7,6 +7,8 @@ boundary (exact ties keep the previous value and are reported, never guessed).
 Local: answer a single point by building a c-regular depth-k tree whose
 children are noisy samples of their parent, querying the corrupted oracle at
 the c^k leaves only, and folding majorities upward.
+
+Both take k = CorrectorParams.default_k(n) rounds unless k is given.
 """
 
 from __future__ import annotations
@@ -52,20 +54,18 @@ class CorruptedOracle:
         return TruthTable(self.truth.n, self.truth.values ^ self._flipped)
 
 
+K_FACTOR = 4  # default k = K_FACTOR * s * log2(n/s); the analysis leaves it open
+LOCAL_TRIAL_CHUNK = 200  # trials per batch chunk; it fixes the seeded stream
+
+
 @dataclass(frozen=True)
 class CorrectorParams:
-    """Correction parameters; the analysis constants are never pinned by the
-    theory, so c1/c2 (global) and d1/d2 (local) default to 6/4 and stay
-    overridable."""
+    """Correction parameters: k defaults to default_k(n) when not given."""
 
     s: int
     delta: Fraction = None  # type: ignore[assignment]
     k: int | None = None
     epsilon: Fraction = Fraction(1, 10)
-    c1: int = 6
-    c2: int = 4
-    d1: int = 6
-    d2: int = 4
 
     def __post_init__(self):
         if self.s < 1:
@@ -77,11 +77,8 @@ class CorrectorParams:
             raise ValueError("k must be >= 1")
 
     def default_k(self, n: int) -> int:
-        """k = c2 * s * log2(n/s), rounded up, at least 1."""
-        return max(1, ceil(self.c2 * self.s * log2(n / self.s)))
-
-    def local_k(self, n: int) -> int:
-        return max(1, ceil(self.d2 * self.s * log2(n / self.s)))
+        """k = K_FACTOR * s * log2(n/s), rounded up, at least 1."""
+        return max(1, ceil(K_FACTOR * self.s * log2(n / self.s)))
 
     def local_c(self) -> int:
         return majority_threshold_c(Fraction(1, 4), self.epsilon)
@@ -202,7 +199,7 @@ def local_correct(
     tree (children are noisy copies of the parent; leaves query the oracle).
     Returns (bit, queries_used); queries_used is exactly c^k."""
     if k is None:
-        k = params.k if params.k is not None else params.local_k(oracle.truth.n)
+        k = params.k if params.k is not None else params.default_k(oracle.truth.n)
     c = params.local_c()
     before = oracle.query_count
 
@@ -227,20 +224,19 @@ def local_correct_batch(
     trials: int,
     rng: np.random.Generator,
     k: int | None = None,
-    trial_chunk: int = 200,
 ) -> np.ndarray:
     """`trials` independent local corrections of the same point, expanded
     level-by-level as arrays (same sampling law as local_correct)."""
     n = oracle.truth.n
     if k is None:
-        k = params.k if params.k is not None else params.local_k(n)
+        k = params.k if params.k is not None else params.default_k(n)
     c = params.local_c()
     p, q = params.delta.numerator, params.delta.denominator
     row_bytes = (n + 7) // 8
     out = np.empty(trials, dtype=np.uint8)
     done = 0
     while done < trials:
-        m = min(trial_chunk, trials - done)
+        m = min(LOCAL_TRIAL_CHUNK, trials - done)
         pts = np.full(m, x.index, dtype=np.int64)
         for _ in range(k):
             pts = np.repeat(pts, c)

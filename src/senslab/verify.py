@@ -17,6 +17,7 @@ from . import counting, evaluate, families, noise, reconstruct, selfcorrect
 from .core import (
     Point,
     TruthTable,
+    _coordinate_flips,
     degree,
     relevant_variables,
     restrict_to_ball,
@@ -118,30 +119,13 @@ def criterion_ball(n: int = 4) -> CheckResult:
 # ---------------------------------------------------------------------------
 # criteria 2-3: brute-forced reconstruction radii vs the formulas
 
-def _maj_radius_batch(n: int, tables: np.ndarray) -> np.ndarray:
-    """Least radius whose majority extension recovers each table from every
-    center, scanning radii in increasing order."""
-    m = len(tables)
-    first = np.full(m, -1, dtype=np.int64)
-    for r in range(n + 1):
-        ok_r = np.ones(m, dtype=bool)
-        for center in range(1 << n):
-            ext, ties = reconstruct.majority_extend_batch(n, center, r, tables)
-            ok_r &= ~ties & (ext == tables).all(axis=1)
-            if not ok_r.any():
-                break
-        newly = (first < 0) & ok_r
-        first[newly] = r
-    return first
-
-
 def criterion_maj_radius() -> CheckResult:
     name = "majority-radius"
     checked = 0
     for n in range(1, 5):
         tables = counting.all_tables(n)
         sens = counting.per_function_sensitivity(tables, n)
-        first = _maj_radius_batch(n, tables)
+        first = reconstruct.r_bruteforce_batch(n, tables, "maj")
         expect = np.minimum(2 * sens, n)
         if (first != expect).any():
             i = int(np.nonzero(first != expect)[0][0])
@@ -154,7 +138,7 @@ def criterion_maj_radius() -> CheckResult:
     for n in (5, 6):
         tables = rng.integers(0, 2, size=(500, 1 << n)).astype(np.uint8)
         sens = counting.per_function_sensitivity(tables, n)
-        first = _maj_radius_batch(n, tables)
+        first = reconstruct.r_bruteforce_batch(n, tables, "maj")
         expect = np.minimum(2 * sens, n)
         if (first != expect).any():
             i = int(np.nonzero(first != expect)[0][0])
@@ -177,30 +161,14 @@ def criterion_maj_radius() -> CheckResult:
     )
 
 
-def _par_radius_batch(n: int, tables: np.ndarray, centers) -> np.ndarray:
-    as_int = tables.astype(np.int64)
-    m = len(tables)
-    first = np.full(m, -1, dtype=np.int64)
-    for r in range(n + 1):
-        ok_r = np.ones(m, dtype=bool)
-        for center in centers:
-            ext = reconstruct.parity_extend_batch(n, center, r, tables)
-            ok_r &= (ext == as_int).all(axis=1)
-            if not ok_r.any():
-                break
-        newly = (first < 0) & ok_r
-        first[newly] = r
-    return first
-
-
 def criterion_par_radius() -> CheckResult:
     name = "parity-radius"
     checked = 0
     for n in range(1, 5):
         tables = counting.all_tables(n)
         deg = counting.per_function_degree(tables, n)
-        all_centers = _par_radius_batch(n, tables, range(1 << n))
-        single = _par_radius_batch(n, tables, [0])
+        all_centers = reconstruct.r_bruteforce_batch(n, tables, "par")
+        single = reconstruct.r_bruteforce_batch(n, tables, "par", [0])
         if (all_centers != deg).any():
             i = int(np.nonzero(all_centers != deg)[0][0])
             return CheckResult(
@@ -621,10 +589,7 @@ def criterion_cross_measures() -> CheckResult:
     tables = counting.all_tables(n)
     sens = counting.per_function_sensitivity(tables, n).astype(np.int64)
     deg = counting.per_function_degree(tables, n).astype(np.int64)
-    idx = np.arange(1 << n)
-    relcnt = np.zeros(len(tables), dtype=np.int64)
-    for i in range(n):
-        relcnt += (tables != tables[:, idx ^ (1 << i)]).any(axis=1)
+    relcnt = sum(flips.any(axis=1) for flips in _coordinate_flips(tables, n))
     if (sens > 4 * deg * deg).any():
         i = int(np.nonzero(sens > 4 * deg * deg)[0][0])
         return CheckResult(

@@ -203,6 +203,16 @@ def test_oversized_headers_exit_two(tmp_path):
     assert_usage_error(run_subprocess("measure", "--in", str(tt)))
 
 
+@pytest.mark.parametrize("algo", ["bottom-up", "top-down"])
+def test_eval_negative_s_exits_two(tmp_path, algo):
+    ball = tmp_path / "f.ball"
+    write_ball_advice(restrict_to_ball(dictator(8), Point(8, 0), 8), str(ball))
+    proc = run_subprocess("eval", "--algo", algo, "--advice", str(ball), "--s", "-1",
+                          "--x", "11111111")
+    assert_usage_error(proc)
+    assert "s must be >= 0" in proc.stderr
+
+
 def test_short_advice_for_a_large_ball_exits_two_fast(tmp_path):
     # B(0, 12) at n = 24 has 9,740,686 points; the point count must fail before any enumeration
     ball = tmp_path / "short.ball"

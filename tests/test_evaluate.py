@@ -9,7 +9,6 @@ from scipy.stats import binom
 
 from senslab.core import Point, TruthTable, restrict_to_ball, seeded_rng, sensitivity
 from senslab.evaluate import (
-    AdviceInconsistent,
     EvalStats,
     amplified_eval,
     bottom_up_all,
@@ -24,7 +23,7 @@ from senslab.evaluate import (
     top_down_eval,
     top_down_visit_profile,
 )
-from senslab.families import dictator, or_fn, parity, random_dt, tribes
+from senslab.families import dictator, or_fn, parity, random_dt, random_function, tribes
 
 
 def _advice(f, s, factor=2):
@@ -88,6 +87,13 @@ def test_bottom_up_requires_radius():
     f = dictator(6)
     with pytest.raises(ValueError):
         bottom_up_eval(restrict_to_ball(f, Point(6, 0), 1), 1, Point(6, 63))
+
+
+@pytest.mark.parametrize("evaluator", [bottom_up_eval, top_down_eval])
+def test_scalar_evaluators_reject_negative_s(evaluator):
+    # radius n covers every point, so only the check on s can refuse
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        evaluator(_advice(dictator(8), 4), -1, Point(8, 0b11111111))
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=2))
@@ -286,3 +292,25 @@ def test_parallel_batch_stream_is_pinned(name):
     rng = seeded_rng(41, "golden", name)
     out = parallel_eval_batch(f, s, pts, trials, rng)
     assert _stream_digest(out, rng) == PARALLEL_STREAMS[name]
+
+
+# bottom_up_eval on random advice (not the restriction of any sensitivity-s
+# function, so the walk's output is not a truth table to compare with):
+# values and every EvalStats field, over advice radii 2s and 2s+1
+BOTTOM_UP_GOLDEN = "5dba1312592271cd6718c8d61d312508a094c84e9ba93a0ba678f46052d32112"
+
+
+def test_bottom_up_eval_is_pinned():
+    rng = seeded_rng(43, "golden-bottom-up")
+    h = hashlib.sha256()
+    for n in (5, 8, 11):
+        for s in (0, 1, 2, 3):
+            for extra in (0, 1):
+                f = random_function(n, seed=17 * n + 3 * s + extra)
+                advice = restrict_to_ball(f, Point(n, 0), min(2 * s + extra, n))
+                for x in rng.integers(0, 1 << n, size=6).tolist() + [(1 << n) - 1]:
+                    v, stats = bottom_up_eval(advice, s, Point(n, x))
+                    row = (int(v), stats.points_computed, sorted(stats.points_by_weight.items()),
+                           stats.ball_shifts, stats.majority_votes, stats.rng_draws, stats.max_depth)
+                    h.update(repr(row).encode())
+    assert h.hexdigest() == BOTTOM_UP_GOLDEN

@@ -22,6 +22,7 @@ from senslab.reconstruct import (
     majority_extend_batch,
     parity_extend,
     parity_extend_batch,
+    r_bruteforce_batch,
     r_maj,
     r_maj_bruteforce,
     r_par,
@@ -114,14 +115,24 @@ def test_parity_extension_degree_at_most_radius(f, data):
         assert degree(ext.as_truth_table()) <= max(r, 0)
 
 
-@given(small_tables)
-@settings(max_examples=25)
-def test_parity_batch_matches_scalar(f):
-    r = degree(f)
-    ext = parity_extend_batch(f.n, 0, r, f.values[None, :])
-    scalar = parity_extend(restrict_to_ball(f, Point(f.n, 0), r))
-    assert (ext[0] == scalar.values).all()
-    assert (ext[0] == f.values).all()
+@given(small_tables, st.data())
+@settings(max_examples=40)
+def test_parity_batch_matches_scalar(f, data):
+    center = data.draw(st.integers(min_value=0, max_value=(1 << f.n) - 1))
+    r = data.draw(st.integers(min_value=0, max_value=f.n))
+    g = f.complement()
+    tables = np.stack([f.values, g.values])
+    par = parity_extend_batch(f.n, center, r, tables)
+    f2 = f2_extend_batch(f.n, center, r, tables)
+    assert par.dtype == np.int64 and f2.dtype == np.uint8
+    for row, h in enumerate((f, g)):
+        advice = restrict_to_ball(h, Point(f.n, center), r)
+        assert (par[row] == parity_extend(advice).values).all()
+        assert (f2[row] == f2_extend(advice).values).all()
+    if r >= degree(f):
+        assert (par[0] == f.values).all()
+    if r >= degree_f2(f):
+        assert (f2[0] == f.values).all()
 
 
 def test_f2_recovers_at_f2_degree():
@@ -184,6 +195,7 @@ def test_radius_known_values():
 @settings(max_examples=15, deadline=None)
 def test_bruteforce_radii_match_formulas(f):
     assert r_maj_bruteforce(f) == r_maj(f)
+    assert r_bruteforce_batch(f.n, f.values[None, :], "maj")[0] == r_maj(f)
     assert r_par_bruteforce(f) == r_par(f)
     assert r_par_bruteforce(f, all_centers=False) == r_par(f)
 

@@ -213,7 +213,7 @@ LOCAL_STREAMS = {  # (n, k): (sha256 of outputs, next 8 stream bytes, dtype, sha
 
 @pytest.mark.parametrize("n,k", sorted(LOCAL_STREAMS))
 def test_local_batch_stream_is_pinned(n, k):
-    # 450 trials is not a multiple of trial_chunk, and 13 bits do not fill
+    # 450 trials is not a multiple of LOCAL_TRIAL_CHUNK, and 13 bits do not fill
     # whole bytes; the random truth table keeps the outputs stream-dependent
     oracle, _ = corrupt(random_function(n, seed=11), Fraction(1, 64), seeded_rng(41, "golden", "corrupt", n))
     x = Point(n, (1 << n) - 7)
