@@ -9,7 +9,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -346,38 +345,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    n = args.n
-    started = time.monotonic()
-    if args.task == "transforms":
-        f = families.random_function(n, seed=args.seed)
-        from .core import mobius_coefficients, zeta_transform
-
-        coeffs = mobius_coefficients(f)
-        back = zeta_transform(coeffs)
-        wh = noise.walsh_hadamard(f.values.astype(np.float64))
-        digest = hashlib.sha256(
-            coeffs.values.tobytes() + back.values.tobytes() + wh.tobytes()
-        ).hexdigest()
-    elif args.task == "extend":
-        rng = seeded_rng(args.seed, "bench-extend")
-        tables = rng.integers(0, 2, size=(64, 1 << n), dtype=np.uint8)
-        ext, ties = reconstruct.majority_extend_batch(n, 0, max(n - 2, 0), tables)
-        digest = hashlib.sha256(ext.tobytes() + ties.tobytes()).hexdigest()
-    else:  # evaluate
-        f = families.random_dt(n, 2, seed=args.seed)
-        bu = evaluate.bottom_up_all(f, 2)
-        td = evaluate.top_down_all(f, 2)
-        if not (bu == f and td == f):
-            _note("bench evaluate: evaluator disagreement")
-            return 1
-        digest = hashlib.sha256(bu.values.tobytes()).hexdigest()
-    elapsed = time.monotonic() - started
-    emit("bench", {"task": args.task, "n": n}, {"checksum": digest}, seed=args.seed)
-    _note(f"bench {args.task} n={n}: {elapsed * 1000:.1f} ms")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -473,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--n", type=int, help="override the exhaustive ball battery size (<= 4)")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timed micro-workloads (timings on stderr)")
-    p.add_argument("--task", required=True, choices=["transforms", "extend", "evaluate"])
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

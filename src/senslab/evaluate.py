@@ -7,7 +7,7 @@ its values near 0^n:
     one coordinate flip at a time (one-coordinates of x in increasing index
     order); each point entering the ball takes the majority of its 2s+1
     neighbors in the previous ball.  bottom_up_eval walks one x and
-    bottom_up_all sweeps every x, both on the per-bit plans of _shift_plan.
+    bottom_up_all sweeps every x, both on the per-bit plans of _bit_plan.
   * top-down: memoized recursion; a point of weight > 2s takes the majority
     of 2s+1 of its lower neighbors (clear the lowest set bits one at a time).
   * parallel: randomized recursive majority over samples from the lower
@@ -104,10 +104,10 @@ def _require_advice(advice: BallAdvice, s: int, factor: int) -> int:
 def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats]:
     """Ball-shifting evaluation; returns (f(x), stats).
 
-    Walks the per-bit plans that bottom_up_all sweeps: the ball is a uint8
-    array in offset order, and each set bit of x, in increasing order,
-    shifts it once.  points_computed counts initial advice reads plus every
-    majority-filled point.
+    Walks the per-bit plans that bottom_up_all sweeps (_bit_plan): the ball
+    is a uint8 array in offset order, and each set bit of x, in increasing
+    order, shifts it once.  points_computed counts initial advice reads plus
+    every majority-filled point.
     """
     stats = EvalStats()
     r = _require_advice(advice, s, 2)
@@ -115,50 +115,53 @@ def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats
         stats.record_point(weight(x))
         return advice[x], stats
 
-    offs, plans = _shift_plan(x.n, r)
-    offs_arr = np.asarray(offs, dtype=np.int64)
+    offs = ball_indices(x.n, 0, r)
+    masks = np.asarray(offs, dtype=np.int64)
     ball = np.array([advice[m] for m in offs], dtype=np.uint8)
-    stats.record_points(offs_arr)
+    stats.record_points(masks)
     center = 0
     for i in (i for i in range(x.n) if (x.index >> i) & 1):
-        copy_src, new_rows, gather = plans[i]
+        # one bit's plan at a time, uncached: a walk needs only x's set bits
+        copy_src, new_rows, gather = _bit_plan(masks, x.n, r, i)
         center ^= 1 << i
         shifted = ball[np.maximum(copy_src, 0)]
         shifted[new_rows] = 2 * ball[gather].sum(axis=1) > gather.shape[1]
         ball = shifted
-        stats.record_points(center ^ offs_arr[new_rows])
+        stats.record_points(center ^ masks[new_rows])
         stats.majority_votes += len(new_rows)
         stats.ball_shifts += 1
     return int(ball[0]), stats
 
 
+def _bit_plan(masks: np.ndarray, n: int, r: int, i: int):
+    """The gather plan of one shift by bit i, (copy_src, new_rows, gather).
+
+    Offsets are the sorted masks m with wt(m) <= r; a ball around c holds
+    the value at c ^ m in column index_of(m).  Shifting c -> c ^ (1 << i)
+    copies column index_of(m ^ bit) when wt(m ^ bit) <= r and otherwise
+    (wt(m) = r, bit not in m) takes a majority over the r+1 columns
+    {m ^ bit ^ (1 << j) : j set in m ^ bit} of the old ball.
+    """
+    old = masks ^ (1 << i)
+    kept = np.bitwise_count(old) <= r
+    copy_src = np.where(kept, np.searchsorted(masks, old), -1)  # masks are sorted
+    new_rows = np.flatnonzero(~kept)
+    fresh = old[new_rows]  # weight r + 1
+    gather = np.empty((len(new_rows), r + 1), dtype=np.int64)
+    for q in range(n):
+        has = np.flatnonzero((fresh >> q) & 1)
+        # bit q is the k-th lowest set bit of its row, k = wt(row & (2^q - 1))
+        col = np.bitwise_count(fresh[has] & ((1 << q) - 1))
+        gather[has, col] = np.searchsorted(masks, fresh[has] ^ (1 << q))
+    return copy_src, new_rows, gather
+
+
 @lru_cache(maxsize=8)
 def _shift_plan(n: int, r: int):
-    """Per-bit gather plans for the batched bottom-up walk.
-
-    Offsets are masks m with wt(m) <= r; a ball around c holds the value at
-    c ^ m in column index_of(m).  Shifting c -> c ^ bit copies column
-    index_of(m ^ bit) when wt(m ^ bit) <= r and otherwise (wt(m) = r, bit not
-    in m) takes a majority over the r+1 columns {m ^ bit ^ (1 << j) : j set
-    in m ^ bit} of the old ball.
-    """
+    """The offsets of B(0, r) and the plans of all n bits, for the sweep."""
     offs = ball_indices(n, 0, r)
-    masks = np.asarray(offs, dtype=np.int64)  # sorted, so index_of is a searchsorted
-    plans = []
-    for i in range(n):
-        old = masks ^ (1 << i)
-        kept = np.bitwise_count(old) <= r
-        copy_src = np.where(kept, np.searchsorted(masks, old), -1)
-        new_rows = np.flatnonzero(~kept)
-        fresh = old[new_rows]  # weight r + 1
-        gather = np.empty((len(new_rows), r + 1), dtype=np.int64)
-        for q in range(n):
-            has = np.flatnonzero((fresh >> q) & 1)
-            # bit q is the k-th lowest set bit of its row, k = wt(row & (2^q - 1))
-            col = np.bitwise_count(fresh[has] & ((1 << q) - 1))
-            gather[has, col] = np.searchsorted(masks, fresh[has] ^ (1 << q))
-        plans.append((copy_src, new_rows, gather))
-    return offs, plans
+    masks = np.asarray(offs, dtype=np.int64)
+    return offs, [_bit_plan(masks, n, r, i) for i in range(n)]
 
 
 def bottom_up_all(f: TruthTable, s: int) -> TruthTable:
@@ -167,26 +170,34 @@ def bottom_up_all(f: TruthTable, s: int) -> TruthTable:
     Walks share prefixes: with flips in increasing index order, the ball at x
     is one shift (by x's highest set bit) past the ball at x minus that bit,
     so a single sweep in increasing index order fills a table of balls.
+
+    The table is offset-major, (|B(0, r)|, 2^n): balls[j, c] is the value at
+    c ^ offs[j], and f's table is balls[0].  The balls at x in
+    [2^hb, 2^(hb+1)) are the column block balls[:, 2^hb:2^(hb+1)], so a
+    shift's copy plan and each of its vote gathers move whole contiguous
+    rows of length 2^hb rather than strided columns.
     """
     n = f.n
     r = min(2 * s, n)
     if r >= n:
         return TruthTable(n, f.values)
     offs, plans = _shift_plan(n, r)
-    balls = np.zeros((1 << n, len(offs)), dtype=np.uint8)
-    balls[0] = f.values[offs]  # the advice: f on B(0, r)
+    balls = np.empty((len(offs), 1 << n), dtype=np.uint8)
+    balls[:, 0] = f.values[offs]  # the advice: f on B(0, r)
     for hb in range(n):
-        # rows [2^hb, 2^(hb+1)) are one shift by bit hb past rows [0, 2^hb)
-        prev = balls[:1 << hb]
-        cur = balls[1 << hb:2 << hb]
+        # balls [2^hb, 2^(hb+1)) are one shift by bit hb past balls [0, 2^hb)
+        prev = balls[:, :1 << hb]
+        cur = balls[:, 1 << hb:2 << hb]
         copy_src, new_rows, gather = plans[hb]
-        np.take(prev, np.maximum(copy_src, 0), axis=1, out=cur, mode="clip")
+        # a fancy-index gather, not np.take(out=cur): np.take would first copy
+        # the strided prev and cur into contiguous buffers
+        cur[...] = prev[np.maximum(copy_src, 0)]
         if len(new_rows):
-            votes = np.zeros((len(prev), len(new_rows)), dtype=np.uint8)
+            votes = np.zeros((len(new_rows), 1 << hb), dtype=np.uint8)
             for col in gather.T:
-                votes += prev[:, col]
-            cur[:, new_rows] = 2 * votes > gather.shape[1]
-    return TruthTable(n, balls[:, 0])
+                votes += prev[col]
+            cur[new_rows] = 2 * votes > gather.shape[1]
+    return TruthTable(n, balls[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Three rules:
 Parity and f2, scalar and batched, share one engine, _low_degree_extend.
 The majority rule processes points in increasing distance from the center,
 then increasing index, so failures are deterministic.  r_bruteforce_batch
-is the one brute-force radius scan for both rules.
+is the one brute-force radius scan for both rules; a row leaves it once its
+least radius is found, or, within a radius, once one center fails it.
 """
 
 from __future__ import annotations
@@ -235,20 +236,28 @@ def r_maj_bruteforce(f: TruthTable) -> int:
 def r_bruteforce_batch(n: int, tables: np.ndarray, rule: str, centers=None) -> np.ndarray:
     """Least radius at which `rule` ("maj" or "par") recovers each row of
     `tables` from B(x0, r) for every center x0 in `centers` (all by
-    default), scanning radii upward; -1 where no radius does."""
+    default), scanning radii upward; -1 where no radius does.
+
+    Rows leave the scan as soon as they are settled: a radius extends only
+    the rows with no least radius yet, and each center only the rows that
+    every earlier center at this radius recovered.
+    """
     centers = range(1 << n) if centers is None else centers
+    tables = np.asarray(tables)
     first = np.full(len(tables), -1, dtype=np.int64)
     for r in range(n + 1):
-        ok = np.ones(len(tables), dtype=bool)
+        live = np.flatnonzero(first < 0)
+        rows = tables[live]
         for center in centers:
-            if rule == "maj":
-                ext, ties = majority_extend_batch(n, center, r, tables)
-                ok &= ~ties & (ext == tables).all(axis=1)
-            else:
-                ok &= (parity_extend_batch(n, center, r, tables) == tables).all(axis=1)
-            if not ok.any():
+            if not len(live):
                 break
-        first[(first < 0) & ok] = r
+            if rule == "maj":
+                ext, ties = majority_extend_batch(n, center, r, rows)
+                ok = ~ties & (ext == rows).all(axis=1)
+            else:
+                ok = (parity_extend_batch(n, center, r, rows) == rows).all(axis=1)
+            live, rows = live[ok], rows[ok]
+        first[live] = r
     return first
 
 

@@ -153,11 +153,10 @@ def test_verify_ball_small_n(capsys):
     assert code == 0 and reports[0]["outputs"]["ok"]
 
 
-def test_bench_checksum_stable(capsys):
-    code1, rep1 = run(capsys, "bench", "--task", "transforms", "--n", "8", "--seed", "2")
-    code2, rep2 = run(capsys, "bench", "--task", "transforms", "--n", "8", "--seed", "2")
-    assert code1 == code2 == 0
-    assert rep1[0]["outputs"]["checksum"] == rep2[0]["outputs"]["checksum"]
+def test_bench_is_an_unknown_command():
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--task", "transforms", "--n", "8"])
+    assert e.value.code == 2
 
 
 def test_bad_usage_exits_two(tmp_path, capsys):

@@ -103,6 +103,18 @@ def test_bottom_up_all_matches_truth(seed, s):
     assert bottom_up_all(f, s) == f
 
 
+@pytest.mark.parametrize("n, s", [(6, 1), (6, 2), (8, 1), (8, 2), (8, 3)])
+def test_bottom_up_all_matches_walk_on_random_tables(n, s):
+    # a random table is not low-sensitivity, so the sweep does not return f
+    # here: every value must still be the one the scalar walk computes
+    f = random_function(n, seed=10 * n + s)
+    advice = _advice(f, s)
+    swept = bottom_up_all(f, s).values
+    walked = [bottom_up_eval(advice, s, Point(n, x))[0] for x in range(1 << n)]
+    assert swept.tolist() == walked
+    assert (swept != f.values).any()
+
+
 # ---------------------------------------------------------------------------
 # top-down
 

@@ -200,6 +200,25 @@ def test_bruteforce_radii_match_formulas(f):
     assert r_par_bruteforce(f, all_centers=False) == r_par(f)
 
 
+@pytest.mark.parametrize("rule", ["maj", "par"])
+def test_bruteforce_batch_rows_are_independent(rule):
+    n = 6
+    rng = seeded_rng(61, "radius-batch")
+    low = [constant(n, 1), dictator(n, 3), and_fn(n), or_fn(n), tribes(2, n)]
+    high = [parity(n)] + [TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+                          for _ in range(4)]
+    rows = np.array([f.values for f in low + high])
+    rows = rows[rng.permutation(np.r_[np.arange(len(rows)), [0, 5, 6]])]  # with duplicates
+    for centers in (None, sorted(rng.choice(1 << n, size=7, replace=False).tolist())):
+        batch = r_bruteforce_batch(n, rows, rule, centers)
+        single = [int(r_bruteforce_batch(n, row[None, :], rule, centers)[0]) for row in rows]
+        assert batch.dtype == np.int64
+        assert batch.tolist() == single
+        assert len(set(single)) > 2
+    empty = r_bruteforce_batch(n, np.zeros((0, 1 << n), dtype=np.uint8), rule)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
 def test_maj_radius_quadratic_in_par_radius():
     for f in (dictator(6), tribes(2, 6), parity(4), and_fn(5)):
         assert r_maj(f) <= 8 * max(r_par(f), 1) ** 2
