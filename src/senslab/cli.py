@@ -271,12 +271,6 @@ def cmd_correct(args: argparse.Namespace) -> int:
     if args.x is None:
         raise ValueError("local mode needs --x")
     x = _parse_x(args.x, r.n)
-    k_eff = args.k if args.k is not None else params_obj.default_k(r.n)
-    if params_obj.local_c() ** k_eff > 10**8:
-        raise ValueError(
-            f"local correction would issue c^k = {params_obj.local_c()}^{k_eff} "
-            "queries; pass a smaller --k"
-        )
     oracle = selfcorrect.CorruptedOracle(r, frozenset())
     rng = seeded_rng(args.seed, "cli-local")
     value, used = selfcorrect.local_correct(oracle, x, params_obj, rng, k=args.k)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import ceil, log
 
 import numpy as np
 
@@ -62,22 +62,41 @@ class EvalStats:
 # ---------------------------------------------------------------------------
 # majority sample counts
 
+# Hoeffding: Pr[Bin(c, mu) > c/2] <= exp(-2c(1/2 - mu)^2), so the search ends by
+# c = H + 1 with H = ceil(ln(1/delta) / (2(1/2 - mu)^2)).  It takes at most H/2 + 1
+# steps, and step m multiplies integers of about 2m log2(b) bits (mu = a/b) by small
+# ones: O(H^2 log b) bit operations in all, about 0.2 s at H = 10^4 and b = 4
+# (Python ints, 2-vCPU VM).  A larger H means mu too close to 1/2 and is refused.
+THRESHOLD_C_LIMIT = 10_000
+
+
 @lru_cache(maxsize=None)
 def _threshold_c(mu: Fraction, delta_target: Fraction) -> int:
-    c = 1
-    while True:
-        # Pr[Bin(c, mu) > c/2], exact
-        tail = sum(
-            comb(c, j) * mu**j * (1 - mu) ** (c - j) for j in range(c // 2 + 1, c + 1)
-        )
-        if tail <= delta_target:
-            return c
+    a, b = mu.numerator, mu.denominator
+    hoeffding = ceil((log(delta_target.denominator) - log(delta_target.numerator))
+                     / (2 * float(Fraction(1, 2) - mu) ** 2))
+    if hoeffding > THRESHOLD_C_LIMIT:
+        raise ValueError(f"majority over mu={mu} needs up to c={hoeffding} samples, "
+                         f"above the limit {THRESHOLD_C_LIMIT}")
+    # c = 2m + 1; tail = b^c Pr[Bin(c, mu) > c/2] = sum_{j > c/2} C(c, j) a^j (b-a)^(c-j),
+    # exact.  Two more samples change the majority only from a count of m (both
+    # successes) or m + 1 (both failures), so
+    # tail(c + 2) = b^2 tail(c) - C(c, m) (a(b-a))^(m+1) (b - 2a).
+    pair = a * (b - a)
+    c, tail, scale, step = 1, a, b, pair  # step = C(c, m) (a(b-a))^(m+1)
+    while tail * delta_target.denominator > delta_target.numerator * scale:
+        m = c // 2
+        tail = b * b * tail - step * (b - 2 * a)
+        scale *= b * b
+        step = step * pair * (c + 2) * (c + 1) // ((m + 2) * (m + 1))
         c += 2
+    return c
 
 
 def majority_threshold_c(mu, delta_target) -> int:
-    """Smallest odd c with Pr[Bin(c, mu) > c/2] <= delta_target (exact
-    rational binomial tails; odd so the majority is never tied)."""
+    """Smallest odd c with Pr[Bin(c, mu) > c/2] <= delta_target (exact integer
+    binomial tails; odd so the majority is never tied).  Refuses a search whose
+    Hoeffding bound on c exceeds THRESHOLD_C_LIMIT."""
     mu = Fraction(mu)
     delta_target = Fraction(delta_target)
     if not 0 <= mu < Fraction(1, 2):

@@ -69,12 +69,16 @@ def read_ball_advice(path: str | Path) -> BallAdvice:
         parts = ln.split()
         if len(parts) != 2 or parts[1] not in ("0", "1"):
             raise FormatError(f"{path}: bad advice line {ln!r}")
-        if len(parts[0]) != n:
-            raise FormatError(f"{path}: point {parts[0]!r} has wrong length")
-        pt = Point.from_bits(parts[0])
-        if pt.index in values:
-            raise FormatError(f"{path}: duplicate point {parts[0]!r}")
-        values[pt.index] = int(parts[1])
+        bits = parts[0]
+        if len(bits) != n:
+            raise FormatError(f"{path}: point {bits!r} has wrong length")
+        # Point.from_bits, inline: n is checked once above, not per point
+        if bits.strip("01"):
+            raise ValueError(f"invalid bitstring {bits!r}")
+        idx = int(bits[::-1], 2)
+        if idx in values:
+            raise FormatError(f"{path}: duplicate point {bits!r}")
+        values[idx] = int(parts[1])
     if list(values) != sorted(values):
         raise FormatError(f"{path}: points not in increasing index order")
     # the ball is never enumerated: BallAdvice checks the radius, the count and each point

@@ -7,6 +7,10 @@ is the character transform; the exact path is the integer step
 at every point.  Threshold decisions (Lambda-sets, the majority step) take the
 float path outside a 1e-9 band and settle the points inside it exactly: a few
 by their distance census, many by one pass of the integer step.
+
+The distance census and the downward mismatch table are ranked subset DPs over
+rows indexed by distance (codistance); they share one banded int32 butterfly,
+`_codistance_rows`, and return int64 tables of shape (2^n, n+1).
 """
 
 from __future__ import annotations
@@ -139,17 +143,33 @@ def _noise_signs(values: np.ndarray, n: int, delta: Fraction, theta: Fraction) -
     return signs
 
 
+def _codistance_rows(values: np.ndarray, n: int, step) -> np.ndarray:
+    """Rows z[j] (j = 0..n) of a ranked subset butterfly started from z[0] = values:
+    stage h calls step(lo, hi, k) with k = log2(h) + 1, and only rows 1..k can be
+    nonzero after it (the ranked zeta transform's rank-j layer stays zero until j
+    bits are in), so step touches rows 0..k only."""
+    # int32: an entry counts points at one distance from x, at most C(24, 12) < 2^31
+    z = np.zeros((n + 1, 1 << n), dtype=np.int32)
+    z[0] = values
+    return _butterfly(z, lambda lo, hi: step(lo, hi, lo.shape[-1].bit_length()))
+
+
+def _one_sided_step(lo, hi, k):
+    # a superset gains one codistance per added bit
+    np.add(hi[1 : k + 1], lo[:k], out=hi[1 : k + 1])
+
+
 def distance_census(values: np.ndarray, n: int) -> np.ndarray:
-    """census[x, d] = #{y : d(x,y) = d and values[y] = 1} by a two-sided codistance
+    """census[x, d] = #{y : d(x,y) = d and values[y] = 1} by the two-sided codistance
     butterfly (O(n^2 2^n), guarded): each coordinate moves a partner's row d to d+1."""
     check_n(n, PAIRWISE_MAX_N)
-    z = np.zeros((n + 1, 1 << n), dtype=np.int64)
-    z[0] = values
 
-    def step(lo, hi):
-        lo[1:], hi[1:] = lo[1:] + hi[:-1], hi[1:] + lo[:-1]
+    def step(lo, hi, k):
+        moved = hi[1 : k + 1] + lo[:k]
+        np.add(lo[1 : k + 1], hi[:k], out=lo[1 : k + 1])
+        hi[1 : k + 1] = moved
 
-    return np.ascontiguousarray(_butterfly(z, step).T)
+    return np.ascontiguousarray(_codistance_rows(values, n, step).T, dtype=np.int64)
 
 
 def exact_noise_value(f_or_values, x: Point, delta) -> Fraction:
@@ -224,27 +244,25 @@ def downward_mismatch_sampled(
 
 def ones_by_codistance(values: np.ndarray, n: int) -> np.ndarray:
     """z[x, j] = sum of values[y] over subsets y of x with wt(x) - wt(y) = j,
-    by a bit-at-a-time subset DP (O(n^2 2^n))."""
-    z = np.zeros((n + 1, 1 << n), dtype=np.int64)
-    z[0] = values
-    # row j holds codistance j; a superset gains one codistance per added bit
-    _butterfly(z, lambda lo, hi: np.add(hi[1:], lo[:-1], out=hi[1:]))
-    return np.ascontiguousarray(z.T)
+    by a bit-at-a-time subset DP (O(n^2 2^n)), as a C-contiguous int64 table."""
+    return np.ascontiguousarray(_codistance_rows(values, n, _one_sided_step).T, dtype=np.int64)
 
 
 def downward_mismatch_table(f: TruthTable) -> np.ndarray:
-    """M[x, t] = #{y in D(x,t) : f(y) != f(x)} for every x and t at once."""
+    """M[x, t] = #{y in D(x,t) : f(y) != f(x)} for every x and t at once (int64).
+
+    Row t of the codistance DP counts the ones of f in D(x, t); where f(x) = 1 the
+    mismatches are the zeros there, C(wt(x), t) minus that count, formed in place.
+    For t > wt(x) both terms are 0."""
     check_n(f.n)
-    ones = ones_by_codistance(f.values, f.n)
-    w = weights_vector(f.n).astype(np.int64)
-    # |D(x,t)| = C(wt(x), t); mismatches are the zeros there when f(x)=1
-    chooser = np.array(
-        [[comb(d, t) for t in range(f.n + 1)] for d in range(f.n + 1)], dtype=np.int64
-    )
-    totals = chooser[w]
-    table = np.where(f.values.astype(bool)[:, None], totals - ones, ones)
-    table[totals == 0] = 0
-    return table
+    n = f.n
+    z = _codistance_rows(f.values, n, _one_sided_step)
+    w = weights_vector(n)
+    ones = f.values.view(bool)
+    for t in range(n + 1):
+        size = np.array([comb(d, t) for d in range(n + 1)], dtype=np.int32)[w]
+        np.subtract(size, z[t], out=z[t], where=ones)
+    return np.ascontiguousarray(z.T, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ class CorruptedOracle:
 
 K_FACTOR = 4  # default k = K_FACTOR * s * log2(n/s); the analysis leaves it open
 LOCAL_TRIAL_CHUNK = 200  # trials per batch chunk; it fixes the seeded stream
+MAX_LOCAL_QUERIES = 10**8  # c^k oracle queries per local correction
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,17 @@ def global_correct(
 # ---------------------------------------------------------------------------
 # local corrector
 
+def _tree_shape(params: CorrectorParams, n: int, k: int | None) -> tuple[int, int]:
+    """Depth k (params.k or default_k(n) when not given) and arity c of the local
+    tree; refuses a tree of more than MAX_LOCAL_QUERIES leaves."""
+    if k is None:
+        k = params.k if params.k is not None else params.default_k(n)
+    c = params.local_c()
+    if c**k > MAX_LOCAL_QUERIES:
+        raise ValueError(f"local correction would issue c^k = {c}^{k} queries; pass a smaller --k")
+    return k, c
+
+
 def local_correct(
     oracle: CorruptedOracle,
     x: Point,
@@ -198,9 +210,7 @@ def local_correct(
     """Answer f(x) from the corrupted oracle via a c-regular depth-k sampled
     tree (children are noisy copies of the parent; leaves query the oracle).
     Returns (bit, queries_used); queries_used is exactly c^k."""
-    if k is None:
-        k = params.k if params.k is not None else params.default_k(oracle.truth.n)
-    c = params.local_c()
+    k, c = _tree_shape(params, oracle.truth.n, k)
     before = oracle.query_count
 
     def rec(p: Point, depth: int) -> int:
@@ -228,9 +238,7 @@ def local_correct_batch(
     """`trials` independent local corrections of the same point, expanded
     level-by-level as arrays (same sampling law as local_correct)."""
     n = oracle.truth.n
-    if k is None:
-        k = params.k if params.k is not None else params.default_k(n)
-    c = params.local_c()
+    k, c = _tree_shape(params, n, k)
     p, q = params.delta.numerator, params.delta.denominator
     row_bytes = (n + 7) // 8
     out = np.empty(trials, dtype=np.uint8)

@@ -118,8 +118,10 @@ def test_correct_local_cli(tmp_path, capsys):
 def test_correct_local_refuses_huge_default_k(tmp_path, capsys):
     path = str(tmp_path / "f.tt")
     write_truth_table(dictator(12), path)
-    code, _ = run(capsys, "correct", "--mode", "local", "--in", path, "--s", "1", "--x", "0" * 12)
-    assert code == 2
+    assert main(["correct", "--mode", "local", "--in", path, "--s", "1", "--x", "0" * 12]) == 2
+    assert capsys.readouterr().err == (
+        "error: local correction would issue c^k = 7^15 queries; pass a smaller --k\n"
+    )
 
 
 def test_enumerate_cli(capsys):

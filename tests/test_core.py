@@ -8,6 +8,7 @@ from senslab.core import (
     BallAdvice,
     IntegerFunction,
     _mobius_int,
+    _sensitivity_counts,
     _zeta_f2,
     _zeta_int,
     Point,
@@ -183,9 +184,25 @@ def test_sensitivity_at_corners():
 
 @given(tables)
 def test_pointwise_matches_scalar(f):
+    assert pointwise_sensitivity(f).flags.c_contiguous
     assert [int(v) for v in pointwise_sensitivity(f)] == [
         sensitivity_at(f, Point(f.n, i)) for i in range(1 << f.n)
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("batch", [(), (5,), (3, 2)])
+def test_sensitivity_counts_match_gather_definition(n, batch):
+    rng = seeded_rng(n, "swar", len(batch))
+    values = rng.integers(0, 2, size=batch + (1 << n,), dtype=np.uint8)
+    idx = np.arange(1 << n)
+    expected = sum(
+        (values != values[..., idx ^ (1 << i)]).astype(np.uint8) for i in range(n)
+    )
+    counts = _sensitivity_counts(values, n)
+    assert counts.dtype == np.uint8 and counts.shape == values.shape
+    assert counts.flags.c_contiguous
+    assert np.array_equal(counts, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,40 @@ def test_threshold_c_against_scipy(mu, target):
         assert binom.sf((c - 2) // 2, c - 2, float(mu)) > float(target) - 1e-12
 
 
+def _threshold_c_fraction(mu: Fraction, target: Fraction) -> int:
+    """The search as a sum of Fraction terms: the reference the integer tail must match."""
+    from math import comb
+
+    c = 1
+    while sum(comb(c, j) * mu**j * (1 - mu) ** (c - j) for j in range(c // 2 + 1, c + 1)) > target:
+        c += 2
+    return c
+
+
+@pytest.mark.parametrize("mu", ["0", "1/20", "1/5", "1/4", "1/3", "2/5", "3/7", "11/25"])
+@pytest.mark.parametrize("target", ["1/2", "7/10", "1/3", "1/10", "1/20", "1/100", "3/1000"])
+def test_threshold_c_matches_fraction_search(mu, target):
+    mu, target = Fraction(mu), Fraction(target)
+    assert majority_threshold_c(mu, target) == _threshold_c_fraction(mu, target)
+
+
+def test_threshold_c_tiny_targets_are_fast():
+    # c = 935 took seconds as a Fraction sum; Hoeffding caps it at 1106
+    assert majority_threshold_c(Fraction(1, 4), Fraction(1, 10**60)) == 935
+
+
+def test_threshold_c_refuses_searches_past_the_hoeffding_limit():
+    from senslab.evaluate import THRESHOLD_C_LIMIT
+
+    # mu -> 1/2: ln(3) / (2 * 10^-6) is about 5.5e5 samples
+    with pytest.raises(ValueError, match=f"above the limit {THRESHOLD_C_LIMIT}"):
+        majority_threshold_c(Fraction(499, 1000), Fraction(1, 3))
+    with pytest.raises(ValueError, match="above the limit"):
+        majority_threshold_c(Fraction(1, 4), Fraction(1, 10**10000))
+    # just inside the limit: ln(10^3) / (2 (1/2 - 19/40)^2) = 5527
+    assert majority_threshold_c(Fraction(19, 40), Fraction(1, 1000)) < THRESHOLD_C_LIMIT
+
+
 def test_threshold_c_validation():
     with pytest.raises(ValueError):
         majority_threshold_c(Fraction(1, 2), Fraction(1, 10))

@@ -69,6 +69,10 @@ def test_ball_advice_bad_inputs(tmp_path):
     path.write_text("n=2 center=00 radius=1\n00 0\n10 0\n0 1\n")  # short point
     with pytest.raises(FormatError, match="wrong length"):
         read_ball_advice(path)
+    path.write_text("n=2 center=00 radius=1\n00 0\n1x 0\n01 1\n")  # bad character
+    with pytest.raises(ValueError, match="invalid bitstring '1x'") as info:
+        read_ball_advice(path)
+    assert type(info.value) is ValueError
 
 
 def test_oversized_headers_rejected_before_enumeration(tmp_path):

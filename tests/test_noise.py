@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from senslab.core import Point, TruthTable, seeded_rng, weight
-from senslab.families import dictator, majority, parity, random_function, tribes
+from senslab.families import dictator, majority, parity, random_dt, random_function, tribes
 from senslab.noise import (
     RealFunction,
     distance_census,
@@ -270,3 +272,37 @@ def test_hypercontractivity_report_fields():
     # a one-shot iterator of members is read once for both Lambda and mu(S)
     assert hypercontractivity_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == rep
     assert sse_corollary_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == cor
+
+
+# ---------------------------------------------------------------------------
+# codistance tables: pinned byte for byte (sha256 of the int64 bytes)
+
+CODISTANCE_SHA256 = {
+    ("down", "function", 12): "cf325de6cb8a3cd731bb2b84fa6bedb2bca5d157bdc5ab9c6e332ebdbf35d7ae",
+    ("ones", "function", 12): "5a6d1eef722dc1d67531f394a579611408a035b5e29187929f56393091b0eda9",
+    ("census", "function", 12): "eb117402e8f1e0fc7933f328b94439f705c85eb734a74bd6dd37deeb40138609",
+    ("down", "dt", 12): "ab15dbcd1e1194718d3e821a0dbaff125d1e3e921878c81385525a1ce2ad0ec8",
+    ("ones", "dt", 12): "d0490d3f28fd7f89c77d305a28105e504abd6f135c89f59715c70346121562d7",
+    ("census", "dt", 12): "fefcc9a6fe96c39e57ad992ad603ec6d4e3f09938b1aaff9c61ba44592f99728",
+    # distance_census is capped at PAIRWISE_MAX_N = 13, so n = 13 stands in for 16
+    ("census", "function", 13): "954b389f6d183de29f41d587fc981af69fe0c0636686e200cf4f3053877b7e6f",
+    ("census", "dt", 13): "b92fdd3ad82422223d27f3f572c8e7d1700c233d3b06121ec0f4a631f9408aec",
+    ("down", "function", 16): "40f713537bcc167fb61340cdd5f685d3faf681a696595aee3793c0f0635c62d9",
+    ("ones", "function", 16): "7328e27380611101420f212de54e41f66d3a33d70f11d221b3097cf23b17c404",
+    ("down", "dt", 16): "1f9eb2a982ed9d7e823c7f334b81a7cd5caf118431636409d4a6e0db37c744c2",
+    ("ones", "dt", 16): "0b4994da6e4ed886c59645a8805149663e68fb95fa2bb1944f28a3bca6e06ba6",
+}
+CODISTANCE_KERNELS = {
+    "down": lambda f: downward_mismatch_table(f),
+    "ones": lambda f: ones_by_codistance(f.values, f.n),
+    "census": lambda f: distance_census(f.values, f.n),
+}
+
+
+@pytest.mark.parametrize("kernel,family,n", sorted(CODISTANCE_SHA256))
+def test_codistance_tables_pinned(kernel, family, n):
+    f = random_function(n, 7) if family == "function" else random_dt(n, 3, 7)
+    table = CODISTANCE_KERNELS[kernel](f)
+    assert table.dtype == np.int64 and table.shape == (1 << n, n + 1)
+    assert table.flags.c_contiguous
+    assert hashlib.sha256(table.tobytes()).hexdigest() == CODISTANCE_SHA256[kernel, family, n]

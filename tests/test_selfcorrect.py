@@ -176,6 +176,19 @@ def test_local_query_count_exact():
     assert value == 1
 
 
+def test_local_correction_refuses_huge_trees():
+    from senslab.selfcorrect import MAX_LOCAL_QUERIES
+
+    oracle = CorruptedOracle(dictator(12), frozenset())
+    params = CorrectorParams(s=1)  # c = 7, default k = 15 at n = 12
+    assert 7**10 > MAX_LOCAL_QUERIES >= 7**9
+    with pytest.raises(ValueError, match=r"c\^k = 7\^15 queries"):
+        local_correct(oracle, Point(12, 0), params, seeded_rng(1, "guard"))
+    with pytest.raises(ValueError, match=r"c\^k = 7\^10 queries"):
+        local_correct_batch(oracle, Point(12, 0), params, 1, seeded_rng(1, "guard"), k=10)
+    assert oracle.query_count == 0
+
+
 def test_local_batch_counts_and_accuracy():
     f = random_dt(8, 1, seed=21)
     oracle = CorruptedOracle(f, frozenset())
