@@ -21,7 +21,6 @@ from .core import (
     degree,
     degree_f2,
     distance_fraction,
-    max_n,
     mobius_coefficients,
     mobius_coefficients_f2,
     neighborhood,

@@ -13,7 +13,6 @@ Conventions shared by every module and by the file formats:
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,16 +26,8 @@ MAX_N = 24          # hard cap for truth-table scale
 PAIRWISE_MAX_N = 13  # cap for O(4^n) all-pairs routines
 
 
-def max_n() -> int:
-    """Effective n cap; the SENSLAB_MAX_N environment variable can lower it."""
-    cap = os.environ.get("SENSLAB_MAX_N")
-    if cap:
-        return min(MAX_N, int(cap))
-    return MAX_N
-
-
 def check_n(n: int, cap: int | None = None) -> None:
-    limit = min(cap, max_n()) if cap is not None else max_n()
+    limit = min(cap, MAX_N) if cap is not None else MAX_N
     if not 1 <= n <= limit:
         raise ValueError(f"n={n} outside supported range [1, {limit}]")
 
@@ -248,7 +239,7 @@ def lower_shadow(x: Point, t: int) -> list[Point]:
 
 
 def neighborhood(x: Point, kind: str, param: int | None = None) -> list[Point]:
-    """Dispatcher over the neighborhood enumerations (CLI surface)."""
+    """Dispatcher over the neighborhood enumerations."""
     if kind == "all-neighbors":
         return all_neighbors(x)
     if kind == "at-weight":

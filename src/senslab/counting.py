@@ -92,14 +92,7 @@ def enumerate_class(n: int, s: int, allow_long: bool = False) -> int:
     """|F(s, n)| by exhaustive scan."""
     if not 0 <= s <= n:
         raise ValueError(f"s={s} out of range")
-    if n <= ENUM_MAX_N:
-        sens = per_function_sensitivity(all_tables(n), n)
-        return int((sens <= s).sum())
-    if n == LONG_ENUM_N:
-        if not allow_long:
-            raise ValueError("n=5 scans 2^32 tables; pass allow_long to opt in")
-        return _bit_parallel_class_counts(n)[s]
-    raise ValueError(f"enumeration supported only for n <= {LONG_ENUM_N}")
+    return build_census(n, allow_long).counts[s]
 
 
 def class_members(n: int, s: int) -> Iterator[TruthTable]:

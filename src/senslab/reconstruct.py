@@ -8,11 +8,14 @@ Three rules:
     the advice radius all vanish (integer-valued, not necessarily Boolean).
   * f2: the same construction mod 2 (always Boolean).
 
-Parity and f2, scalar and batched, share one engine, _low_degree_extend.
-The majority rule processes points in increasing distance from the center,
-then increasing index, so failures are deterministic.  r_bruteforce_batch
-is the one brute-force radius scan for both rules; a row leaves it once its
-least radius is found, or, within a radius, once one center fails it.
+Each rule has one engine, and its scalar calls are one-row batches.
+Parity and f2 share _low_degree_extend.  The majority rule,
+majority_extend_batch, fills one sphere around the center at a time and
+reports a row's first tie in (distance, index) order, so failures are
+deterministic; majority_extend, sphere_extend and r_maj_bruteforce call it
+with one row.  r_bruteforce_batch is the one brute-force radius scan for
+both rules; a row leaves it once its least radius is found, or, within a
+radius, once one center fails it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .core import (
     _zeta_int,
     check_n,
     degree,
-    restrict_to_ball,
     sensitivity,
     weights_vector,
 )
@@ -64,64 +66,54 @@ class ExtensionOutcome:
 # ---------------------------------------------------------------------------
 # majority rule
 
-def _spheres_by_distance(n: int, center: int) -> list[list[int]]:
-    """out[k] = indices at distance k from center, increasing index."""
-    dist = weights_vector(n)[np.arange(1 << n) ^ center]
-    return [np.nonzero(dist == k)[0].tolist() for k in range(n + 1)]
-
-
-def _outward_majority(vals: np.ndarray, n: int, center: int, r: int) -> Point | None:
-    """Fill every point beyond distance r from center in place, one sphere
-    at a time, with the majority of its inward neighbors.  Returns the first
-    tie point (vals is then only partly filled), or None."""
-    spheres = _spheres_by_distance(n, center)
-    for k in range(r, n):
-        for idx in spheres[k + 1]:
-            diff = idx ^ center
-            ones = 0
-            for i in range(n):
-                if (diff >> i) & 1:
-                    ones += int(vals[idx ^ (1 << i)])
-            if 2 * ones > k + 1:
-                vals[idx] = 1
-            elif 2 * ones < k + 1:
-                vals[idx] = 0
-            else:
-                return Point(n, int(idx))
-    return None
-
-
-def majority_extend(advice: BallAdvice) -> ExtensionOutcome:
-    vals = advice.dense()
-    tie = _outward_majority(vals, advice.n, advice.center.index, advice.radius)
-    if tie is not None:
-        return ExtensionOutcome.failed(tie, TIE)
-    return ExtensionOutcome.extended(TruthTable(advice.n, vals))
+def _sphere(n: int, center: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """S(center, k) by increasing index, and its (|S|, k) table of inward
+    neighbours: row j holds the neighbours of point j at distance k - 1."""
+    idx = np.sort(np.flatnonzero(weights_vector(n) == k) ^ center)
+    diff = idx ^ center
+    inward = np.empty((len(idx), k), dtype=np.int64)
+    for q in range(n):
+        has = np.flatnonzero((diff >> q) & 1)
+        # bit q is the c-th lowest set bit of its row, c = wt(row & (2^q - 1))
+        col = np.bitwise_count(diff[has] & ((1 << q) - 1))
+        inward[has, col] = idx[has] ^ (1 << q)
+    return idx, inward
 
 
 def majority_extend_batch(
     n: int, center: int, radius: int, tables: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the majority rule on many functions at once.
+    """Run the majority rule on many functions at once, one sphere at a time.
 
     `tables` is (num_functions, 2^n) uint8 holding each function's values on
-    B(center, radius) (entries outside the ball are ignored).  Returns the
-    extended tables and a boolean tie mask; rows with a tie keep arbitrary
-    values from the tie level onward and must only be read through the mask.
+    B(center, radius) (entries outside the ball are ignored).  A point at
+    distance k+1 reads only the sphere at distance k, so each sphere is one
+    gather.  Returns the extended tables and, per row, the index of the
+    first tie point in (distance, index) order, or -1; a row with a tie
+    holds arbitrary values from the tie level onward.
     """
     check_n(n)
     tables = np.array(tables, dtype=np.uint8, copy=True)
-    tie = np.zeros(tables.shape[0], dtype=bool)
-    spheres = _spheres_by_distance(n, center)
-    for k in range(radius, n):
-        m = k + 1
-        for idx in spheres[m]:
-            diff = idx ^ center
-            neigh = [idx ^ (1 << i) for i in range(n) if (diff >> i) & 1]
-            ones = tables[:, neigh].sum(axis=1, dtype=np.int64)
-            tie |= 2 * ones == m
-            tables[:, idx] = (2 * ones > m).astype(np.uint8)
+    tie = np.full(len(tables), -1, dtype=np.int64)
+    for m in range(radius + 1, n + 1):
+        idx, inward = _sphere(n, center, m)
+        ones = tables[:, inward].sum(axis=-1, dtype=np.uint8)  # m <= 24 votes
+        tables[:, idx] = 2 * ones > m
+        ties = 2 * ones == m
+        first = (tie < 0) & ties.any(axis=1)
+        tie[first] = idx[ties[first].argmax(axis=1)]
     return tables, tie
+
+
+def _one_row_outcome(n: int, tables: np.ndarray, tie: np.ndarray) -> ExtensionOutcome:
+    if tie[0] >= 0:
+        return ExtensionOutcome.failed(Point(n, int(tie[0])), TIE)
+    return ExtensionOutcome.extended(TruthTable(n, tables[0]))
+
+
+def majority_extend(advice: BallAdvice) -> ExtensionOutcome:
+    return _one_row_outcome(advice.n, *majority_extend_batch(
+        advice.n, advice.center.index, advice.radius, advice.dense()[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +175,23 @@ def sphere_extend(
     (distance >= n-2s from the center means distance <= 2s from the
     antipode, so that ball is fully known once the outward pass finishes)."""
     check_n(n)
+    if s < 0:
+        raise ValueError(f"sensitivity bound s must be >= 0, got {s}")
     if 4 * s > n:
         return ExtensionOutcome.failed(center, OUT_OF_RANGE)
     r = 2 * s
-    expected = _spheres_by_distance(n, center.index)[r]
-    if sorted(values) != expected:
+    if sorted(values) != _sphere(n, center.index, r)[0].tolist():
         raise ValueError("advice domain is not exactly the radius-2s sphere")
-    vals = np.full(1 << n, 255, dtype=np.uint8)
+    vals = np.zeros((1, 1 << n), dtype=np.uint8)
     for i, v in values.items():
         if v not in (0, 1):
             raise ValueError("sphere values must be bits")
-        vals[i] = v
-    tie = _outward_majority(vals, n, center.index, r)
-    if tie is not None:
-        return ExtensionOutcome.failed(tie, TIE)
-    anti = Point(n, center.index ^ ((1 << n) - 1))
-    far_idx = np.nonzero(weights_vector(n)[np.arange(1 << n) ^ anti.index] <= r)[0]
-    far = {int(i): int(vals[i]) for i in far_idx}
-    return majority_extend(BallAdvice(anti, r, far))
+        vals[0, i] = v
+    vals, tie = majority_extend_batch(n, center.index, r, vals)
+    if tie[0] < 0:
+        anti = center.index ^ ((1 << n) - 1)
+        vals, tie = majority_extend_batch(n, anti, r, vals)
+    return _one_row_outcome(n, vals, tie)
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +205,11 @@ def r_par(f: TruthTable) -> int:
     return degree(f)
 
 
-def _extends_everywhere_maj(f: TruthTable, r: int) -> bool:
-    for c in range(1 << f.n):
-        out = majority_extend(restrict_to_ball(f, Point(f.n, c), r))
-        if not out.ok or out.value != f:
-            return False
-    return True
-
-
 def r_maj_bruteforce(f: TruthTable) -> int:
     """Smallest r such that the majority rule recovers f from B(x0, r) for
-    every center x0.  Gated to small n; the scalar reference for
-    r_bruteforce_batch."""
+    every center x0.  Gated to small n."""
     check_n(f.n, BRUTE_FORCE_MAX_N)
-    for r in range(f.n + 1):
-        if _extends_everywhere_maj(f, r):
-            return r
-    raise AssertionError("radius n always extends")
+    return int(r_bruteforce_batch(f.n, f.values[None, :], "maj")[0])
 
 
 def r_bruteforce_batch(n: int, tables: np.ndarray, rule: str, centers=None) -> np.ndarray:
@@ -252,8 +231,8 @@ def r_bruteforce_batch(n: int, tables: np.ndarray, rule: str, centers=None) -> n
             if not len(live):
                 break
             if rule == "maj":
-                ext, ties = majority_extend_batch(n, center, r, rows)
-                ok = ~ties & (ext == rows).all(axis=1)
+                ext, tie = majority_extend_batch(n, center, r, rows)
+                ok = (tie < 0) & (ext == rows).all(axis=1)
             else:
                 ok = (parity_extend_batch(n, center, r, rows) == rows).all(axis=1)
             live, rows = live[ok], rows[ok]

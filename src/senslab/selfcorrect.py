@@ -241,10 +241,12 @@ def local_correct_batch(
     k, c = _tree_shape(params, n, k)
     p, q = params.delta.numerator, params.delta.denominator
     row_bytes = (n + 7) // 8
+    # a chunk holds at most MAX_LOCAL_QUERIES leaves; _tree_shape makes it >= 1 tree
+    chunk = min(LOCAL_TRIAL_CHUNK, MAX_LOCAL_QUERIES // c**k)
     out = np.empty(trials, dtype=np.uint8)
     done = 0
     while done < trials:
-        m = min(LOCAL_TRIAL_CHUNK, trials - done)
+        m = min(chunk, trials - done)
         pts = np.full(m, x.index, dtype=np.int64)
         for _ in range(k):
             pts = np.repeat(pts, c)

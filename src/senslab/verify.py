@@ -86,11 +86,12 @@ def criterion_ball(n: int = 4) -> CheckResult:
         group = tables[rows]
         r = min(2 * s, n)
         for center in range(1 << n):
-            ext, ties = reconstruct.majority_extend_batch(n, center, r, group)
-            bad = ties | (ext != group).any(axis=1)
+            ext, tie = reconstruct.majority_extend_batch(n, center, r, group)
+            bad = (tie >= 0) | (ext != group).any(axis=1)
             if bad.any():
-                i = int(rows[int(np.nonzero(bad)[0][0])])
-                why = "tie" if ties[int(np.nonzero(bad)[0][0])] else "wrong value"
+                j = int(np.flatnonzero(bad)[0])
+                i = int(rows[j])
+                why = "tie" if tie[j] >= 0 else "wrong value"
                 return CheckResult(
                     1, name, False,
                     f"table {i} (s={s}) not recovered from B({center}, {r}): {why}",
@@ -656,9 +657,3 @@ SUITES: dict[str, list[int]] = {
 def run_criterion(number: int) -> CheckResult:
     _, fn = CRITERIA[number]
     return fn()
-
-
-def run_suite(suite: str) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; pick from {sorted(SUITES)}")
-    return [run_criterion(k) for k in SUITES[suite]]

@@ -11,7 +11,7 @@ import pytest
 import senslab
 from senslab.cli import main
 from senslab.core import Point, restrict_to_ball
-from senslab.families import dictator, random_dt, tribes
+from senslab.families import dictator, random_dt, random_function, tribes
 from senslab.io import read_truth_table, write_ball_advice, write_truth_table
 
 
@@ -52,6 +52,34 @@ def test_extend_tie_exits_one(tmp_path, capsys):
     code, reports = run(capsys, "extend", "--rule", "maj", "--advice", str(ball))
     assert code == 1
     assert reports[0]["outputs"] == {"failed_point": "11", "reason": "tie", "status": "failed"}
+
+
+EXTEND_MAJ_STDOUT = {
+    "n6": '{"command": "extend", "ok": true, "outputs": {"bits": "000000000000000000001111000011110000'
+          '0000000000000000111100001111", "ones": 16, "status": "extended"}, "parameters": {"advice": '
+          '"<advice>", "out": null, "rule": "maj"}, "seed": null}\n',
+    "n4-tie": '{"command": "extend", "ok": false, "outputs": {"failed_point": "1011", "reason": "tie", '
+              '"status": "failed"}, "parameters": {"advice": "<advice>", "out": null, "rule": "maj"}, '
+              '"seed": null}\n',
+    "n16": '{"command": "extend", "ok": true, "outputs": {"ones": 49152, "status": "extended"}, '
+           '"parameters": {"advice": "<advice>", "out": "<out>", "rule": "maj"}, "seed": null}\n',
+}
+
+
+@pytest.mark.parametrize("case, f, center, radius, code", [
+    ("n6", random_dt(6, 2, seed=8), 45, 4, 0),
+    ("n4-tie", random_function(4, seed=4), 2, 2, 1),
+    ("n16", random_dt(16, 2, seed=4), 12345, 4, 0),
+])
+def test_extend_maj_stdout_is_pinned(tmp_path, capsys, case, f, center, radius, code):
+    ball, out_tt = str(tmp_path / "f.ball"), str(tmp_path / "ext.tt")
+    write_ball_advice(restrict_to_ball(f, Point(f.n, center), radius), ball)
+    argv = ["extend", "--rule", "maj", "--advice", ball] + (["--out", out_tt] if f.n > 6 else [])
+    assert main(argv) == code
+    expected = EXTEND_MAJ_STDOUT[case].replace("<advice>", ball).replace("<out>", out_tt)
+    assert capsys.readouterr().out == expected
+    if f.n > 6:
+        assert read_truth_table(out_tt) == f
 
 
 def test_eval_cli_matches_truth(tmp_path, capsys):
@@ -212,6 +240,14 @@ def test_eval_negative_s_exits_two(tmp_path, algo):
                           "--x", "11111111")
     assert_usage_error(proc)
     assert "s must be >= 0" in proc.stderr
+
+
+def test_size_cap_ignores_the_environment(tmp_path, monkeypatch):
+    path = tmp_path / "f.tt"
+    write_truth_table(dictator(8), str(path))
+    monkeypatch.setenv("SENSLAB_MAX_N", "abc")
+    proc = run_subprocess("measure", "--in", str(path))
+    assert proc.returncode == 0 and json.loads(proc.stdout)["outputs"]["n"] == 8
 
 
 def test_short_advice_for_a_large_ball_exits_two_fast(tmp_path):

@@ -25,7 +25,6 @@ from senslab.core import (
     evaluate_multilinear,
     is_subcube,
     lower_shadow,
-    max_n,
     mobius_coefficients,
     mobius_coefficients_f2,
     neighborhood,
@@ -362,13 +361,8 @@ def test_seeded_rng_deterministic():
     assert (d != e).any()
 
 
-def test_max_n_env_override(monkeypatch):
-    monkeypatch.setenv("SENSLAB_MAX_N", "6")
-    assert max_n() == 6
-    with pytest.raises(ValueError):
-        check_n(7)
-    check_n(6)
-    monkeypatch.delenv("SENSLAB_MAX_N")
-    check_n(20)
+def test_check_n_caps_at_max_n(monkeypatch):
+    monkeypatch.setenv("SENSLAB_MAX_N", "6")  # the cap is MAX_N whatever the environment says
+    check_n(24)
     with pytest.raises(ValueError):
         check_n(25)

@@ -71,17 +71,58 @@ def test_majority_tie_reported():
     assert out.failed_point == Point(2, 3)
 
 
-@given(small_tables, st.data())
-@settings(max_examples=25)
-def test_majority_batch_matches_scalar(f, data):
-    center = data.draw(st.integers(min_value=0, max_value=(1 << f.n) - 1))
-    r = data.draw(st.integers(min_value=0, max_value=f.n))
-    adv = restrict_to_ball(f, Point(f.n, center), r)
-    out = majority_extend(adv)
-    ext, ties = majority_extend_batch(f.n, center, r, f.values[None, :])
-    assert bool(ties[0]) == (not out.ok)
-    if out.ok:
-        assert (ext[0] == out.value.values).all()
+def _reference_majority(vals: list[int], n: int, center: int, r: int) -> int | None:
+    """The majority rule in plain Python: fill vals beyond distance r from
+    center in place, point by point in (distance, index) order, and stop at
+    the first tie, which is returned (None when there is none)."""
+    for k in range(r + 1, n + 1):
+        for idx in range(1 << n):
+            diff = idx ^ center
+            if diff.bit_count() != k:
+                continue
+            ones = sum(vals[idx ^ (1 << i)] for i in range(n) if (diff >> i) & 1)
+            if 2 * ones == k:
+                return idx
+            vals[idx] = int(2 * ones > k)
+    return None
+
+
+def test_majority_batch_matches_scalar():
+    # random tables, not low-sensitivity ones, so that ties occur at many
+    # distances; every radius, every row of a multi-row batch
+    rng = seeded_rng(8, "majority-reference")
+    for n in range(1, 9):
+        tables = rng.integers(0, 2, size=(5, 1 << n), dtype=np.uint8)
+        for center in rng.choice(1 << n, size=min(3, 1 << n), replace=False).tolist():
+            anti = center ^ ((1 << n) - 1)
+            for r in range(n + 1):
+                ext, tie = majority_extend_batch(n, center, r, tables)
+                assert tie.dtype == np.int64
+                for row, values in enumerate(tables):
+                    f = TruthTable(n, values)
+                    vals = values.tolist()
+                    first = _reference_majority(vals, n, center, r)
+                    assert tie[row] == (-1 if first is None else first)
+                    out = majority_extend(restrict_to_ball(f, Point(n, center), r))
+                    if first is None:
+                        assert ext[row].tolist() == vals
+                        assert out.ok and out.value.values.tolist() == vals
+                    else:
+                        assert (out.reason, out.failed_point) == ("tie", Point(n, first))
+                    if r % 2 or 2 * r > n:
+                        continue
+                    # the sphere rule: outward from S(center, r), then from the antipode
+                    sphere = {i: int(values[i]) for i in range(1 << n)
+                              if (i ^ center).bit_count() == r}
+                    out = sphere_extend(n, Point(n, center), r // 2, sphere)
+                    vals = values.tolist()
+                    first = _reference_majority(vals, n, center, r)
+                    if first is None:
+                        first = _reference_majority(vals, n, anti, r)
+                    if first is None:
+                        assert out.ok and out.value.values.tolist() == vals
+                    else:
+                        assert (out.reason, out.failed_point) == ("tie", Point(n, first))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +209,17 @@ def test_sphere_extend_outward_tie_reported():
     assert out.failed_point == Point(4, 15)
 
 
+def test_sphere_extend_antipode_tie_reported():
+    # the outward pass from S(0, 4) has no tie; the pass around the antipode
+    # 11111111 then ties first at 11000000, at distance 6 from it
+    values = seeded_rng(1090, "antipode-tie").integers(0, 2, size=256).tolist()
+    sphere = {i: values[i] for i in range(256) if i.bit_count() == 4}
+    assert _reference_majority(values, 8, 0, 4) is None
+    assert _reference_majority(values, 8, 255, 4) == 3
+    out = sphere_extend(8, Point(8, 0), 2, sphere)
+    assert (out.reason, out.failed_point) == ("tie", Point(8, 3))
+
+
 def test_sphere_extend_out_of_range():
     f = parity(4)  # s = 4 > 4/4
     out = sphere_extend(4, Point(4, 0), 4, {})
@@ -177,6 +229,8 @@ def test_sphere_extend_out_of_range():
 def test_sphere_extend_domain_checked():
     with pytest.raises(ValueError):
         sphere_extend(9, Point(9, 0), 1, {0: 1})
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        sphere_extend(8, Point(8, 0), -1, {})
 
 
 # ---------------------------------------------------------------------------

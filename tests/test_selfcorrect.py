@@ -189,6 +189,21 @@ def test_local_correction_refuses_huge_trees():
     assert oracle.query_count == 0
 
 
+def test_local_batch_chunks_stay_under_the_query_guard(monkeypatch):
+    from senslab import selfcorrect
+
+    oracle = CorruptedOracle(dictator(8), frozenset())
+    params = CorrectorParams(s=1)  # c = 7
+    monkeypatch.setattr(selfcorrect, "MAX_LOCAL_QUERIES", 3 * 7**3)
+    sizes = []
+    answer = oracle.answer_batch
+    monkeypatch.setattr(oracle, "answer_batch", lambda idx: sizes.append(len(idx)) or answer(idx))
+    out = local_correct_batch(oracle, Point(8, 5), params, 10, seeded_rng(1, "chunks"), k=3)
+    assert out.shape == (10,)
+    assert sizes == [3 * 7**3] * 3 + [7**3]
+    assert oracle.query_count == 10 * 7**3
+
+
 def test_local_batch_counts_and_accuracy():
     f = random_dt(8, 1, seed=21)
     oracle = CorruptedOracle(f, frozenset())
