@@ -26,16 +26,23 @@ def write_truth_table(f: TruthTable, path: str | Path) -> None:
     Path(path).write_text(f"n={f.n}\n{f.bits_string()}\n")
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    try:
+        return Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 def read_truth_table(path: str | Path) -> TruthTable:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     if len(lines) < 2:
         raise FormatError(f"{path}: expected a header line and a bits line")
-    m = re.fullmatch(r"n=(\d+)", lines[0].strip())
+    m = re.fullmatch(r"n=([0-9]+)", lines[0].strip())
     if not m:
         raise FormatError(f"{path}: bad header {lines[0]!r}")
-    n = int(m.group(1))
     bits = lines[1].strip()
     try:
+        n = int(m.group(1))  # raises past Python's 4300-digit limit
         check_n(n)
         return TruthTable.from_bits(n, bits)
     except ValueError as e:
@@ -50,14 +57,15 @@ def write_ball_advice(adv: BallAdvice, path: str | Path) -> None:
 
 
 def read_ball_advice(path: str | Path) -> BallAdvice:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty file")
-    m = re.fullmatch(r"n=(\d+) center=([01]+) radius=(\d+)", lines[0].strip())
+    m = re.fullmatch(r"n=([0-9]+) center=([01]+) radius=([0-9]+)", lines[0].strip())
     if not m:
         raise FormatError(f"{path}: bad header {lines[0]!r}")
-    n, center_bits, radius = int(m.group(1)), m.group(2), int(m.group(3))
+    center_bits = m.group(2)
     try:
+        n, radius = int(m.group(1)), int(m.group(3))
         check_n(n)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from e

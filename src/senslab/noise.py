@@ -83,7 +83,7 @@ def sample_noisy(x: Point, delta, rng: np.random.Generator) -> Point:
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Unnormalized transform W[S] = sum_x (-1)^{|x & S|} v[x]; self-inverse
     up to the factor 2^n."""
-    def step(lo, hi):
+    def step(lo, hi, h):
         diff = lo - hi
         lo += hi
         hi[...] = diff
@@ -111,7 +111,7 @@ def _noise_numerators(values: np.ndarray, n: int, delta: Fraction) -> np.ndarray
     p, q = delta.numerator, delta.denominator
     arr = np.array(values, dtype=np.int64 if q**n < 1 << 63 else object)
 
-    def step(lo, hi):
+    def step(lo, hi, h):
         lo[...], hi[...] = (q - p) * lo + p * hi, p * lo + (q - p) * hi
 
     return _butterfly(arr, step)
@@ -134,7 +134,10 @@ def _noise_signs(values: np.ndarray, n: int, delta: Fraction, theta: Fraction) -
     signs = np.sign(gap).astype(np.int8)
     band = np.flatnonzero(np.abs(gap) <= THRESHOLD_BAND)
     if len(band):
-        # one census costs about 1/(2n) of an int64 butterfly pass, 1/(64n) of a Python-int one
+        # An int64 butterfly pass costs 1.2n-2.3n censuses at n = 8..15 and 1.0n-1.2n at
+        # n = 16..22 (blocked); a Python-int pass 39n-45n at n = 15..18 (2-vCPU VM, best
+        # of 3).  The factors below stay within 2x of the crossover at every n; both engines
+        # are exact, so a wrong pick only costs time.
         if len(band) <= (2 if delta.denominator**n < 1 << 63 else 64) * n:
             nums = _census_numerators(values, n, delta, band.tolist())
         else:
@@ -147,11 +150,12 @@ def _codistance_rows(values: np.ndarray, n: int, step) -> np.ndarray:
     """Rows z[j] (j = 0..n) of a ranked subset butterfly started from z[0] = values:
     stage h calls step(lo, hi, k) with k = log2(h) + 1, and only rows 1..k can be
     nonzero after it (the ranked zeta transform's rank-j layer stays zero until j
-    bits are in), so step touches rows 0..k only."""
+    bits are in), so step touches rows 0..k only.  k is read from the stage's h,
+    not from the views' shape: in a blocked stage the last axis is not h long."""
     # int32: an entry counts points at one distance from x, at most C(24, 12) < 2^31
     z = np.zeros((n + 1, 1 << n), dtype=np.int32)
     z[0] = values
-    return _butterfly(z, lambda lo, hi: step(lo, hi, lo.shape[-1].bit_length()))
+    return _butterfly(z, lambda lo, hi, h: step(lo, hi, h.bit_length()))
 
 
 def _one_sided_step(lo, hi, k):

@@ -597,6 +597,12 @@ def criterion_cross_measures() -> CheckResult:
             13, name, False,
             f"n=4 table {i}: s = {sens[i]} > 4*deg^2 = {4 * deg[i] ** 2}",
         )
+    if (deg > sens * sens).any():
+        i = int(np.nonzero(deg > sens * sens)[0][0])
+        return CheckResult(
+            13, name, False,
+            f"n=4 table {i}: deg = {deg[i]} > s^2 = {sens[i] ** 2} (Huang)",
+        )
     if (relcnt > sens * 4**sens).any():
         i = int(np.nonzero(relcnt > sens * 4**sens)[0][0])
         return CheckResult(
@@ -610,7 +616,7 @@ def criterion_cross_measures() -> CheckResult:
             s = sensitivity(f).s
             d = degree(f)
             rel = len(relevant_variables(f))
-            if not (s <= 4 * d * d and rel <= s * 4**s):
+            if not (s <= 4 * d * d and d <= s * s and rel <= s * 4**s):
                 return CheckResult(
                     13, name, False,
                     f"{fname} at n={nn}: s={s}, deg={d}, relevant={rel} "
@@ -619,8 +625,8 @@ def criterion_cross_measures() -> CheckResult:
             checked += 1
     return CheckResult(
         13, name, True,
-        f"s <= 4*deg^2 and |relevant| <= s*4^s on all {checked} functions "
-        f"(full n=4 census plus the corpus at n in {NOISE_SIZES})",
+        f"s <= 4*deg^2, deg <= s^2 (Huang) and |relevant| <= s*4^s on all {checked} "
+        f"functions (full n=4 census plus the corpus at n in {NOISE_SIZES})",
     )
 
 

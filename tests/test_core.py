@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from senslab import core, noise
 from senslab.core import (
     BallAdvice,
     IntegerFunction,
@@ -40,7 +41,7 @@ from senslab.core import (
     sphere_points,
     zeta_transform,
 )
-from senslab.families import and_fn, constant, dictator, majority, or_fn, parity
+from senslab.families import and_fn, constant, dictator, majority, or_fn, parity, random_function
 from senslab.noise import walsh_hadamard
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=10)
@@ -264,6 +265,124 @@ def test_butterfly_batches_match_definitions(n):
     idx = np.arange(1 << n)
     signs = (-1.0) ** np.bitwise_count(idx[:, None] & idx[None, :])
     assert (walsh_hadamard(ints) == ints.astype(np.float64) @ signs).all()
+
+
+# ---------------------------------------------------------------------------
+# the butterfly's cache-blocked schedule against the plain stage loop
+
+def _reference_butterfly(arr, op):
+    """The plain schedule: stages h = 1, 2, 4, ... each over the whole array."""
+    size = arr.shape[-1]
+    h = 1
+    while h < size:
+        pairs = arr.reshape(arr.shape[:-1] + (size // (2 * h), 2, h))
+        op(pairs[..., 0, :], pairs[..., 1, :], h)
+        h <<= 1
+    return arr
+
+
+def _bitwise(out):
+    """Bytes that differ whenever any output bit differs (floats as uint64 words)."""
+    out = np.asarray(out)
+    if out.dtype == object:
+        return repr((out.shape, out.tolist()))
+    if out.dtype.kind == "f":
+        out = out.view(np.uint64)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+def _fractional(n, seed):
+    """Non-integer float64 values, the same on every platform."""
+    return (np.arange(1 << n, dtype=np.int64) * 2654435761 % 1000003 + seed) / 1000003.0 - 0.5
+
+
+def _bits(shape, seed):
+    return seeded_rng(seed, "schedule", *shape).integers(0, 2, size=shape).astype(np.uint8)
+
+
+# Every case but the one-block one takes the blocked path at the library's BLOCK_BYTES.
+# distance_census is capped at n = 13, which fits in one block, so its two-sided step
+# is covered with small blocks below.
+FLOAT_COLUMNS = core.BLOCK_BYTES // 8  # one block of a 1-D float64 or int64 table
+SCHEDULE_CASES = {
+    "wht-17": lambda: walsh_hadamard(_fractional(17, 1)),
+    "wht-18": lambda: walsh_hadamard(_fractional(18, 2)),
+    "wht-one-block": lambda: walsh_hadamard(_fractional(FLOAT_COLUMNS.bit_length() - 1, 3)),
+    "wht-one-block-plus-a-bit": lambda: walsh_hadamard(_fractional(FLOAT_COLUMNS.bit_length(), 4)),
+    "noise-operator-18": lambda: noise.noise_operator(random_function(18, 5), Fraction(3, 7)).values,
+    "mobius-64x4096": lambda: _mobius_int(_bits((64, 1 << 12), 6).astype(np.int64)),
+    "zeta-64x4096": lambda: _zeta_int(_bits((64, 1 << 12), 7).astype(np.int64)),
+    "f2-2x3x131072": lambda: _zeta_f2(_bits((2, 3, 1 << 17), 8)),
+    "sensitivity-2x3x65536": lambda: _sensitivity_counts(_bits((2, 3, 1 << 16), 9), 16),
+    "codistance-16": lambda: noise.ones_by_codistance(_bits((1 << 16,), 10), 16),
+    "downward-16": lambda: noise.downward_mismatch_table(random_function(16, 11)),
+    "noise-int64-18": lambda: noise._noise_numerators(_bits((1 << 18,), 12), 18, Fraction(1, 3)),
+    "noise-object-17": lambda: noise._noise_numerators(_bits((1 << 17,), 13), 17, Fraction(1, 20)),
+}
+ONE_BLOCK_CASES = {"wht-one-block"}
+
+
+def _run_both_schedules(monkeypatch, make):
+    """make()'s output on the library's schedule, whether it took the blocked
+    path, and its output with the plain reference loop in place of the butterfly."""
+    blocked = []
+    stages = core._stages
+
+    def recording(x, op, h, stop, tail):
+        blocked.append(bool(tail))
+        stages(x, op, h, stop, tail)
+
+    with monkeypatch.context() as m:
+        m.setattr(core, "_stages", recording)
+        out = make()
+    with monkeypatch.context() as m:
+        m.setattr(core, "_butterfly", _reference_butterfly)
+        m.setattr(noise, "_butterfly", _reference_butterfly)
+        ref = make()
+    return out, any(blocked), ref
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_blocked_schedule_is_bit_identical(monkeypatch, case):
+    out, blocked, ref = _run_both_schedules(monkeypatch, SCHEDULE_CASES[case])
+    assert blocked == (case not in ONE_BLOCK_CASES)
+    assert _bitwise(out) == _bitwise(ref)
+
+
+SMALL_CASES = {
+    "wht-10": lambda: walsh_hadamard(_fractional(10, 14)),
+    "mobius-3x1024": lambda: _mobius_int(_bits((3, 1 << 10), 15).astype(np.int64)),
+    "sensitivity-2x1024": lambda: _sensitivity_counts(_bits((2, 1 << 10), 16), 10),
+    "census-10": lambda: noise.distance_census(_bits((1 << 10,), 17), 10),
+    "noise-object-10": lambda: noise._noise_numerators(_bits((1 << 10,), 18), 10, Fraction(2, 9)),
+}
+
+
+@pytest.mark.parametrize("block_bytes", [32, 64, 96, 256, 1024])
+@pytest.mark.parametrize("case", sorted(SMALL_CASES))
+def test_small_blocks_are_bit_identical(monkeypatch, block_bytes, case):
+    # tiny blocks reach the edge cases: 4-column blocks, odd bit counts, many blocks
+    monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(core, "MIN_BLOCK_COLUMNS", 4)
+    out, blocked, ref = _run_both_schedules(monkeypatch, SMALL_CASES[case])
+    assert blocked or block_bytes < 1024
+    assert _bitwise(out) == _bitwise(ref)
+
+
+def test_narrow_blocks_take_the_plain_loop(monkeypatch):
+    # a tall batch whose block would be under MIN_BLOCK_COLUMNS wide (a shape that
+    # criterion 3's parity-radius scan transforms) runs the plain loop
+    tables = _bits((12648, 16), 19).astype(np.int64)
+    assert core.BLOCK_BYTES * 16 // tables.nbytes < core.MIN_BLOCK_COLUMNS
+    out, blocked, ref = _run_both_schedules(monkeypatch, lambda: _zeta_int(tables.copy()))
+    assert not blocked
+    assert _bitwise(out) == _bitwise(ref)
+
+
+def test_butterfly_on_empty_batches():
+    # an empty batch has no bytes per column; it takes the plain path
+    assert _mobius_int(np.zeros((0, 1 << 17), dtype=np.int64)).shape == (0, 1 << 17)
+    assert _zeta_f2(np.zeros((3, 0, 1 << 20), dtype=np.uint8)).shape == (3, 0, 1 << 20)
 
 
 def test_mobius_f2_agrees_mod2():

@@ -306,3 +306,28 @@ def test_codistance_tables_pinned(kernel, family, n):
     assert table.dtype == np.int64 and table.shape == (1 << n, n + 1)
     assert table.flags.c_contiguous
     assert hashlib.sha256(table.tobytes()).hexdigest() == CODISTANCE_SHA256[kernel, family, n]
+
+
+# ---------------------------------------------------------------------------
+# float outputs: pinned bit for bit, so a schedule that reorders a sum fails
+
+FLOAT_SHA256 = {
+    "noise 1/20": "e26beee64ce04b8e4c8da3fae7f040926366bf353ab2a8276fe2d1a4abc2e667",
+    "noise 3/7": "1fd3c2086132a3c0d72c762d75d470006dee6bf4614f927282aad51fa08ceb9d",
+    "wht": "1d2ebe58c10b28084c94a4fce858fb2b2f5c65de1484436aaac783bd90208bf5",
+}
+FLOAT_OUTPUTS = {
+    "noise 1/20": lambda: noise_operator(random_function(18, 7), Fraction(1, 20)).values,
+    "noise 3/7": lambda: noise_operator(random_function(18, 7), Fraction(3, 7)).values,
+    # non-integer values, the same on every platform (an integer multiply and one division)
+    "wht": lambda: walsh_hadamard(
+        (np.arange(1 << 18, dtype=np.int64) * 2654435761 % 1000003) / 1000003.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_SHA256))
+def test_float_outputs_pinned(name):
+    out = FLOAT_OUTPUTS[name]()
+    assert out.dtype == np.float64 and out.shape == (1 << 18,)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == FLOAT_SHA256[name]
