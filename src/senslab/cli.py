@@ -224,7 +224,7 @@ def cmd_lambda(args: argparse.Namespace) -> int:
     members = np.nonzero(f.values)[0].tolist()
     params = {"in": args.infile, "delta": str(args.delta), "theta": str(args.theta)}
     rep = noise.hypercontractivity_check(f.n, members, args.delta, args.theta)
-    cor = noise.sse_corollary_check(f.n, members, args.delta, args.theta)
+    cor = noise._corollary(rep.mu_S, rep.mu_Lambda, args.delta, args.theta)
     outputs = {
         "set_size": len(members),
         "lambda_size": len(rep.lam),

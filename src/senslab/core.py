@@ -76,6 +76,25 @@ def weight(x: Point) -> int:
     return popcount(x.index)
 
 
+def _point_indices(n: int, members: Iterable) -> np.ndarray:
+    """The indices of `members` (indices or Points of the n-cube, read once) as
+    an int64 array.  Anything else is refused, not coerced: a bool, a float, an
+    index outside [0, 2^n) or a Point of another dimension."""
+    items = list(members)
+    kinds = set(map(type, items))  # one type test per kind, not per member
+    if any(issubclass(k, Point) for k in kinds):
+        if any(m.n != n for m in items if isinstance(m, Point)):
+            raise ValueError(f"member Point of another dimension than n={n}")
+        items = [m.index if isinstance(m, Point) else m for m in items]
+        kinds = set(map(type, items))
+    bad = [k for k in kinds if issubclass(k, bool) or not issubclass(k, (int, np.integer))]
+    if bad:
+        raise ValueError(f"member of type {bad[0].__name__} is not a point index")
+    if items and not (0 <= min(items) and max(items) < 1 << n):
+        raise ValueError(f"member outside [0, {1 << n}) for n={n}")
+    return np.array(items, dtype=np.int64)
+
+
 class TruthTable:
     """Total Boolean function on n variables, one value per point index."""
 
@@ -109,8 +128,9 @@ class TruthTable:
 
     @classmethod
     def from_indices(cls, n: int, ones: Iterable[int]) -> "TruthTable":
+        check_n(n)
         vals = np.zeros(1 << n, dtype=np.uint8)
-        vals[list(ones)] = 1
+        vals[_point_indices(n, ones)] = 1
         return cls(n, vals)
 
     def bits_string(self) -> str:

@@ -27,6 +27,7 @@ from .core import (
     Point,
     TruthTable,
     _butterfly,
+    _point_indices,
     check_n,
     lower_shadow,
     weight,
@@ -272,20 +273,29 @@ def downward_mismatch_table(f: TruthTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lambda sets and the small-set expansion checks
 
+def _threshold(value) -> Fraction:
+    """Validate a threshold theta as an exact rational in (0, 1]."""
+    theta = Fraction(value)
+    if not 0 < theta <= 1:
+        raise ValueError(f"threshold theta {theta} outside (0, 1]")
+    return theta
+
+
 def lambda_set(n: int, members: Iterable, delta, theta) -> frozenset[int]:
     """Lambda_{delta,theta}(S) = {x : Pr_{y ~ N_{1-2delta}(x)}[y in S] >= theta}, exact."""
-    delta = noise_rate(delta)
-    theta = Fraction(theta)
-    check_n(n, PAIRWISE_MAX_N)
-    ind = TruthTable.from_indices(n, [m.index if isinstance(m, Point) else int(m) for m in members])
-    return frozenset(np.flatnonzero(_noise_signs(ind.values, n, delta, theta) >= 0).tolist())
+    delta, theta = noise_rate(delta), _threshold(theta)
+    return _expansion_measures(n, members, delta, theta)[2]
 
 
 def _expansion_measures(n: int, members: Iterable, delta: Fraction, theta: Fraction):
-    """mu(S), mu(Lambda_{delta,theta}(S)) and the Lambda-set itself."""
-    members = {m.index if isinstance(m, Point) else int(m) for m in members}
-    lam = lambda_set(n, members, delta, theta)
-    return Fraction(len(members), 1 << n), Fraction(len(lam), 1 << n), lam
+    """mu(S), mu(Lambda_{delta,theta}(S)) and the Lambda-set itself, for a validated
+    delta and theta; the members are read once, into an index array."""
+    check_n(n, PAIRWISE_MAX_N)
+    ind = np.zeros(1 << n, dtype=np.uint8)
+    ind[_point_indices(n, members)] = 1
+    lam = np.flatnonzero(_noise_signs(ind, n, delta, theta) >= 0)
+    size = 1 << n
+    return Fraction(int(np.count_nonzero(ind)), size), Fraction(len(lam), size), frozenset(lam.tolist())
 
 
 @dataclass(frozen=True)
@@ -300,8 +310,7 @@ class SseReport:
 def hypercontractivity_check(n: int, members: Iterable, delta, theta) -> SseReport:
     """mu(Lambda_{delta,theta}(S)) <= (mu(S)/theta^2)^(1+2delta), compared
     exactly by raising both sides to the power q for delta = p/q."""
-    delta = noise_rate(delta)
-    theta = Fraction(theta)
+    delta, theta = noise_rate(delta), _threshold(theta)
     mu_s, mu_l, lam = _expansion_measures(n, members, delta, theta)
     p, q = delta.numerator, delta.denominator
     base = mu_s / theta**2
@@ -323,13 +332,17 @@ class CorSseReport:
     bound: bool
 
 
-def sse_corollary_check(n: int, members: Iterable, delta, theta) -> CorSseReport:
-    """Premise mu(S) <= theta^(4+2/delta) implies mu(Lambda) <= mu(S)^(1+delta);
-    both sides exact via integer powers."""
-    delta = noise_rate(delta)
-    theta = Fraction(theta)
+def _corollary(mu_s: Fraction, mu_l: Fraction, delta: Fraction, theta: Fraction) -> CorSseReport:
+    """The corollary's premise and bound for given mu(S) and mu(Lambda)."""
     p, q = delta.numerator, delta.denominator
-    mu_s, mu_l, _ = _expansion_measures(n, members, delta, theta)
     premise = mu_s**p <= theta ** (4 * p + 2 * q)
     bound = mu_l**q <= mu_s ** (q + p)
     return CorSseReport(mu_S=mu_s, mu_Lambda=mu_l, premise=bool(premise), bound=bool(bound))
+
+
+def sse_corollary_check(n: int, members: Iterable, delta, theta) -> CorSseReport:
+    """Premise mu(S) <= theta^(4+2/delta) implies mu(Lambda) <= mu(S)^(1+delta);
+    both sides exact via integer powers."""
+    delta, theta = noise_rate(delta), _threshold(theta)
+    mu_s, mu_l, _ = _expansion_measures(n, members, delta, theta)
+    return _corollary(mu_s, mu_l, delta, theta)

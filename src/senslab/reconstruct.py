@@ -9,7 +9,10 @@ Three rules:
   * f2: the same construction mod 2 (always Boolean).
 
 Each rule has one engine, and its scalar calls are one-row batches.
-Parity and f2 share _low_degree_extend.  The majority rule,
+Parity and f2 share _low_degree_extend, which folds the translation to the
+center into the butterfly stages and holds a tall batch (TALL_ROWS rows or
+more) batch-innermost, as (2^n, rows); its outputs keep the (rows, 2^n)
+shape, as a transposed view for a tall batch.  The majority rule,
 majority_extend_batch, fills one sphere around the center at a time and
 reports a row's first tie in (distance, index) order, so failures are
 deterministic; majority_extend, sphere_extend and r_maj_bruteforce call it
@@ -29,9 +32,8 @@ from .core import (
     IntegerFunction,
     Point,
     TruthTable,
-    _mobius_int,
-    _zeta_f2,
-    _zeta_int,
+    _butterfly,
+    _stages,
     check_n,
     degree,
     sensitivity,
@@ -42,6 +44,13 @@ TIE = "tie"
 OUT_OF_RANGE = "out-of-range"
 
 BRUTE_FORCE_MAX_N = 10
+# A low-degree extension of at least this many rows runs batch-innermost.  int64
+# parity extension on a 2-vCPU VM (best of 3-5), the stage loop on (2^n, rows)
+# against _butterfly on (rows, 2^n): n = 4, 64 rows 73 vs 108 us; n = 10, 64 rows
+# 0.72 vs 2.27 ms; n = 16, 64 rows 152 vs 263 ms.  With few rows of a long table
+# the blocked schedule wins: n = 16, 4 rows 9.0 vs 7.8 ms; n = 20, 8 rows 458 vs
+# 372 ms.
+TALL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -126,21 +135,47 @@ def _low_degree_extend(
     of weight > radius zero, over the last axis; leading axes are a batch.
     Entries outside B(center, radius) are ignored.
 
-    Translates to center 0 (real and F2 degree are invariant under
-    y -> y xor center), zeroes the high coefficients and re-evaluates: two
+    Translated to center 0 (real and F2 degree are invariant under
+    y -> y xor center), this zeroes the high coefficients and re-evaluates: two
     butterflies.  This equals the level-by-level rule that forces each point
-    at ball level >= radius+1 to make its own coefficient vanish.
+    at ball level >= radius+1 to make its own coefficient vanish.  The
+    translation never moves data: a stage whose bit is set in the center runs
+    with lo and hi swapped, and the points and coefficients of weight > radius
+    about the center are the same index set, `far`.  A batch of at least
+    TALL_ROWS rows is held as (2^n, rows), so each stage's inner loop runs over
+    the batch and `far` zeroes whole rows.
     """
-    idx = np.arange(1 << n) ^ center
-    high = weights_vector(n) > radius
-    moved = np.where(high, 0, np.asarray(tables)[..., idx])
-    if mod2:
-        coeffs = _zeta_f2(moved.astype(np.uint8, order="C"))
-        coeffs[..., high] = 0
-        return _zeta_f2(coeffs)[..., idx]
-    coeffs = _mobius_int(moved.astype(np.int64, order="C"))
-    coeffs[..., high] = 0
-    return _zeta_int(coeffs)[..., idx]
+    check_n(n)
+    if not 0 <= center < 1 << n:
+        raise ValueError(f"center {center} outside [0, {1 << n}) for n={n}")
+    if not 0 <= radius <= n:
+        raise ValueError(f"radius {radius} outside [0, {n}]")
+    tables = np.asarray(tables)
+    if tables.shape[-1:] != (1 << n,):
+        raise ValueError(f"tables of shape {tables.shape} need a last axis of {1 << n} for n={n}")
+    far = weights_vector(n)[np.arange(1 << n) ^ center] > radius
+
+    def stage(ufunc):
+        def op(lo, hi, h):
+            if h & center:
+                lo, hi = hi, lo
+            ufunc(hi, lo, out=hi)
+        return op
+
+    # Mobius then zeta; mod 2 both are xor
+    ops = [stage(np.bitwise_xor)] * 2 if mod2 else [stage(np.subtract), stage(np.add)]
+    dtype = np.uint8 if mod2 else np.int64
+    if tables.ndim == 2 and len(tables) >= TALL_ROWS:
+        x = np.array(tables.T, dtype=dtype, order="C")
+        for op in ops:
+            x[far] = 0
+            _stages(x, op, 1, 1 << n, x.shape[1:])
+        return x.T
+    x = np.array(tables, dtype=dtype, order="C")
+    for op in ops:
+        x[..., far] = 0
+        _butterfly(x, op)
+    return x
 
 
 def parity_extend(advice: BallAdvice) -> IntegerFunction:
@@ -155,7 +190,8 @@ def f2_extend(advice: BallAdvice) -> TruthTable:
 
 def parity_extend_batch(n: int, center: int, radius: int, tables: np.ndarray) -> np.ndarray:
     """Parity rule over many functions: rows are full tables whose values
-    outside B(center, radius) are ignored.  Returns int64 extensions."""
+    outside B(center, radius) are ignored.  Returns the int64 extensions,
+    one row each; for a tall batch they are a transposed view."""
     return _low_degree_extend(n, center, radius, tables, mod2=False)
 
 
@@ -221,6 +257,8 @@ def r_bruteforce_batch(n: int, tables: np.ndarray, rule: str, centers=None) -> n
     the rows with no least radius yet, and each center only the rows that
     every earlier center at this radius recovered.
     """
+    if rule not in ("maj", "par"):
+        raise ValueError(f"unknown rule {rule!r}: expected 'maj' or 'par'")
     centers = range(1 << n) if centers is None else centers
     tables = np.asarray(tables)
     first = np.full(len(tables), -1, dtype=np.int64)
@@ -234,7 +272,9 @@ def r_bruteforce_batch(n: int, tables: np.ndarray, rule: str, centers=None) -> n
                 ext, tie = majority_extend_batch(n, center, r, rows)
                 ok = (tie < 0) & (ext == rows).all(axis=1)
             else:
-                ok = (parity_extend_batch(n, center, r, rows) == rows).all(axis=1)
+                # compared along the extension's batch-innermost layout
+                ext = parity_extend_batch(n, center, r, rows)
+                ok = (ext.T == rows.T).all(axis=0)
             live, rows = live[ok], rows[ok]
         first[live] = r
     return first

@@ -430,7 +430,7 @@ def criterion_sse() -> CheckResult:
                     f"|S|={len(members)}, theta={theta}: mu(Lambda)={rep.mu_Lambda} "
                     f"exceeds (mu(S)/theta^2)^(1+2delta)={rep.rhs}",
                 )
-            cor = noise.sse_corollary_check(n, members, delta, theta)
+            cor = noise._corollary(rep.mu_S, rep.mu_Lambda, delta, theta)
             if cor.premise and not cor.bound:
                 return CheckResult(
                     9, name, False,

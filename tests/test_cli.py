@@ -10,7 +10,7 @@ import pytest
 
 import senslab
 from senslab.cli import main
-from senslab.core import Point, restrict_to_ball
+from senslab.core import Point, TruthTable, restrict_to_ball
 from senslab.families import dictator, random_dt, random_function, tribes
 from senslab.io import read_truth_table, write_ball_advice, write_truth_table
 
@@ -113,11 +113,46 @@ def test_lambda_cli(tmp_path, capsys):
     assert out["mu_S"] == "1/2" and out["expansion_holds"]
 
 
+LAMBDA_STDOUT = {
+    "subcube": '{"command": "lambda", "ok": true, "outputs": {"corollary_bound": false, '
+               '"corollary_premise": false, "expansion_holds": true, "expansion_rhs": 84.16563017281004, '
+               '"lambda_members": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, '
+               '20, 21, 22, 23, 32, 33, 34, 35, 36, 37, 38, 39, 64, 65, 66, 67, 68, 69, 70, 71, 72, 128, '
+               '129, 130, 131, 132, 133, 134, 135, 136, 192, 200, 201, 202, 204, 216, 232], '
+               '"lambda_size": 57, "mu_Lambda": "57/256", "mu_S": "9/256", "set_size": 9}, '
+               '"parameters": {"delta": "1/20", "in": "<in>", "theta": "1/40"}, "seed": null}\n',
+    "random": '{"command": "lambda", "ok": true, "outputs": {"corollary_bound": false, '
+              '"corollary_premise": false, "expansion_holds": true, "expansion_rhs": 3.0237360807375224, '
+              '"lambda_size": 112, "mu_Lambda": "7/16", "mu_S": "7/16", "set_size": 112}, '
+              '"parameters": {"delta": "1/20", "in": "<in>", "theta": "2/5"}, "seed": null}\n',
+}
+
+
+@pytest.mark.parametrize("case, f, theta", [
+    ("subcube", TruthTable.from_indices(8, [0, 1, 2, 3, 4, 5, 6, 7, 200]), "1/40"),
+    ("random", random_function(8, seed=5), "2/5"),
+])
+def test_lambda_stdout_is_pinned(tmp_path, capsys, case, f, theta):
+    path = str(tmp_path / "s.tt")
+    write_truth_table(f, path)
+    assert main(["lambda", "--in", path, "--delta", "1/20", "--theta", theta]) == 0
+    assert capsys.readouterr().out == LAMBDA_STDOUT[case].replace("<in>", path)
+
+
+@pytest.mark.parametrize("theta", ["0", "-1/5", "3/2"])
+def test_lambda_theta_outside_unit_interval_exits_two(tmp_path, capsys, theta):
+    path = str(tmp_path / "s.tt")
+    write_truth_table(dictator(6), path)
+    assert main(["lambda", "--in", path, "--delta", "1/20", f"--theta={theta}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "theta" in captured.err
+
+
 def test_correct_global_cli(tmp_path, capsys):
     f = random_dt(8, 1, seed=3)
     corrupted = f.values.copy()
     corrupted[17] ^= 1
-    from senslab.core import TruthTable
 
     bad, truth_p, out_p = (str(tmp_path / x) for x in ("bad.tt", "truth.tt", "fixed.tt"))
     write_truth_table(TruthTable(8, corrupted), bad)
@@ -176,6 +211,39 @@ def test_verify_suite_cli(capsys):
     assert code == 0
     assert [r["parameters"]["criterion"] for r in reports] == [12, 13]
     assert all(r["ok"] for r in reports)
+
+
+VERIFY_STDOUT = {
+    "rules": [
+        '{"command": "verify", "ok": true, "outputs": {"detail": "brute-force majority radius equals '
+        'min(2s, n) on 66812 functions (exhaustive n <= 4, 500 random each at n = 5, 6)", "name": '
+        '"majority-radius", "ok": true}, "parameters": {"criterion": 2, "suite": "rules"}, "seed": null}',
+        '{"command": "verify", "ok": true, "outputs": {"detail": "brute-force parity radius equals '
+        'deg(f) on all 65812 functions with n <= 4; single-center and all-center radii identical", '
+        '"name": "parity-radius", "ok": true}, "parameters": {"criterion": 3, "suite": "rules"}, '
+        '"seed": null}',
+    ],
+    "noise": [
+        '{"command": "verify", "ok": true, "outputs": {"detail": "39424 exact pointwise '
+        'noise-sensitivity values strictly below 2*delta*s (corpus at n in (6, 9, 10), delta in '
+        '1/(20s), 1/(4s))", "name": "noise-stability", "ok": true}, "parameters": {"criterion": 7, '
+        '"suite": "noise"}, "seed": null}',
+        '{"command": "verify", "ok": true, "outputs": {"detail": "73144 exact downward-mismatch '
+        'bounds hold on every point with wt >= s, every walk length (corpus at n in (6, 9, 10))", '
+        '"name": "downward-mismatch", "ok": true}, "parameters": {"criterion": 8, "suite": "noise"}, '
+        '"seed": null}',
+        '{"command": "verify", "ok": true, "outputs": {"detail": "400 expansion instances hold at '
+        'n=12, delta=1/20, theta in (2/5, 1/10); corollary premise met 0 times and its bound held '
+        'every time", "name": "small-set-expansion", "ok": true}, "parameters": {"criterion": 9, '
+        '"suite": "noise"}, "seed": null}',
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_STDOUT))
+def test_verify_stdout_is_pinned(capsys, suite):
+    assert main(["verify", "--suite", suite]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in VERIFY_STDOUT[suite])
 
 
 def test_verify_ball_small_n(capsys):

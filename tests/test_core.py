@@ -128,6 +128,18 @@ def test_truth_table_basics():
     assert h == f
 
 
+@pytest.mark.parametrize("bad", [-1, 3.7, True, 4, None], ids=repr)
+def test_from_indices_refuses_bad_members(bad):
+    with pytest.raises(ValueError, match="member"):
+        TruthTable.from_indices(2, [0, bad])
+
+
+def test_from_indices_accepts_iterators_and_points():
+    f = TruthTable.from_indices(3, iter([Point(3, 5), 1, np.int32(1)]))
+    assert f.values.tolist() == [0, 1, 0, 0, 0, 1, 0, 0]
+    assert TruthTable.from_indices(3, []).count_ones() == 0
+
+
 def test_truth_table_validation():
     with pytest.raises(ValueError):
         TruthTable(2, np.zeros(3, dtype=np.uint8))

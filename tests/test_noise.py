@@ -274,6 +274,32 @@ def test_hypercontractivity_report_fields():
     assert sse_corollary_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == cor
 
 
+BAD_MEMBERS = [-1, 3.7, True, 1 << 6, "5", Point(5, 3)]
+EXPANSION_FUNCTIONS = [lambda_set, hypercontractivity_check, sse_corollary_check]
+
+
+@pytest.mark.parametrize("fn", EXPANSION_FUNCTIONS)
+@pytest.mark.parametrize("bad", BAD_MEMBERS, ids=repr)
+def test_expansion_functions_refuse_bad_members(fn, bad):
+    # none may be coerced: -1 would wrap to 2^n - 1, 3.7 truncate to 3, True read as 1
+    with pytest.raises(ValueError, match="member"):
+        fn(6, [0, bad], Fraction(1, 20), Fraction(2, 5))
+
+
+@pytest.mark.parametrize("fn", EXPANSION_FUNCTIONS)
+@pytest.mark.parametrize("theta", [Fraction(0), Fraction(-1, 5), Fraction(3, 2)])
+def test_expansion_functions_refuse_theta_outside_unit_interval(fn, theta):
+    with pytest.raises(ValueError, match="theta"):
+        fn(6, [0, 1], Fraction(1, 20), theta)
+
+
+def test_expansion_functions_accept_points_and_numpy_indices():
+    members = [Point(6, 0), np.int64(1), np.uint8(2), 3]
+    rep = hypercontractivity_check(6, members, Fraction(1, 20), Fraction(1, 1))
+    assert rep == hypercontractivity_check(6, range(4), Fraction(1, 20), Fraction(1, 1))
+    assert lambda_set(6, iter(members), Fraction(1, 20), Fraction(1, 1)) == rep.lam
+
+
 # ---------------------------------------------------------------------------
 # codistance tables: pinned byte for byte (sha256 of the int64 bytes)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +7,24 @@ import hypothesis.strategies as st
 
 from senslab.core import (
     BallAdvice,
+    IntegerFunction,
     Point,
     TruthTable,
     ball_indices,
     degree,
     degree_f2,
+    mobius_coefficients,
+    mobius_coefficients_f2,
     restrict_to_ball,
     seeded_rng,
     sensitivity,
+    weights_vector,
+    zeta_transform,
 )
+from senslab.counting import all_tables
 from senslab.families import and_fn, constant, dictator, or_fn, parity, random_dt, tribes
 from senslab.reconstruct import (
+    TALL_ROWS,
     f2_extend,
     f2_extend_batch,
     majority_extend,
@@ -176,6 +185,35 @@ def test_parity_batch_matches_scalar(f, data):
         assert (f2[0] == f.values).all()
 
 
+def _reference_low_degree(n, center, radius, row, mod2):
+    # the rule spelled out on the public transforms: translate to center 0, zero
+    # the coefficients above the radius, re-evaluate, translate back
+    idx = np.arange(1 << n) ^ center
+    high = weights_vector(n) > radius
+    moved = TruthTable(n, np.where(high, 0, row[idx]))
+    if mod2:
+        coeffs = mobius_coefficients_f2(moved).values.copy()
+        coeffs[high] = 0
+        return mobius_coefficients_f2(TruthTable(n, coeffs)).values[idx]
+    coeffs = mobius_coefficients(moved).values.copy()
+    coeffs[high] = 0
+    return zeta_transform(IntegerFunction(n, coeffs)).values[idx]
+
+
+@given(st.integers(min_value=1, max_value=7), st.data())
+@settings(max_examples=25, deadline=None)
+def test_low_degree_paths_match_reference(n, data):
+    rows = data.draw(st.sampled_from([1, 3, TALL_ROWS, TALL_ROWS + 37]))
+    center = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    radius = data.draw(st.integers(min_value=0, max_value=n))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    tables = np.random.default_rng(seed).integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
+    for extend, mod2 in ((parity_extend_batch, False), (f2_extend_batch, True)):
+        out = extend(n, center, radius, tables)
+        for row, ext in zip(tables, out):
+            assert (ext == _reference_low_degree(n, center, radius, row, mod2)).all()
+
+
 def test_f2_recovers_at_f2_degree():
     f = tribes(2, 6)
     r = degree_f2(f)
@@ -273,6 +311,75 @@ def test_bruteforce_batch_rows_are_independent(rule):
     assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
+def test_bruteforce_batch_refuses_unknown_rule():
+    with pytest.raises(ValueError, match="rule"):
+        r_bruteforce_batch(3, all_tables(3), "bogus")
+
+
+@pytest.mark.parametrize("extend", [parity_extend_batch, f2_extend_batch])
+@pytest.mark.parametrize("center, radius", [(-1, 2), (1 << 4, 2), (0, -1), (0, 5)])
+def test_extend_batch_refuses_bad_center_or_radius(extend, center, radius):
+    # a center of -1 would wrap through negative indices
+    with pytest.raises(ValueError, match="center|radius"):
+        extend(4, center, radius, all_tables(2)[:, [0, 1, 2, 3] * 4])
+
+
 def test_maj_radius_quadratic_in_par_radius():
     for f in (dictator(6), tribes(2, 6), parity(4), and_fn(5)):
         assert r_maj(f) <= 8 * max(r_par(f), 1) ** 2
+
+
+# ---------------------------------------------------------------------------
+# low-degree extensions and parity radii: pinned byte for byte (sha256)
+
+def _pin_batch(rows, n):
+    if rows == 1 << (1 << n):
+        return all_tables(n)
+    return seeded_rng(97, "extend-pin", rows, n).integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
+
+
+EXTEND_SHA256 = {
+    ("par", 1, 5): "4479c1924e6a7d03662c9efa72c954a8608deb4837d115302abf6fbdc3738544",
+    ("par", 63, 5): "34e25afa899113b726f36167a822e0bf179b9a477b43784bce049aa1d88fe36f",
+    ("par", 500, 6): "b8e3a9ee8a01432d61ef32dc2b8c11f47dd697cccb537ccf347a998ebd182e50",
+    ("par", 4096, 4): "79ab42a88a3a3adfb38f3d2ecb56b96e10157689c4564c3ea4e3108e33476862",
+    ("par", 65536, 4): "638769c39e940a5d00e061c84e21aac979271768099a0820860e1e7d5afa993c",
+    ("f2", 1, 5): "f911be32f80340b86ae10d465ee7de0d127d0a6cc3f778c2861735fa2b6b7d0d",
+    ("f2", 63, 5): "b1ddf833d9d60a66d441fd6a397d0997d6233869733347c6b0c18d9b5704074a",
+    ("f2", 500, 6): "f2fabb186dfd9aff1f74cf83260c83576f4286060e9ab11527eea621d23394c5",
+    ("f2", 4096, 4): "37f9599a939bfca065476d8b857bd145c448369cc56853699e906f305e5ec32e",
+    ("f2", 65536, 4): "6ebd64a9c7b0762dfe1d0447e3346cf3049818cf26de341ba8a4dc97ba330a2f",
+}
+
+
+@pytest.mark.parametrize("rule,rows,n", sorted(EXTEND_SHA256))
+def test_extend_batch_outputs_pinned(rule, rows, n):
+    extend, dtype = (parity_extend_batch, np.int64) if rule == "par" else (f2_extend_batch, np.uint8)
+    tables = _pin_batch(rows, n)
+    size = 1 << n
+    digest = hashlib.sha256()
+    for center in (0, 1, size // 3, size - 1):
+        for radius in (0, 1, n // 2, n - 1, n):
+            out = extend(n, center, radius, tables)
+            assert out.dtype == dtype and out.shape == (rows, size)
+            digest.update(np.ascontiguousarray(out).tobytes())
+    assert digest.hexdigest() == EXTEND_SHA256[rule, rows, n]
+
+
+PAR_RADIUS_SHA256 = {
+    1: "d2ad1a9c4775c036c7919360552b663441ac316138249b2d36315444badd25d2",
+    2: "0d1a0660f4b8d160d31553fe9c2aa110bed6d54550ea82274bb171420cfaa4ac",
+    3: "13aa635caf5886c73bee62ba12e42bc6d2ec9a5a5439d5864cd43109ebadaa54",
+    4: "3beb0be4effcded358bcc28f1de73314a09191bc2b896bcd72173a24c9b32cef",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PAR_RADIUS_SHA256))
+def test_parity_radii_pinned(n):
+    tables = all_tables(n)
+    every = r_bruteforce_batch(n, tables, "par")
+    origin = r_bruteforce_batch(n, tables, "par", [0])
+    assert every.dtype == origin.dtype == np.int64
+    assert every.shape == origin.shape == (len(tables),)
+    digest = hashlib.sha256(every.tobytes() + origin.tobytes()).hexdigest()
+    assert digest == PAR_RADIUS_SHA256[n]
