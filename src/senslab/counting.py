@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import TruthTable, _mobius_int, _sensitivity_counts, sensitivity, weights_vector
+from .core import TruthTable, _sensitivity_counts, _stages, sensitivity, weights_vector
 
 ENUM_MAX_N = 4
 LONG_ENUM_N = 5
@@ -37,10 +37,19 @@ def per_function_sensitivity(tables: np.ndarray, n: int) -> np.ndarray:
 
 
 def per_function_degree(tables: np.ndarray, n: int) -> np.ndarray:
-    """deg(f) for every row (batched subset Mobius transform)."""
-    coeffs = _mobius_int(tables.astype(np.int64, order="C"))
-    w = weights_vector(n).astype(np.int64)
-    return np.where(coeffs != 0, w[None, :], -1).max(axis=1).clip(min=0).astype(np.uint8)
+    """deg(f) for every row of 0/1 tables: the subset Mobius transform runs
+    batch-innermost, on a (2^n, rows) copy, so each stage's inner loop is over the
+    batch; deg(f) is the highest weight of a row with a nonzero coefficient (0 for
+    the zero function)."""
+    # int32: a coefficient of a 0/1 table is at most 2^(n-1) in absolute value
+    coeffs = np.array(tables.T, dtype=np.int32, order="C")
+    _stages(coeffs, lambda lo, hi, h: np.subtract(hi, lo, out=hi), 1, 1 << n, coeffs.shape[1:])
+    nonzero = coeffs != 0
+    w = weights_vector(n)
+    deg = np.zeros(len(tables), dtype=np.uint8)
+    for k in range(1, n + 1):
+        deg[nonzero[w == k].any(axis=0)] = k
+    return deg
 
 
 def _chunk_class_ok(arr: np.ndarray) -> list[np.ndarray]:

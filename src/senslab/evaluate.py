@@ -273,12 +273,16 @@ def top_down_visit_profile(n: int, s: int) -> np.ndarray:
     w = weights_vector(n)
     idx = np.arange(1 << n)
     closure[idx, idx // 64] |= np.uint64(1) << (idx % 64).astype(np.uint64)
-    bits = set_bits_table(n)
     for level in range(r + 1, n + 1):
-        for x in idx[w == level].tolist():
-            acc = closure[x]
-            for j in range(2 * s + 1):
-                acc |= closure[x ^ (1 << int(bits[x, j]))]
+        # the lowest-set-bit walk of top_down_all, on visit sets
+        pts = np.flatnonzero(w == level)
+        rest = pts.copy()
+        acc = closure[pts]
+        for _ in range(2 * s + 1):
+            low = rest & -rest
+            acc |= closure[pts ^ low]
+            rest ^= low
+        closure[pts] = acc
     profile = np.zeros((1 << n, n + 1), dtype=np.int64)
     for k in range(n + 1):
         mask = np.zeros(words, dtype=np.uint64)
@@ -292,7 +296,10 @@ _BITS_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
 def set_bits_table(n: int) -> np.ndarray:
-    """table[x, j] = position of the j-th lowest set bit of x (255 padding)."""
+    """table[x, j] = position of the j-th lowest set bit of x (255 padding).
+
+    parallel_eval_batch is its only caller in the library: the sweeps clear
+    the lowest set bit with rest & -rest instead."""
     t = _BITS_TABLE_CACHE.get(n)
     if t is None:
         t = np.full((1 << n, n), 255, dtype=np.uint8)
@@ -307,23 +314,26 @@ def set_bits_table(n: int) -> np.ndarray:
 
 
 def top_down_all(f: TruthTable, s: int) -> TruthTable:
-    """Levelwise batched top-down: weight w points only read weight w-1."""
+    """Levelwise batched top-down: weight w points only read weight w-1.
+
+    The rule of colex_smallest_lower_neighbors, for a whole level at once: a
+    point takes the majority over the 2s+1 lower neighbours found by clearing
+    its lowest set bit (low = rest & -rest) 2s+1 times."""
     n = f.n
     r = min(2 * s, n)
     if r >= n:
         return TruthTable(n, f.values)
     w = weights_vector(n)
-    idx = np.arange(1 << n)
-    out = np.zeros(1 << n, dtype=np.uint8)
-    known = w <= r
-    out[known] = f.values[known]
-    bits = set_bits_table(n)
+    out = f.values.copy()  # every point above weight r is written before it is read
     for level in range(r + 1, n + 1):
-        pts = idx[w == level]
-        votes = np.zeros(len(pts), dtype=np.int64)
-        for j in range(2 * s + 1):
-            votes += out[pts ^ (np.uint32(1) << bits[pts, j].astype(np.uint32))]
-        out[pts] = (2 * votes > 2 * s + 1).astype(np.uint8)
+        pts = np.flatnonzero(w == level)
+        rest = pts.copy()
+        votes = np.zeros(len(pts), dtype=np.uint8)  # at most 2s + 1 <= n votes
+        for _ in range(2 * s + 1):
+            low = rest & -rest
+            votes += out[pts ^ low]
+            rest ^= low
+        out[pts] = votes > s
     return TruthTable(n, out)
 
 

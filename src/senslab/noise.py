@@ -10,7 +10,10 @@ by their distance census, many by one pass of the integer step.
 
 The distance census and the downward mismatch table are ranked subset DPs over
 rows indexed by distance (codistance); they share one banded int32 butterfly,
-`_codistance_rows`, and return int64 tables of shape (2^n, n+1).
+`_codistance_rows`, and return int64 tables of shape (2^n, n+1).  The downward
+table is finished in one pass over column blocks of BLOCK_BYTES: each block turns
+counts of ones into mismatches where f = 1 and is written, transposed and widened,
+into the int64 output while it is still in cache.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    BLOCK_BYTES,
     PAIRWISE_MAX_N,
     Point,
     TruthTable,
@@ -97,8 +101,9 @@ def noise_operator(f: TruthTable, delta) -> RealFunction:
     delta = noise_rate(delta)
     check_n(f.n)
     rho = 1.0 - 2.0 * float(delta)
-    coeffs = walsh_hadamard(f.values.astype(np.float64)) / (1 << f.n)
-    coeffs *= rho ** weights_vector(f.n)
+    coeffs = walsh_hadamard(f.values)
+    coeffs /= 1 << f.n
+    coeffs *= (rho ** np.arange(f.n + 1))[weights_vector(f.n)]
     return RealFunction(f.n, walsh_hadamard(coeffs))
 
 
@@ -258,16 +263,22 @@ def downward_mismatch_table(f: TruthTable) -> np.ndarray:
 
     Row t of the codistance DP counts the ones of f in D(x, t); where f(x) = 1 the
     mismatches are the zeros there, C(wt(x), t) minus that count, formed in place.
-    For t > wt(x) both terms are 0."""
+    For t > wt(x) both terms are 0.  Block by block of columns, the C(wt(x), t)
+    are gathered by weight, subtracted where f = 1, and the block is written
+    transposed into the output."""
     check_n(f.n)
     n = f.n
     z = _codistance_rows(f.values, n, _one_sided_step)
     w = weights_vector(n)
     ones = f.values.view(bool)
-    for t in range(n + 1):
-        size = np.array([comb(d, t) for d in range(n + 1)], dtype=np.int32)[w]
-        np.subtract(size, z[t], out=z[t], where=ones)
-    return np.ascontiguousarray(z.T, dtype=np.int64)
+    sizes = np.array([[comb(d, t) for d in range(n + 1)] for t in range(n + 1)], dtype=np.int32)
+    out = np.empty((1 << n, n + 1), dtype=np.int64)
+    cols = BLOCK_BYTES // out[0].nbytes  # output rows of one block
+    for a in range(0, 1 << n, cols):
+        blk = z[:, a : a + cols]
+        np.subtract(sizes[:, w[a : a + cols]], blk, out=blk, where=ones[a : a + cols])
+        out[a : a + cols] = blk.T
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,9 @@ def local_correct_batch(
     k, c = _tree_shape(params, n, k)
     p, q = params.delta.numerator, params.delta.denominator
     row_bytes = (n + 7) // 8
+    # half the bytes of int64 draws and the same stream: numpy draws both widths
+    # with 32-bit Lemire rejection for q <= 2^32
+    draw_dtype = np.uint32 if q <= 1 << 32 else np.int64
     # a chunk holds at most MAX_LOCAL_QUERIES leaves; _tree_shape makes it >= 1 tree
     chunk = min(LOCAL_TRIAL_CHUNK, MAX_LOCAL_QUERIES // c**k)
     out = np.empty(trials, dtype=np.uint8)
@@ -255,7 +258,7 @@ def local_correct_batch(
             # times slower), and a row's bytes, zero-extended to 8, read as
             # one little-endian int64 (n <= 24 fills at most 3)
             flips = np.zeros((len(pts), 8 * row_bytes), dtype=bool)
-            flips[:, :n] = rng.integers(0, q, size=(len(pts), n)) < p
+            flips[:, :n] = rng.integers(0, q, size=(len(pts), n), dtype=draw_dtype) < p
             masks = np.zeros((len(pts), 8), dtype=np.uint8)
             packed = np.packbits(flips.reshape(-1), bitorder="little")
             masks[:, :row_bytes] = packed.reshape(-1, row_bytes)

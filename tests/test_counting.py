@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -72,6 +74,13 @@ def test_per_function_measures_match_scalar():
         f = TruthTable(3, tables[row])
         assert sens[row] == sensitivity(f).s
         assert degs[row] == degree(f)
+
+
+def test_per_function_degree_census_pinned():
+    degs = per_function_degree(all_tables(4), 4)
+    assert degs.dtype == np.uint8 and degs.shape == (1 << 16,)
+    digest = hashlib.sha256(degs.tobytes()).hexdigest()
+    assert digest == "ca7f20570cedca37b6af09e8c2958b20e55c8b47cac0ab5fe736e9811c8f70b8"
 
 
 def test_chunk_filter_matches_scalar_sensitivity():

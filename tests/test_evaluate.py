@@ -189,6 +189,65 @@ def test_top_down_all_matches_truth(seed, s):
     assert top_down_all(f, s) == f
 
 
+# sha256 of top_down_all(random_function(n, 7), s).values: a high-sensitivity f
+# makes the sweep differ from f, so the order of the lower neighbours is pinned
+TOP_DOWN_SHA256 = {
+    (10, 1): "b72366dc209ea1343f77a719596a855f35893eb7f988009a29a5b70668433e3d",
+    (10, 2): "63cf0fe51736b3752168fcdb49beff5c0227263ca4e3aa0dd8e974479586292e",
+    (10, 3): "97f205d6f744fbe05dad08bdf1e8b3329bbcccba1be7c33928f4cb33d3bdc3a3",
+    (16, 1): "bfbfb5f3058b59c5ae36116c14acbb9432c36b9a20559ab33c820bc1f9092e77",
+    (16, 2): "e7580e36085150a38208b018105fe951dab1996fe9e54ae78f3618ad52e4f32c",
+    (16, 3): "630ffe24f02743f321910f69a40bfabf4c190601bc2f501736e2e295e412859f",
+    (20, 1): "fc3b9a3b44690090894fc848dac48ae16ea0149c6aa50df98fc769283fc4a998",
+    (20, 2): "90d9daa3de04812560c3948ec6425b050e62cbf578628a6938750a15d1ffb46c",
+    (20, 3): "5ec8e2026634f4f85094f0a74c53be1b6a34b585d0e12868fe4b12d637ce07a6",
+}
+
+
+@pytest.mark.parametrize("n,s", sorted(TOP_DOWN_SHA256))
+def test_top_down_all_pinned(n, s):
+    f = random_function(n, 7)
+    out = top_down_all(f, s).values
+    assert out.dtype == np.uint8 and out.shape == (1 << n,)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == TOP_DOWN_SHA256[n, s]
+    assert (out != f.values).any()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_top_down_all_matches_scalar_eval(s):
+    f = random_function(10, 7)
+    swept = top_down_all(f, s)
+    advice = _advice(f, s)
+    for x in (0, 0b1111111, 0b1010101011, 0b1111111110, (1 << 10) - 1):
+        v, _ = top_down_eval(advice, s, Point(10, x))
+        assert v == swept.values[x]
+
+
+# sha256 of top_down_visit_profile(n, s) (int64, shape (2^n, n + 1))
+VISIT_PROFILE_SHA256 = {
+    (10, 0): "6696a8204f01c6232791a76577df636cbeff9a77315362b513fb106d54e5382c",
+    (10, 1): "63eed107bc624efca8d47ff8c3f30fe23a67b0c8e45cf49a91f57c3d68ff9981",
+    (10, 2): "962fb7c5fe8f454eed0afb293e6b3636f0db026f8182121017fde96feb1a6e52",
+    (10, 3): "50680d51860c347b053b3c8aacf91a42aaf104597ecaf0304e3a4aa41723b674",
+    (10, 4): "35708b734951eb3a6692225d3ad4a2902a3edb9b7640204b49c215ca8b4b9587",
+    (10, 5): "2823789b02b4750baaa8026ce87d6f4214d19cad854700fedcc02e88f9ce7868",
+    (12, 0): "a5447acbbf6e6670c25d7ce5ebcbc86513c048919a0509968739d3af5b52bcca",
+    (12, 1): "6c65cbc9b777fac09a17b968987aa76bf5a3870f0aa8fb1e70423d2d0342395d",
+    (12, 2): "521b3cee89b5719b2a04d81e38a0ecd2ae5fb2d1b102f929b91f0547ff81dcd9",
+    (12, 3): "d7aed474f0873c7d38f7216854bfe30931ec2ae419beee4c91b31447b8c0ad25",
+    (12, 4): "b4d05cdf68366611e77a8bde836683e3d92418e2f97e45a907bb8a9cb87c23a6",
+    (12, 5): "1d2cf52f501003d9e8a5ebc982959404e3bc65e963a2cd893cae8c0855aa8e52",
+    (12, 6): "d35d7bbed81d85c4271308408eec0bf5aedfaf10096f5939fb1034b0fd2357a2",
+}
+
+
+@pytest.mark.parametrize("n,s", sorted(VISIT_PROFILE_SHA256))
+def test_visit_profile_pinned(n, s):
+    prof = top_down_visit_profile(n, s)
+    assert prof.dtype == np.int64 and prof.shape == (1 << n, n + 1)
+    assert hashlib.sha256(prof.tobytes()).hexdigest() == VISIT_PROFILE_SHA256[n, s]
+
+
 def test_visit_profile_low_weight_rows():
     prof = top_down_visit_profile(8, 2)
     for x in (0, 3, 0b1100):  # wt <= 4 = 2s: a single advice read

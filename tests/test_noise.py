@@ -317,6 +317,9 @@ CODISTANCE_SHA256 = {
     ("ones", "function", 16): "7328e27380611101420f212de54e41f66d3a33d70f11d221b3097cf23b17c404",
     ("down", "dt", 16): "1f9eb2a982ed9d7e823c7f334b81a7cd5caf118431636409d4a6e0db37c744c2",
     ("ones", "dt", 16): "0b4994da6e4ed886c59645a8805149663e68fb95fa2bb1944f28a3bca6e06ba6",
+    # n = 16 and 18 span many column blocks of the downward table's finish
+    ("down", "function", 18): "3f84886466d1b63d8cda97ba77b1f30d9c8de84bc70d9be54f9397c92e54a341",
+    ("down", "dt", 18): "9b552edc60955abab4ff6747d77f438469aec71a9b200f2ba20ed77341a2088e",
 }
 CODISTANCE_KERNELS = {
     "down": lambda f: downward_mismatch_table(f),

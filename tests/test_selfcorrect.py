@@ -239,6 +239,18 @@ LOCAL_STREAMS = {  # (n, k): (sha256 of outputs, next 8 stream bytes, dtype, sha
 }
 
 
+def test_local_batch_runs_with_a_denominator_above_32_bits():
+    # q > 2^32 takes 64-bit draws; a flip at rate 1/q is all but impossible here
+    f = random_function(10, seed=3)
+    oracle = CorruptedOracle(f, frozenset())
+    x = Point(10, 0b1011001110)
+    params = CorrectorParams(s=1, delta=Fraction(1, (1 << 40) + 1))
+    out = local_correct_batch(oracle, x, params, 30, seeded_rng(5, "wide"), k=2)
+    assert out.dtype == np.uint8 and out.shape == (30,)
+    assert (out == f(x)).all()
+    assert oracle.query_count == 30 * 7**2
+
+
 @pytest.mark.parametrize("n,k", sorted(LOCAL_STREAMS))
 def test_local_batch_stream_is_pinned(n, k):
     # 450 trials is not a multiple of LOCAL_TRIAL_CHUNK, and 13 bits do not fill
