@@ -289,13 +289,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "upper": census.upper,
     }
     if args.s is not None:
-        outputs = {
-            "n": census.n,
-            "s": args.s,
-            "count": census.counts[args.s],
-            "lower": census.lower[args.s],
-            "upper": census.upper[args.s],
-        }
+        lower, upper = counting.count_bounds(args.n, args.s)  # refuses s outside [0, n]
+        outputs = {"n": census.n, "s": args.s, "count": census.counts[args.s],
+                   "lower": lower, "upper": upper}
     emit("enumerate", {"n": args.n, "s": args.s, "allow_long": args.allow_long}, outputs)
     return 0
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import TruthTable, _sensitivity_counts, _stages, sensitivity, weights_vector
+from .core import TruthTable, _check_tables, _degrees, _sensitivity_counts, sensitivity
 
 ENUM_MAX_N = 4
 LONG_ENUM_N = 5
@@ -33,23 +33,12 @@ def all_tables(n: int) -> np.ndarray:
 
 def per_function_sensitivity(tables: np.ndarray, n: int) -> np.ndarray:
     """s(f) for every row of a (rows, 2^n) table matrix."""
-    return _sensitivity_counts(tables, n).max(axis=1)
+    return _sensitivity_counts(_check_tables(tables, n), n).max(axis=1)
 
 
 def per_function_degree(tables: np.ndarray, n: int) -> np.ndarray:
-    """deg(f) for every row of 0/1 tables: the subset Mobius transform runs
-    batch-innermost, on a (2^n, rows) copy, so each stage's inner loop is over the
-    batch; deg(f) is the highest weight of a row with a nonzero coefficient (0 for
-    the zero function)."""
-    # int32: a coefficient of a 0/1 table is at most 2^(n-1) in absolute value
-    coeffs = np.array(tables.T, dtype=np.int32, order="C")
-    _stages(coeffs, lambda lo, hi, h: np.subtract(hi, lo, out=hi), 1, 1 << n, coeffs.shape[1:])
-    nonzero = coeffs != 0
-    w = weights_vector(n)
-    deg = np.zeros(len(tables), dtype=np.uint8)
-    for k in range(1, n + 1):
-        deg[nonzero[w == k].any(axis=0)] = k
-    return deg
+    """deg(f) (uint8, 0 for the zero function) for every row of a (rows, 2^n) 0/1 matrix."""
+    return _degrees(tables, n)
 
 
 def _chunk_class_ok(arr: np.ndarray) -> list[np.ndarray]:
@@ -139,13 +128,13 @@ class ClassCensus:
 
 
 def build_census(n: int, allow_long: bool = False) -> ClassCensus:
-    if n <= ENUM_MAX_N:
+    if 1 <= n <= ENUM_MAX_N:
         sens = per_function_sensitivity(all_tables(n), n)
         counts = [int((sens <= s).sum()) for s in range(n + 1)]
     elif n == LONG_ENUM_N and allow_long:
         counts = _bit_parallel_class_counts(n)
     else:
-        raise ValueError("census needs n <= 4, or n = 5 with allow_long")
+        raise ValueError(f"census needs 1 <= n <= 4, or n = 5 with allow_long; got n={n}")
     bounds = [count_bounds(n, s) for s in range(n + 1)]
     return ClassCensus(
         n=n,
@@ -195,8 +184,9 @@ def interpolation_experiment(
     a one on the sample.  Hitting implies interpolation (the xor of a
     distinguishing pair lies in F(2s,n)); the converse is checked
     empirically, not assumed."""
-    if n > ENUM_MAX_N:
-        raise ValueError(f"interpolation experiment needs n <= {ENUM_MAX_N}")
+    if not 1 <= n <= ENUM_MAX_N or s < 0 or trials < 1:
+        raise ValueError(f"interpolation experiment needs 1 <= n <= {ENUM_MAX_N}, s >= 0 and "
+                         f"trials >= 1; got n={n}, s={s}, trials={trials}")
     tables = all_tables(n)
     sens = per_function_sensitivity(tables, n)
     small = tables[sens <= s]

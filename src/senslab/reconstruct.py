@@ -10,9 +10,8 @@ Three rules:
 
 Each rule has one engine, and its scalar calls are one-row batches.
 Parity and f2 share _low_degree_extend, which folds the translation to the
-center into the butterfly stages and holds a tall batch (TALL_ROWS rows or
-more) batch-innermost, as (2^n, rows); its outputs keep the (rows, 2^n)
-shape, as a transposed view for a tall batch.  The majority rule,
+center into the butterfly stages; core lays the batch out, and a tall one
+comes back as a point-major (transposed) view.  The majority rule,
 majority_extend_batch, fills one sphere around the center at a time and
 reports a row's first tie in (distance, index) order, so failures are
 deterministic; majority_extend, sphere_extend and r_maj_bruteforce call it
@@ -32,8 +31,9 @@ from .core import (
     IntegerFunction,
     Point,
     TruthTable,
+    _batch_array,
     _butterfly,
-    _stages,
+    _check_tables,
     check_n,
     degree,
     sensitivity,
@@ -44,13 +44,6 @@ TIE = "tie"
 OUT_OF_RANGE = "out-of-range"
 
 BRUTE_FORCE_MAX_N = 10
-# A low-degree extension of at least this many rows runs batch-innermost.  int64
-# parity extension on a 2-vCPU VM (best of 3-5), the stage loop on (2^n, rows)
-# against _butterfly on (rows, 2^n): n = 4, 64 rows 73 vs 108 us; n = 10, 64 rows
-# 0.72 vs 2.27 ms; n = 16, 64 rows 152 vs 263 ms.  With few rows of a long table
-# the blocked schedule wins: n = 16, 4 rows 9.0 vs 7.8 ms; n = 20, 8 rows 458 vs
-# 372 ms.
-TALL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -141,18 +134,13 @@ def _low_degree_extend(
     at ball level >= radius+1 to make its own coefficient vanish.  The
     translation never moves data: a stage whose bit is set in the center runs
     with lo and hi swapped, and the points and coefficients of weight > radius
-    about the center are the same index set, `far`.  A batch of at least
-    TALL_ROWS rows is held as (2^n, rows), so each stage's inner loop runs over
-    the batch and `far` zeroes whole rows.
+    about the center are the same index set, `far`.
     """
-    check_n(n)
+    tables = _check_tables(tables, n)
     if not 0 <= center < 1 << n:
         raise ValueError(f"center {center} outside [0, {1 << n}) for n={n}")
     if not 0 <= radius <= n:
         raise ValueError(f"radius {radius} outside [0, {n}]")
-    tables = np.asarray(tables)
-    if tables.shape[-1:] != (1 << n,):
-        raise ValueError(f"tables of shape {tables.shape} need a last axis of {1 << n} for n={n}")
     far = weights_vector(n)[np.arange(1 << n) ^ center] > radius
 
     def stage(ufunc):
@@ -164,14 +152,7 @@ def _low_degree_extend(
 
     # Mobius then zeta; mod 2 both are xor
     ops = [stage(np.bitwise_xor)] * 2 if mod2 else [stage(np.subtract), stage(np.add)]
-    dtype = np.uint8 if mod2 else np.int64
-    if tables.ndim == 2 and len(tables) >= TALL_ROWS:
-        x = np.array(tables.T, dtype=dtype, order="C")
-        for op in ops:
-            x[far] = 0
-            _stages(x, op, 1, 1 << n, x.shape[1:])
-        return x.T
-    x = np.array(tables, dtype=dtype, order="C")
+    x = _batch_array(tables, np.uint8 if mod2 else np.int64)
     for op in ops:
         x[..., far] = 0
         _butterfly(x, op)

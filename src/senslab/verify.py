@@ -77,7 +77,7 @@ def _nonconstant_dt(n: int, depth: int, seed: int) -> TruthTable:
 def criterion_ball(n: int = 4) -> CheckResult:
     name = "ball-reconstruction"
     if not 1 <= n <= 4:
-        return CheckResult(1, name, False, f"exhaustive battery needs n <= 4, got {n}")
+        raise ValueError(f"exhaustive ball battery needs 1 <= n <= 4, got n={n}")
     tables = counting.all_tables(n)
     sens = counting.per_function_sensitivity(tables, n)
     pairs = 0

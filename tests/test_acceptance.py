@@ -3,7 +3,7 @@
 Each test prints its own pass/fail line (run pytest with -s or check the
 captured output on failure) and asserts the battery's verdict.  The heavy
 entries stay within their budgets: the parallel-error battery is the
-slowest, at about 70 s on 2 cores.
+slowest, at about 90 s on a 2-vCPU VM (the whole suite takes about 2 min).
 """
 import pytest
 

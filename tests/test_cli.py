@@ -251,6 +251,24 @@ def test_verify_ball_small_n(capsys):
     assert code == 0 and reports[0]["outputs"]["ok"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--s", "7"],
+    ["enumerate", "--n", "3", "--s", "-1"],
+    ["enumerate", "--n", "-1"],
+    ["enumerate", "--n", "0"],
+    ["interpolate", "--n", "3", "--s", "1", "--trials", "0"],
+    ["interpolate", "--n", "3", "--s", "1", "--trials", "-1"],
+    ["verify", "--suite", "ball", "--n", "5"],
+    ["verify", "--suite", "ball", "--n", "0"],
+], ids=" ".join)
+def test_out_of_range_arguments_exit_two(capsys, argv):
+    # a usage error is one stderr line and exit 2, with no report on stdout
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_bench_is_an_unknown_command():
     with pytest.raises(SystemExit) as e:
         main(["bench", "--task", "transforms", "--n", "8"])

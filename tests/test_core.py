@@ -1,10 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from senslab import core, noise
+from senslab import core, noise, reconstruct
 from senslab.core import (
     BallAdvice,
     IntegerFunction,
@@ -41,8 +44,12 @@ from senslab.core import (
     sphere_points,
     zeta_transform,
 )
-from senslab.families import and_fn, constant, dictator, majority, or_fn, parity, random_function
+from senslab.counting import all_tables
+from senslab.families import (
+    and_fn, constant, dictator, majority, or_fn, parity, random_dt, random_function,
+)
 from senslab.noise import walsh_hadamard
+from senslab.reconstruct import parity_extend_batch
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=10)
 tables = st.integers(min_value=1, max_value=6).flatmap(
@@ -255,6 +262,21 @@ def test_f2_degree_at_most_degree_exhaustive():
         assert degree_f2(f) <= degree(f)
 
 
+@pytest.mark.parametrize("n", [12, 18, 20])
+def test_degrees_pinned_at_large_n(n):
+    # (deg, deg over F2), recorded on the per-function coefficient scans that the
+    # batched degree engine replaced
+    pins = {
+        "random": (random_function(n, 5), (n, 11 if n == 12 else n)),
+        "random-dt": (random_dt(n, 7, seed=3), (7, 7)),
+        "zero": (constant(n, 0), (0, 0)),
+        "one": (constant(n, 1), (0, 0)),
+        "parity": (parity(n), (n, 1)),
+    }
+    for name, (f, expected) in pins.items():
+        assert (degree(f), degree_f2(f)) == expected, name
+
+
 def _subset_sum_reference(rows, sign):
     """O(4^n) definition: out[S] = sum over T subset of S of sign^(|S|-|T|) v[T]."""
     size = rows.shape[1]
@@ -283,13 +305,17 @@ def test_butterfly_batches_match_definitions(n):
 # the butterfly's cache-blocked schedule against the plain stage loop
 
 def _reference_butterfly(arr, op):
-    """The plain schedule: stages h = 1, 2, 4, ... each over the whole array."""
+    """The plain schedule: stages h = 1, 2, 4, ... each over the whole array, run
+    on a C-contiguous copy that is then written back, so any layout is transformed
+    in place."""
     size = arr.shape[-1]
+    x = np.ascontiguousarray(arr)
     h = 1
     while h < size:
-        pairs = arr.reshape(arr.shape[:-1] + (size // (2 * h), 2, h))
+        pairs = x.reshape(x.shape[:-1] + (size // (2 * h), 2, h))
         op(pairs[..., 0, :], pairs[..., 1, :], h)
         h <<= 1
+    arr[...] = x
     return arr
 
 
@@ -332,32 +358,52 @@ SCHEDULE_CASES = {
     "noise-object-17": lambda: noise._noise_numerators(_bits((1 << 17,), 13), 17, Fraction(1, 20)),
 }
 ONE_BLOCK_CASES = {"wht-one-block"}
+# Batches of at least TALL_ROWS rows, laid out point-major by _batch_array.
+POINT_MAJOR_CASES = {
+    "point-major-mobius-64x1024": lambda: _mobius_int(
+        core._batch_array(_bits((64, 1 << 10), 20), np.int64)),
+    "point-major-zeta-101x1024": lambda: _zeta_int(
+        core._batch_array(_bits((101, 1 << 10), 21), np.int64)),
+    "point-major-f2-64x4096": lambda: _zeta_f2(core._batch_array(_bits((64, 1 << 12), 22), np.uint8)),
+    "point-major-census-degree-4": lambda: _mobius_int(core._batch_array(all_tables(4), np.int32)),
+    "point-major-parity-extension-101x256": lambda: parity_extend_batch(
+        8, 0b10110101, 3, _bits((101, 1 << 8), 23)),
+}
+
+
+def _schedule(x, tail):
+    """The schedule that ran a _stages call: the blocked schedule's low stages run
+    on its own transposed buffer, the point-major schedule on a view of the input."""
+    if not tail:
+        return "plain"
+    return "blocked" if x.flags.owndata else "point-major"
 
 
 def _run_both_schedules(monkeypatch, make):
-    """make()'s output on the library's schedule, whether it took the blocked
-    path, and its output with the plain reference loop in place of the butterfly."""
-    blocked = []
+    """make()'s output on the library's schedule, the set of schedules its _stages
+    calls ran, and its output with the plain reference loop in place of the butterfly."""
+    ran = set()
     stages = core._stages
 
     def recording(x, op, h, stop, tail):
-        blocked.append(bool(tail))
+        ran.add(_schedule(x, tail))
         stages(x, op, h, stop, tail)
 
     with monkeypatch.context() as m:
         m.setattr(core, "_stages", recording)
         out = make()
     with monkeypatch.context() as m:
-        m.setattr(core, "_butterfly", _reference_butterfly)
-        m.setattr(noise, "_butterfly", _reference_butterfly)
+        for module in (core, noise, reconstruct):
+            m.setattr(module, "_butterfly", _reference_butterfly)
         ref = make()
-    return out, any(blocked), ref
+    return out, ran, ref
 
 
-@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES | POINT_MAJOR_CASES))
 def test_blocked_schedule_is_bit_identical(monkeypatch, case):
-    out, blocked, ref = _run_both_schedules(monkeypatch, SCHEDULE_CASES[case])
-    assert blocked == (case not in ONE_BLOCK_CASES)
+    out, ran, ref = _run_both_schedules(monkeypatch, (SCHEDULE_CASES | POINT_MAJOR_CASES)[case])
+    assert ran == ({"point-major"} if case in POINT_MAJOR_CASES
+                   else {"plain"} if case in ONE_BLOCK_CASES else {"plain", "blocked"})
     assert _bitwise(out) == _bitwise(ref)
 
 
@@ -376,8 +422,8 @@ def test_small_blocks_are_bit_identical(monkeypatch, block_bytes, case):
     # tiny blocks reach the edge cases: 4-column blocks, odd bit counts, many blocks
     monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(core, "MIN_BLOCK_COLUMNS", 4)
-    out, blocked, ref = _run_both_schedules(monkeypatch, SMALL_CASES[case])
-    assert blocked or block_bytes < 1024
+    out, ran, ref = _run_both_schedules(monkeypatch, SMALL_CASES[case])
+    assert "blocked" in ran or block_bytes < 1024
     assert _bitwise(out) == _bitwise(ref)
 
 
@@ -386,8 +432,8 @@ def test_narrow_blocks_take_the_plain_loop(monkeypatch):
     # criterion 3's parity-radius scan transforms) runs the plain loop
     tables = _bits((12648, 16), 19).astype(np.int64)
     assert core.BLOCK_BYTES * 16 // tables.nbytes < core.MIN_BLOCK_COLUMNS
-    out, blocked, ref = _run_both_schedules(monkeypatch, lambda: _zeta_int(tables.copy()))
-    assert not blocked
+    out, ran, ref = _run_both_schedules(monkeypatch, lambda: _zeta_int(tables.copy()))
+    assert ran == {"plain"}
     assert _bitwise(out) == _bitwise(ref)
 
 
@@ -395,6 +441,14 @@ def test_butterfly_on_empty_batches():
     # an empty batch has no bytes per column; it takes the plain path
     assert _mobius_int(np.zeros((0, 1 << 17), dtype=np.int64)).shape == (0, 1 << 17)
     assert _zeta_f2(np.zeros((3, 0, 1 << 20), dtype=np.uint8)).shape == (3, 0, 1 << 20)
+
+
+def test_butterfly_refuses_other_layouts():
+    # only C-contiguous arrays and point-major 2-D batches have a schedule
+    with pytest.raises(ValueError, match="point-major"):
+        _mobius_int(np.zeros((2, 3, 16), dtype=np.int64, order="F"))
+    with pytest.raises(ValueError, match="point-major"):
+        _zeta_f2(np.zeros((4, 32), dtype=np.uint8)[:, ::2])
 
 
 def test_mobius_f2_agrees_mod2():
@@ -497,3 +551,24 @@ def test_check_n_caps_at_max_n(monkeypatch):
     check_n(24)
     with pytest.raises(ValueError):
         check_n(25)
+
+
+# ---------------------------------------------------------------------------
+# module boundaries
+
+def test_only_core_owns_the_batch_layout():
+    # the butterfly's stage loop and the point-major threshold have one owner
+    owned = {"_stages", "TALL_ROWS"}
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            assert not names & owned, f"{path.name}:{node.lineno} uses {sorted(names & owned)}"

@@ -47,6 +47,9 @@ def test_census_anchors():
             assert census.lower[s] <= census.counts[s] <= census.upper[s]
     with pytest.raises(ValueError):
         build_census(5)  # needs allow_long
+    for n in (-1, 0):
+        with pytest.raises(ValueError, match="census needs"):
+            build_census(n)
 
 
 def test_count_bounds_examples():
@@ -74,6 +77,19 @@ def test_per_function_measures_match_scalar():
         f = TruthTable(3, tables[row])
         assert sens[row] == sensitivity(f).s
         assert degs[row] == degree(f)
+
+
+def test_per_function_degree_of_an_empty_batch():
+    degs = per_function_degree(np.zeros((0, 8), dtype=np.uint8), 3)
+    assert degs.dtype == np.uint8 and degs.shape == (0,)
+
+
+@pytest.mark.parametrize("measure", [per_function_sensitivity, per_function_degree])
+@pytest.mark.parametrize("n", [2, 4])
+def test_per_function_measures_refuse_the_wrong_length(measure, n):
+    # all_tables(3) has rows of 8 points; read as n = 2 they used to give wrong values
+    with pytest.raises(ValueError, match=f"last axis of {1 << n} for n={n}"):
+        measure(all_tables(3), n)
 
 
 def test_per_function_degree_census_pinned():
@@ -131,3 +147,6 @@ def test_interpolation_default_size_reliable():
 def test_interpolation_guard():
     with pytest.raises(ValueError):
         interpolation_experiment(5, 1, 4, 1, seeded_rng(0, "x"))
+    for n, s, trials in ((0, 0, 1), (3, -1, 1), (3, 1, 0), (3, 1, -1)):
+        with pytest.raises(ValueError, match="interpolation"):
+            interpolation_experiment(n, s, 4, trials, seeded_rng(0, "x"))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from senslab.core import (
+    TALL_ROWS,
     BallAdvice,
     IntegerFunction,
     Point,
@@ -24,7 +25,6 @@ from senslab.core import (
 from senslab.counting import all_tables
 from senslab.families import and_fn, constant, dictator, or_fn, parity, random_dt, tribes
 from senslab.reconstruct import (
-    TALL_ROWS,
     f2_extend,
     f2_extend_batch,
     majority_extend,
