@@ -74,6 +74,7 @@ from .io import FormatError, read_ball_advice, read_truth_table, write_ball_advi
 from .noise import (
     downward_mismatch,
     downward_mismatch_table,
+    expansion_reports,
     hypercontractivity_check,
     lambda_set,
     noise_operator,

@@ -224,7 +224,6 @@ def cmd_lambda(args: argparse.Namespace) -> int:
     members = np.nonzero(f.values)[0].tolist()
     params = {"in": args.infile, "delta": str(args.delta), "theta": str(args.theta)}
     rep = noise.hypercontractivity_check(f.n, members, args.delta, args.theta)
-    cor = noise._corollary(rep.mu_S, rep.mu_Lambda, args.delta, args.theta)
     outputs = {
         "set_size": len(members),
         "lambda_size": len(rep.lam),
@@ -232,8 +231,8 @@ def cmd_lambda(args: argparse.Namespace) -> int:
         "mu_Lambda": rep.mu_Lambda,
         "expansion_rhs": rep.rhs,
         "expansion_holds": rep.holds,
-        "corollary_premise": cor.premise,
-        "corollary_bound": cor.bound,
+        "corollary_premise": rep.premise,
+        "corollary_bound": rep.bound,
     }
     if len(rep.lam) <= 64:
         outputs["lambda_members"] = sorted(rep.lam)
@@ -314,6 +313,8 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     numbers = verify.SUITES[args.suite]
+    if args.n is not None and 1 not in numbers:
+        raise ValueError(f"--n sizes criterion 1 only; suite {args.suite!r} does not run it")
     for num in numbers:
         started = time.monotonic()
         if num == 1 and args.n is not None:

@@ -36,6 +36,7 @@ from .core import (
     weight,
     weights_vector,
 )
+from .noise import downward_sample
 
 
 @dataclass
@@ -355,9 +356,9 @@ def parallel_eval(
 ) -> int:
     """Randomized recursive-majority evaluation; error probability <= 1/20.
 
-    Subtrees draw fresh samples (no memoization): reusing a sample across
-    branches would correlate the majority votes the analysis needs
-    independent.
+    Each child is one noise.downward_sample draw from D(p, t).  Subtrees
+    draw fresh samples (no memoization): reusing a sample across branches
+    would correlate the majority votes the analysis needs independent.
     """
     if s < 1:
         raise ValueError("parallel evaluation needs s >= 1")
@@ -373,16 +374,12 @@ def parallel_eval(
                 stats.record_point(d)
             return advice[p]
         t = d // (10 * s + 1)
-        ones = [i for i in range(advice.n) if (p >> i) & 1]
         votes = 0
         for _ in range(c):
-            chosen = rng.choice(d, size=t, replace=False)
+            child = downward_sample(Point(advice.n, p), t, rng).index
             if stats is not None:
                 stats.rng_draws += 1
-            mask = 0
-            for j in chosen.tolist():
-                mask |= 1 << ones[j]
-            votes += rec(p ^ mask, depth + 1)
+            votes += rec(child, depth + 1)
         if stats is not None:
             stats.majority_votes += 1
         return 1 if 2 * votes > c else 0

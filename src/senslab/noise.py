@@ -133,12 +133,13 @@ def _census_numerators(values: np.ndarray, n: int, delta: Fraction, points) -> n
     return np.array(census, dtype=object).reshape(-1, n + 1) @ terms
 
 
-def _noise_signs(values: np.ndarray, n: int, delta: Fraction, theta: Fraction) -> np.ndarray:
-    """Exact sign (int8) of T_{1-2delta} f(x) - theta at every x: the float path outside
-    THRESHOLD_BAND; inside, b * N(x) vs a * q^n in Python ints (N = q^n T f, theta = a/b)."""
-    gap = noise_operator(TruthTable(n, values), delta).values - float(theta)
-    signs = np.sign(gap).astype(np.int8)
-    band = np.flatnonzero(np.abs(gap) <= THRESHOLD_BAND)
+def _noise_signs(values: np.ndarray, n: int, delta: Fraction, thetas: list) -> np.ndarray:
+    """Exact signs (int8) of T_{1-2delta} f(x) - theta at every x, one row per theta:
+    the float path outside THRESHOLD_BAND; inside, b * N(x) vs a * q^n in Python ints
+    (N = q^n T f, theta = a/b), one set of N serving the band points of every theta."""
+    gaps = noise_operator(TruthTable(n, values), delta).values - np.array(thetas, float)[:, None]
+    signs = np.sign(gaps).astype(np.int8)
+    band = np.flatnonzero((np.abs(gaps) <= THRESHOLD_BAND).any(axis=0))
     if len(band):
         # An int64 butterfly pass costs 1.2n-2.3n censuses at n = 8..15 and 1.0n-1.2n at
         # n = 16..22 (blocked); a Python-int pass 39n-45n at n = 15..18 (2-vCPU VM, best
@@ -148,7 +149,8 @@ def _noise_signs(values: np.ndarray, n: int, delta: Fraction, theta: Fraction) -
             nums = _census_numerators(values, n, delta, band.tolist())
         else:
             nums = _noise_numerators(values, n, delta)[band].astype(object)
-        signs[band] = np.sign(nums * theta.denominator - theta.numerator * delta.denominator**n)
+        for row, theta in zip(signs, thetas):
+            row[band] = np.sign(nums * theta.denominator - theta.numerator * delta.denominator**n)
     return signs
 
 
@@ -284,76 +286,66 @@ def downward_mismatch_table(f: TruthTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lambda sets and the small-set expansion checks
 
-def _threshold(value) -> Fraction:
-    """Validate a threshold theta as an exact rational in (0, 1]."""
-    theta = Fraction(value)
-    if not 0 < theta <= 1:
-        raise ValueError(f"threshold theta {theta} outside (0, 1]")
-    return theta
+@dataclass(frozen=True)
+class SseReport:
+    """mu(S), Lambda_{delta,theta}(S) and mu(Lambda).  The three bounds are decided exactly
+    on access, by integer powers for delta = p/q whose size grows with q (lambda_set never
+    reads them): `holds` is mu(Lambda) <= (mu(S)/theta^2)^(1+2delta), the corollary's
+    `premise` mu(S) <= theta^(4+2/delta) and its `bound` mu(Lambda) <= mu(S)^(1+delta)."""
+
+    mu_S: Fraction
+    mu_Lambda: Fraction
+    lam: frozenset[int]
+    delta: Fraction
+    theta: Fraction
+
+    @property
+    def rhs(self) -> float:
+        return float(self.mu_S / self.theta**2) ** (1 + 2 * float(self.delta))
+
+    @property
+    def holds(self) -> bool:
+        p, q = self.delta.numerator, self.delta.denominator
+        return bool(self.mu_Lambda**q <= (self.mu_S / self.theta**2) ** (q + 2 * p))
+
+    @property
+    def premise(self) -> bool:
+        p, q = self.delta.numerator, self.delta.denominator
+        return bool(self.mu_S**p <= self.theta ** (4 * p + 2 * q))
+
+    @property
+    def bound(self) -> bool:
+        p, q = self.delta.numerator, self.delta.denominator
+        return bool(self.mu_Lambda**q <= self.mu_S ** (q + p))
+
+
+def expansion_reports(n: int, members: Iterable, delta, thetas: Iterable) -> list[SseReport]:
+    """One SseReport per theta for S = members: the members are read once, into an
+    index array, and T_{1-2delta} 1_S is computed once for every theta."""
+    delta, thetas = noise_rate(delta), [Fraction(theta) for theta in thetas]
+    for theta in thetas:
+        if not 0 < theta <= 1:
+            raise ValueError(f"threshold theta {theta} outside (0, 1]")
+    check_n(n, PAIRWISE_MAX_N)
+    ind = np.zeros(1 << n, dtype=np.uint8)
+    ind[_point_indices(n, members)] = 1
+    size = 1 << n
+    mu_s = Fraction(int(np.count_nonzero(ind)), size)
+    lams = [np.flatnonzero(signs >= 0) for signs in _noise_signs(ind, n, delta, thetas)]
+    return [SseReport(mu_s, Fraction(len(lam), size), frozenset(lam.tolist()), delta, theta)
+            for theta, lam in zip(thetas, lams)]
 
 
 def lambda_set(n: int, members: Iterable, delta, theta) -> frozenset[int]:
     """Lambda_{delta,theta}(S) = {x : Pr_{y ~ N_{1-2delta}(x)}[y in S] >= theta}, exact."""
-    delta, theta = noise_rate(delta), _threshold(theta)
-    return _expansion_measures(n, members, delta, theta)[2]
-
-
-def _expansion_measures(n: int, members: Iterable, delta: Fraction, theta: Fraction):
-    """mu(S), mu(Lambda_{delta,theta}(S)) and the Lambda-set itself, for a validated
-    delta and theta; the members are read once, into an index array."""
-    check_n(n, PAIRWISE_MAX_N)
-    ind = np.zeros(1 << n, dtype=np.uint8)
-    ind[_point_indices(n, members)] = 1
-    lam = np.flatnonzero(_noise_signs(ind, n, delta, theta) >= 0)
-    size = 1 << n
-    return Fraction(int(np.count_nonzero(ind)), size), Fraction(len(lam), size), frozenset(lam.tolist())
-
-
-@dataclass(frozen=True)
-class SseReport:
-    mu_S: Fraction
-    mu_Lambda: Fraction
-    rhs: float
-    holds: bool
-    lam: frozenset[int]
+    return expansion_reports(n, members, delta, [theta])[0].lam
 
 
 def hypercontractivity_check(n: int, members: Iterable, delta, theta) -> SseReport:
-    """mu(Lambda_{delta,theta}(S)) <= (mu(S)/theta^2)^(1+2delta), compared
-    exactly by raising both sides to the power q for delta = p/q."""
-    delta, theta = noise_rate(delta), _threshold(theta)
-    mu_s, mu_l, lam = _expansion_measures(n, members, delta, theta)
-    p, q = delta.numerator, delta.denominator
-    base = mu_s / theta**2
-    holds = mu_l**q <= base ** (q + 2 * p)
-    return SseReport(
-        mu_S=mu_s,
-        mu_Lambda=mu_l,
-        rhs=float(base) ** (1 + 2 * float(delta)),
-        holds=bool(holds),
-        lam=lam,
-    )
+    """mu(Lambda_{delta,theta}(S)) <= (mu(S)/theta^2)^(1+2delta), exactly."""
+    return expansion_reports(n, members, delta, [theta])[0]
 
 
-@dataclass(frozen=True)
-class CorSseReport:
-    mu_S: Fraction
-    mu_Lambda: Fraction
-    premise: bool
-    bound: bool
-
-
-def _corollary(mu_s: Fraction, mu_l: Fraction, delta: Fraction, theta: Fraction) -> CorSseReport:
-    """The corollary's premise and bound for given mu(S) and mu(Lambda)."""
-    p, q = delta.numerator, delta.denominator
-    premise = mu_s**p <= theta ** (4 * p + 2 * q)
-    bound = mu_l**q <= mu_s ** (q + p)
-    return CorSseReport(mu_S=mu_s, mu_Lambda=mu_l, premise=bool(premise), bound=bool(bound))
-
-
-def sse_corollary_check(n: int, members: Iterable, delta, theta) -> CorSseReport:
-    """Premise mu(S) <= theta^(4+2/delta) implies mu(Lambda) <= mu(S)^(1+delta);
-    both sides exact via integer powers."""
-    delta, theta = noise_rate(delta), _threshold(theta)
-    mu_s, mu_l, _ = _expansion_measures(n, members, delta, theta)
-    return _corollary(mu_s, mu_l, delta, theta)
+def sse_corollary_check(n: int, members: Iterable, delta, theta) -> SseReport:
+    """Premise mu(S) <= theta^(4+2/delta) implies mu(Lambda) <= mu(S)^(1+delta)."""
+    return expansion_reports(n, members, delta, [theta])[0]

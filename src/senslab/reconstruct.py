@@ -65,6 +65,17 @@ class ExtensionOutcome:
         return cls(value=None, failed_point=point, reason=reason)
 
 
+def _check_extension(n: int, center: int, radius: int, tables) -> np.ndarray:
+    """`tables` by core._check_tables, refused unless center lies in [0, 2^n) and radius
+    in [0, n]; O(1), the one argument check of every rule."""
+    tables = _check_tables(tables, n)
+    if not 0 <= center < 1 << n:
+        raise ValueError(f"center {center} outside [0, {1 << n}) for n={n}")
+    if not 0 <= radius <= n:
+        raise ValueError(f"radius {radius} outside [0, {n}]")
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # majority rule
 
@@ -94,8 +105,9 @@ def majority_extend_batch(
     first tie point in (distance, index) order, or -1; a row with a tie
     holds arbitrary values from the tie level onward.
     """
-    check_n(n)
-    tables = np.array(tables, dtype=np.uint8, copy=True)
+    tables = np.array(_check_extension(n, center, radius, tables), dtype=np.uint8, copy=True)
+    if tables.ndim != 2:
+        raise ValueError(f"the majority rule needs a 2-D batch, not shape {tables.shape}")
     tie = np.full(len(tables), -1, dtype=np.int64)
     for m in range(radius + 1, n + 1):
         idx, inward = _sphere(n, center, m)
@@ -136,11 +148,7 @@ def _low_degree_extend(
     with lo and hi swapped, and the points and coefficients of weight > radius
     about the center are the same index set, `far`.
     """
-    tables = _check_tables(tables, n)
-    if not 0 <= center < 1 << n:
-        raise ValueError(f"center {center} outside [0, {1 << n}) for n={n}")
-    if not 0 <= radius <= n:
-        raise ValueError(f"radius {radius} outside [0, {n}]")
+    tables = _check_extension(n, center, radius, tables)
     far = weights_vector(n)[np.arange(1 << n) ^ center] > radius
 
     def stage(ufunc):

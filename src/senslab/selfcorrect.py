@@ -126,7 +126,7 @@ def error_set(g: TruthTable, f: TruthTable) -> frozenset[int]:
 def majority_step(g: TruthTable, delta) -> tuple[TruthTable, frozenset[int]]:
     """One smoothing step: out(x) = [T_{1-2delta} g(x) > 1/2], exact on the
     boundary; exact ties keep g(x) and are reported."""
-    signs = _noise_signs(g.values, g.n, noise_rate(delta), Fraction(1, 2))
+    signs = _noise_signs(g.values, g.n, noise_rate(delta), [Fraction(1, 2)])[0]
     ties = np.flatnonzero(signs == 0)
     out = (signs > 0).astype(np.uint8)
     out[ties] = g.values[ties]
@@ -149,14 +149,17 @@ def global_correct(
     truth: TruthTable | None = None,
     check_contraction: bool = False,
 ) -> GlobalResult:
-    """Iterate majority_step at most k times, stopping at a fixpoint.
+    """Iterate majority_step at most k times (params.k, else default_k(n)), stopping at
+    the first step that changes nothing; `ties` collects the exact ties of every step.
 
-    With `truth` supplied (test mode) the trace records |S_t| = |{x : f_t(x)
-    != f(x)}| per state; with `check_contraction` it also verifies
-    S_t <= Lambda_{delta,2/5}(S_{t-1}) exactly (needs the pairwise-cap n)."""
+    Only with `truth` (test mode) are `trace` and `contraction_ok` set: the trace holds
+    |S_t| = |{x : f_t(x) != f(x)}| for the start and each changed state, each S_t computed
+    once, and `check_contraction` verifies S_t <= Lambda_{delta,2/5}(S_{t-1}) exactly at
+    each change (n <= PAIRWISE_MAX_N)."""
     k = params.k if params.k is not None else params.default_k(r.n)
     cur = r
-    trace = [len(error_set(cur, truth))] if truth is not None else None
+    err = error_set(cur, truth) if truth is not None else None
+    trace = [len(err)] if truth is not None else None
     ties: set[int] = set()
     contraction_ok: bool | None = True if (truth is not None and check_contraction) else None
     converged = False
@@ -169,12 +172,11 @@ def global_correct(
             converged = True
             break
         if truth is not None:
-            trace.append(len(error_set(nxt, truth)))
+            nxt_err = error_set(nxt, truth)
+            trace.append(len(nxt_err))
             if check_contraction:
-                prev_err = error_set(cur, truth)
-                lam = lambda_set(r.n, prev_err, params.delta, Fraction(2, 5))
-                if not error_set(nxt, truth) <= lam:
-                    contraction_ok = False
+                contraction_ok &= nxt_err <= lambda_set(r.n, err, params.delta, Fraction(2, 5))
+            err = nxt_err
         cur = nxt
     return GlobalResult(
         table=cur,

@@ -422,22 +422,20 @@ def criterion_sse() -> CheckResult:
     checked = 0
     premise_hits = 0
     for members in sets:
-        for theta in (Fraction(2, 5), Fraction(1, 10)):
-            rep = noise.hypercontractivity_check(n, members, delta, theta)
+        for rep in noise.expansion_reports(n, members, delta, (Fraction(2, 5), Fraction(1, 10))):
             if not rep.holds:
                 return CheckResult(
                     9, name, False,
-                    f"|S|={len(members)}, theta={theta}: mu(Lambda)={rep.mu_Lambda} "
+                    f"|S|={len(members)}, theta={rep.theta}: mu(Lambda)={rep.mu_Lambda} "
                     f"exceeds (mu(S)/theta^2)^(1+2delta)={rep.rhs}",
                 )
-            cor = noise._corollary(rep.mu_S, rep.mu_Lambda, delta, theta)
-            if cor.premise and not cor.bound:
+            if rep.premise and not rep.bound:
                 return CheckResult(
                     9, name, False,
-                    f"|S|={len(members)}, theta={theta}: corollary premise holds "
+                    f"|S|={len(members)}, theta={rep.theta}: corollary premise holds "
                     f"but mu(Lambda) > mu(S)^(1+delta)",
                 )
-            premise_hits += cor.premise
+            premise_hits += rep.premise
             checked += 1
     return CheckResult(
         9, name, True,

@@ -260,6 +260,7 @@ def test_verify_ball_small_n(capsys):
     ["interpolate", "--n", "3", "--s", "1", "--trials", "-1"],
     ["verify", "--suite", "ball", "--n", "5"],
     ["verify", "--suite", "ball", "--n", "0"],
+    ["verify", "--suite", "rules", "--n", "3"],  # --n sizes criterion 1 alone
 ], ids=" ".join)
 def test_out_of_range_arguments_exit_two(capsys, argv):
     # a usage error is one stderr line and exit 2, with no report on stdout

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from senslab import core, noise, reconstruct
+from senslab import cli, core, noise, reconstruct, verify
 from senslab.core import (
     BallAdvice,
     IntegerFunction,
@@ -572,3 +572,18 @@ def test_only_core_owns_the_batch_layout():
             else:
                 continue
             assert not names & owned, f"{path.name}:{node.lineno} uses {sorted(names & owned)}"
+
+
+def test_cli_and_verify_use_only_public_noise_names():
+    for module in (cli, verify):
+        path = Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("noise"):
+                names = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "noise"):
+                names = {node.attr}
+            else:
+                continue
+            private = sorted(name for name in names if name.startswith("_"))
+            assert not private, f"{path.name}:{node.lineno} uses noise.{private}"

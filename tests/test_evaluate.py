@@ -399,6 +399,43 @@ def test_parallel_batch_stream_is_pinned(name):
     assert _stream_digest(out, rng) == PARALLEL_STREAMS[name]
 
 
+# parallel_eval and amplified_eval: outputs, every EvalStats field and the next
+# 8 bytes of the stream.  At n = 24 the advice reads the whole table, since a
+# radius-10 BallAdvice there would be a dict of 4.6M points.
+class _TableAdvice:
+    def __init__(self, f):
+        self.n, self.center, self.radius, self.values = f.n, Point(f.n, 0), f.n, f.values
+
+    def __getitem__(self, x):
+        return int(self.values[x])
+
+
+SCALAR_SAMPLERS_GOLDEN = "acb8242d937dacdf48a5fc0ad8fea212b821c07a6e8952a8c569b116a772a233"
+
+
+def test_scalar_samplers_are_pinned():
+    rng = seeded_rng(47, "golden-scalar-samplers")
+    h = hashlib.sha256()
+    cases = [
+        (_advice(random_dt(12, 1, seed=5), 1, 10), 1, (10, 11, 12)),
+        (_advice(random_dt(16, 1, seed=7), 1, 10), 1, (11, 12, 13)),
+        (_TableAdvice(random_dt(24, 1, seed=3)), 1, (11, 13)),
+        (_TableAdvice(random_dt(24, 2, seed=3)), 2, (21, 24)),
+    ]
+    for advice, s, weights in cases:
+        for w in weights:
+            x = Point(advice.n, sum(1 << int(i) for i in rng.choice(advice.n, size=w, replace=False)))
+            for amplify in (False, True):
+                stats = EvalStats()
+                v = (amplified_eval(advice, s, x, Fraction(1, 100), rng, stats) if amplify
+                     else parallel_eval(advice, s, x, rng, stats))
+                row = (int(v), stats.points_computed, sorted(stats.points_by_weight.items()),
+                       stats.ball_shifts, stats.majority_votes, stats.rng_draws, stats.max_depth)
+                h.update(repr(row).encode())
+    h.update(rng.bytes(8))
+    assert h.hexdigest() == SCALAR_SAMPLERS_GOLDEN
+
+
 # bottom_up_eval on random advice (not the restriction of any sensitivity-s
 # function, so the walk's output is not a truth table to compare with):
 # values and every EvalStats field, over advice radii 2s and 2s+1

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from senslab import noise, verify
 from senslab.core import Point, TruthTable, seeded_rng, weight
 from senslab.families import dictator, majority, parity, random_dt, random_function, tribes
 from senslab.noise import (
@@ -17,6 +18,7 @@ from senslab.noise import (
     downward_sample,
     exact_noise_value,
     exact_noise_values,
+    expansion_reports,
     hypercontractivity_check,
     lambda_set,
     noise_operator,
@@ -272,6 +274,46 @@ def test_hypercontractivity_report_fields():
     # a one-shot iterator of members is read once for both Lambda and mu(S)
     assert hypercontractivity_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == rep
     assert sse_corollary_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == cor
+
+
+def _report_fields(rep):
+    names = ("mu_S", "mu_Lambda", "lam", "delta", "theta", "rhs", "holds", "premise", "bound")
+    return [getattr(rep, name) for name in names]
+
+
+@pytest.mark.parametrize("n, delta", REGIMES)
+def test_expansion_reports_match_one_theta_calls(monkeypatch, n, delta):
+    # each call settles both thresholds' band points from one set of numerators: the
+    # singleton's peak by census, the half-cube's plateau by one butterfly pass
+    engines = []
+
+    def spy(name):
+        real = getattr(noise, name)
+        return lambda *args: engines.append(name) or real(*args)
+
+    for name in ("_census_numerators", "_noise_numerators"):
+        monkeypatch.setattr(noise, name, spy(name))
+    half = [i for i in range(1 << n) if i & 1]
+    cases = [([0], (1 - delta) ** n, "_census_numerators", {0}),
+             (half, 1 - delta, "_noise_numerators", set(half))]
+    for members, theta, engine, lam in cases:
+        thetas = [theta, theta + Fraction(1, 10**40)]
+        engines.clear()
+        reports = expansion_reports(n, members, delta, thetas)
+        assert engines == [engine]
+        assert [set(rep.lam) for rep in reports] == [lam, set()]
+        for rep, one_theta in zip(reports, thetas):
+            for single in (hypercontractivity_check, sse_corollary_check):
+                assert _report_fields(rep) == _report_fields(single(n, members, delta, one_theta))
+            assert rep.lam == lambda_set(n, members, delta, one_theta)
+
+
+def test_criterion_sse_runs_one_noise_operator_per_set(monkeypatch):
+    calls = []
+    real = noise.noise_operator
+    monkeypatch.setattr(noise, "noise_operator", lambda *args: calls.append(args) or real(*args))
+    assert verify.criterion_sse().ok
+    assert len(calls) == verify.SSE_SETS_SMALL + verify.SSE_SETS_ANY == 200
 
 
 BAD_MEMBERS = [-1, 3.7, True, 1 << 6, "5", Point(5, 3)]

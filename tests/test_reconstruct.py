@@ -316,12 +316,28 @@ def test_bruteforce_batch_refuses_unknown_rule():
         r_bruteforce_batch(3, all_tables(3), "bogus")
 
 
-@pytest.mark.parametrize("extend", [parity_extend_batch, f2_extend_batch])
+EXTEND_BATCHES = [parity_extend_batch, f2_extend_batch, majority_extend_batch]
+
+
+@pytest.mark.parametrize("extend", EXTEND_BATCHES)
 @pytest.mark.parametrize("center, radius", [(-1, 2), (1 << 4, 2), (0, -1), (0, 5)])
 def test_extend_batch_refuses_bad_center_or_radius(extend, center, radius):
-    # a center of -1 would wrap through negative indices
+    # a center of -1 would wrap through negative indices; unchecked, the majority rule
+    # would report a radius of -1 as a tie at point 0 and return n+1 unextended
     with pytest.raises(ValueError, match="center|radius"):
         extend(4, center, radius, all_tables(2)[:, [0, 1, 2, 3] * 4])
+
+
+@pytest.mark.parametrize("extend", EXTEND_BATCHES)
+def test_extend_batch_refuses_the_wrong_length(extend):
+    with pytest.raises(ValueError, match="last axis"):
+        extend(3, 0, 1, np.zeros((1, 4), dtype=np.uint8))
+
+
+def test_majority_batch_refuses_a_single_table():
+    # unchecked, a 1-D table would raise a bare IndexError in the first sphere's gather
+    with pytest.raises(ValueError, match="2-D batch"):
+        majority_extend_batch(3, 0, 1, np.zeros(8, dtype=np.uint8))
 
 
 def test_maj_radius_quadratic_in_par_radius():
