@@ -16,8 +16,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -36,16 +36,11 @@ def popcount(x: int) -> int:
     return int(x).bit_count()
 
 
-_WEIGHTS_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def weights_vector(n: int) -> np.ndarray:
-    """Hamming weight of every index in [0, 2^n), cached per n."""
-    w = _WEIGHTS_CACHE.get(n)
-    if w is None:
-        w = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
-        w.setflags(write=False)
-        _WEIGHTS_CACHE[n] = w
+    """Hamming weight of every index in [0, 2^n) as uint8, cached per n."""
+    w = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    w.setflags(write=False)
     return w
 
 
@@ -211,8 +206,26 @@ class IntegerFunction:
 # ---------------------------------------------------------------------------
 # neighborhood enumeration
 
-def _masks_of_weight(n: int, k: int) -> list[int]:
-    return [sum(1 << p for p in pos) for pos in combinations(range(n), k)]
+def distances(n: int, center: int) -> np.ndarray:
+    """wt(i ^ center) at every index i in [0, 2^n), as uint8.  Distance adds over
+    the high and low halves of the bits, so this is an outer sum of two tables
+    of about 2^(n/2) entries, with no 2^n-entry index array."""
+    point(n, center)  # refuses n outside [1, MAX_N] and a center off the cube
+    low = n // 2
+    hi, lo = (np.bitwise_count(np.arange(1 << k, dtype=np.uint32) ^ np.uint32(c))
+              for k, c in ((n - low, center >> low), (low, center & ((1 << low) - 1))))
+    return np.add.outer(hi, lo).reshape(-1)
+
+
+def set_bit_positions(masks: np.ndarray, n: int, width: int) -> np.ndarray:
+    """table[j, c] = position of the c-th lowest set bit of masks[j] (bits below
+    n), for c < width, as uint8; 255 where masks[j] has at most c set bits."""
+    table = np.full((len(masks), width), 255, dtype=np.uint8)
+    for q in range(n):
+        rows = np.flatnonzero((masks >> q) & 1)
+        # bit q is the c-th lowest set bit of its row, c = wt(row & (2^q - 1))
+        table[rows, np.bitwise_count(masks[rows] & ((1 << q) - 1))] = q
+    return table
 
 
 def all_neighbors(x: Point) -> list[Point]:
@@ -227,13 +240,10 @@ def neighbors_at_weight(x: Point, r: int) -> list[Point]:
 
 
 def ball_indices(n: int, center: int, r: int) -> list[int]:
+    """B(center, r), sorted by index."""
     if not 0 <= r <= n:
         raise ValueError(f"radius {r} out of range for n={n}")
-    out = []
-    for k in range(r + 1):
-        out.extend(center ^ m for m in _masks_of_weight(n, k))
-    out.sort()
-    return out
+    return np.flatnonzero(distances(n, center) <= r).tolist()
 
 
 def ball_points(x: Point, r: int) -> list[Point]:
@@ -245,7 +255,7 @@ def sphere_points(x: Point, r: int) -> list[Point]:
     """S(x, r): points at distance exactly r, sorted by index."""
     if not 0 <= r <= x.n:
         raise ValueError(f"radius {r} out of range")
-    return [Point(x.n, i) for i in sorted(x.index ^ m for m in _masks_of_weight(x.n, r))]
+    return [Point(x.n, i) for i in np.flatnonzero(distances(x.n, x.index) == r).tolist()]
 
 
 def lower_shadow(x: Point, t: int) -> list[Point]:
@@ -569,55 +579,52 @@ def distance_fraction(f: TruthTable, g: TruthTable) -> Fraction:
 # ball advice
 
 class BallAdvice:
-    """Partial function: the values of some f on exactly B(center, radius)."""
+    """Partial function: the values of some f on exactly B(center, radius), held
+    as a read-only length-2^n uint8 table with 255 outside the ball."""
 
     __slots__ = ("n", "center", "radius", "values")
 
-    def __init__(self, center: Point, radius: int, values: dict[int, int]):
+    def __init__(self, center: Point, radius: int, values: np.ndarray):
         n = center.n
         if not 0 <= radius <= n:
             raise ValueError(f"radius {radius} out of range")
-        expected = sum(comb(n, i) for i in range(radius + 1))
-        if len(values) != expected:
-            raise ValueError(
-                f"advice covers {len(values)} points, ball has {expected}"
-            )
-        for idx, v in values.items():
-            if popcount(idx ^ center.index) > radius:
-                raise ValueError(f"point {idx} outside the ball")
-            if v not in (0, 1):
-                raise ValueError("advice values must be bits")
-        self.n = n
-        self.center = center
-        self.radius = radius
-        self.values = dict(values)
+        outside = distances(n, center.index) > radius  # refuses n and a center off the cube
+        raw = np.asarray(values)  # a dict becomes a 0-d array, refused for its shape
+        if raw.shape != (1 << n,):
+            raise ValueError(f"expected a table of {1 << n} advice values for n={n}, got {raw.shape}")
+        if raw.dtype.kind not in "iu":
+            raise ValueError(f"advice values must be integers, not dtype {raw.dtype}")
+        # checked before the uint8 cast, which would turn 256 into 0; points
+        # outside the ball first, so a point moved out of the ball is named as such
+        for bad, where, want in ((outside & (raw != 255), "outside", "255"),
+                                 (~outside & ((raw < 0) | (raw > 1)), "inside", "0 or 1")):
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(f"advice value {raw[i]} at point {i} {where} the ball, expected {want}")
+        self.n, self.center, self.radius = n, center, radius
+        self.values = raw.astype(np.uint8)
+        self.values.setflags(write=False)
 
     def __getitem__(self, x: Point | int) -> int:
         idx = x.index if isinstance(x, Point) else x
-        return self.values[idx]
+        if idx not in self:
+            raise KeyError(idx)
+        return int(self.values[idx])
 
     def __contains__(self, x: Point | int) -> bool:
         idx = x.index if isinstance(x, Point) else x
-        return idx in self.values
-
-    def dense(self) -> np.ndarray:
-        """Length-2^n uint8 array with 255 outside the ball."""
-        out = np.full(1 << self.n, 255, dtype=np.uint8)
-        for idx, v in self.values.items():
-            out[idx] = v
-        return out
+        return 0 <= idx < len(self.values) and self.values[idx] != 255
 
     def __eq__(self, other):
         return (
             isinstance(other, BallAdvice)
             and (self.n, self.center, self.radius) == (other.n, other.center, other.radius)
-            and self.values == other.values
+            and bool(np.array_equal(self.values, other.values))
         )
 
 
 def restrict_to_ball(f: TruthTable, x0: Point, r: int) -> BallAdvice:
-    vals = {i: int(f.values[i]) for i in ball_indices(f.n, x0.index, r)}
-    return BallAdvice(x0, r, vals)
+    return BallAdvice(x0, r, np.where(distances(f.n, x0.index) <= r, f.values, np.uint8(255)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ from .core import (
     BallAdvice,
     Point,
     TruthTable,
-    ball_indices,
     check_n,
     popcount,
+    set_bit_positions,
     weight,
     weights_vector,
 )
@@ -110,11 +110,13 @@ def majority_threshold_c(mu, delta_target) -> int:
 # ---------------------------------------------------------------------------
 # bottom-up
 
-def _require_advice(advice: BallAdvice, s: int, factor: int) -> int:
+def _require_advice(advice: BallAdvice, s: int, factor: int, x: Point) -> int:
     if s < 0:
         raise ValueError(f"sensitivity bound s must be >= 0, got {s}")
     if advice.center.index != 0:
         raise ValueError("advice must be centered at 0^n")
+    if x.n != advice.n or not 0 <= x.index < 1 << advice.n:
+        raise ValueError(f"query point {x} is not a point of the advice's {advice.n}-cube")
     need = min(factor * s, advice.n)
     if advice.radius < need:
         raise ValueError(f"advice radius {advice.radius} < required {need}")
@@ -130,14 +132,13 @@ def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats
     every majority-filled point.
     """
     stats = EvalStats()
-    r = _require_advice(advice, s, 2)
+    r = _require_advice(advice, s, 2, x)
     if weight(x) <= advice.radius:
         stats.record_point(weight(x))
         return advice[x], stats
 
-    offs = ball_indices(x.n, 0, r)
-    masks = np.asarray(offs, dtype=np.int64)
-    ball = np.array([advice[m] for m in offs], dtype=np.uint8)
+    masks = np.flatnonzero(weights_vector(x.n) <= r)  # the offsets of B(0, r)
+    ball = advice.values[masks]  # the advice is centered at 0, so offsets are indices
     stats.record_points(masks)
     center = 0
     for i in (i for i in range(x.n) if (x.index >> i) & 1):
@@ -167,21 +168,18 @@ def _bit_plan(masks: np.ndarray, n: int, r: int, i: int):
     copy_src = np.where(kept, np.searchsorted(masks, old), -1)  # masks are sorted
     new_rows = np.flatnonzero(~kept)
     fresh = old[new_rows]  # weight r + 1
-    gather = np.empty((len(new_rows), r + 1), dtype=np.int64)
-    for q in range(n):
-        has = np.flatnonzero((fresh >> q) & 1)
-        # bit q is the k-th lowest set bit of its row, k = wt(row & (2^q - 1))
-        col = np.bitwise_count(fresh[has] & ((1 << q) - 1))
-        gather[has, col] = np.searchsorted(masks, fresh[has] ^ (1 << q))
+    bits = set_bit_positions(fresh, n, r + 1).astype(np.int64)
+    # searched column by column: each column's queries rise with fresh, which
+    # keeps the search in cache (row by row took 1.6x as long at n = 20, r = 4, 2-vCPU VM)
+    gather = np.searchsorted(masks, (fresh[:, None] ^ (1 << bits)).T).T
     return copy_src, new_rows, gather
 
 
 @lru_cache(maxsize=8)
 def _shift_plan(n: int, r: int):
     """The offsets of B(0, r) and the plans of all n bits, for the sweep."""
-    offs = ball_indices(n, 0, r)
-    masks = np.asarray(offs, dtype=np.int64)
-    return offs, [_bit_plan(masks, n, r, i) for i in range(n)]
+    masks = np.flatnonzero(weights_vector(n) <= r)
+    return masks, [_bit_plan(masks, n, r, i) for i in range(n)]
 
 
 def bottom_up_all(f: TruthTable, s: int) -> TruthTable:
@@ -240,8 +238,7 @@ def colex_smallest_lower_neighbors(x: Point, k: int) -> list[Point]:
 def top_down_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats]:
     """Memoized recursion on 2s+1 lower neighbors per point."""
     stats = EvalStats()
-    _require_advice(advice, s, 2)
-    cutoff = min(2 * s, advice.radius)
+    cutoff = _require_advice(advice, s, 2, x)  # min(2s, n), at most the radius
     memo: dict[int, int] = {}
 
     def rec(p: Point) -> int:
@@ -293,24 +290,14 @@ def top_down_visit_profile(n: int, s: int) -> np.ndarray:
     return profile
 
 
-_BITS_TABLE_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def set_bits_table(n: int) -> np.ndarray:
     """table[x, j] = position of the j-th lowest set bit of x (255 padding).
 
     parallel_eval_batch is its only caller in the library: the sweeps clear
     the lowest set bit with rest & -rest instead."""
-    t = _BITS_TABLE_CACHE.get(n)
-    if t is None:
-        t = np.full((1 << n, n), 255, dtype=np.uint8)
-        x = np.arange(1 << n, dtype=np.uint32)
-        for i in range(n):
-            # bit i of x is its j-th lowest set bit, j = popcount(x & (2^i - 1))
-            rows = np.nonzero((x >> i) & 1)[0]
-            t[rows, np.bitwise_count(x[rows] & ((1 << i) - 1))] = i
-        t.setflags(write=False)
-        _BITS_TABLE_CACHE[n] = t
+    t = set_bit_positions(np.arange(1 << n, dtype=np.uint32), n, n)
+    t.setflags(write=False)
     return t
 
 
@@ -362,7 +349,7 @@ def parallel_eval(
     """
     if s < 1:
         raise ValueError("parallel evaluation needs s >= 1")
-    _require_advice(advice, s, 10)
+    _require_advice(advice, s, 10, x)
     c = parallel_sample_count()
 
     def rec(p: int, depth: int) -> int:

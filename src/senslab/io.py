@@ -13,7 +13,10 @@ Ball-advice file (".ball"):
 from __future__ import annotations
 
 import re
+from math import comb
 from pathlib import Path
+
+import numpy as np
 
 from .core import BallAdvice, Point, TruthTable, check_n
 
@@ -51,7 +54,7 @@ def read_truth_table(path: str | Path) -> TruthTable:
 
 def write_ball_advice(adv: BallAdvice, path: str | Path) -> None:
     out = [f"n={adv.n} center={adv.center.bits()} radius={adv.radius}"]
-    for idx in sorted(adv.values):
+    for idx in np.flatnonzero(adv.values != 255).tolist():
         out.append(f"{Point(adv.n, idx).bits()} {adv.values[idx]}")
     Path(path).write_text("\n".join(out) + "\n")
 
@@ -67,12 +70,20 @@ def read_ball_advice(path: str | Path) -> BallAdvice:
     try:
         n, radius = int(m.group(1)), int(m.group(3))
         check_n(n)
+        if not 0 <= radius <= n:
+            raise ValueError(f"radius {radius} out of range")
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from e
     if len(center_bits) != n:
         raise FormatError(f"{path}: center has {len(center_bits)} bits, expected {n}")
     center = Point.from_bits(center_bits)
-    values: dict[int, int] = {}
+    # the count is checked before any 2^n allocation; BallAdvice then checks each point
+    size = sum(comb(n, i) for i in range(radius + 1))
+    if len(lines) - 1 != size:
+        raise FormatError(f"{path}: advice domain is not exactly the ball: "
+                          f"advice covers {len(lines) - 1} points, ball has {size}")
+    table = np.full(1 << n, 255, dtype=np.uint8)
+    last = -1
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2 or parts[1] not in ("0", "1"):
@@ -84,13 +95,11 @@ def read_ball_advice(path: str | Path) -> BallAdvice:
         if bits.strip("01"):
             raise ValueError(f"invalid bitstring {bits!r}")
         idx = int(bits[::-1], 2)
-        if idx in values:
-            raise FormatError(f"{path}: duplicate point {bits!r}")
-        values[idx] = int(parts[1])
-    if list(values) != sorted(values):
-        raise FormatError(f"{path}: points not in increasing index order")
-    # the ball is never enumerated: BallAdvice checks the radius, the count and each point
+        if idx <= last:
+            raise FormatError(f"{path}: duplicate point {bits!r}" if idx == last
+                              else f"{path}: points not in increasing index order")
+        table[idx], last = int(parts[1]), idx
     try:
-        return BallAdvice(center, radius, values)
+        return BallAdvice(center, radius, table)
     except ValueError as e:
         raise FormatError(f"{path}: advice domain is not exactly the ball: {e}") from e

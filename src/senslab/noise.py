@@ -46,7 +46,10 @@ ENUM_GUARD = 1 << 20
 
 
 def noise_rate(value) -> Fraction:
-    """Validate a noise rate delta as an exact rational in (0, 1/2]."""
+    """Validate a noise rate delta as an exact rational in (0, 1/2]; a float is
+    refused, since Fraction(0.05) is 3602879701896397/2^56, not 1/20."""
+    if isinstance(value, float):
+        raise ValueError(f"noise rate must be an exact rational, not the float {value!r}")
     delta = Fraction(value)
     if not 0 < delta <= Fraction(1, 2):
         raise ValueError(f"noise rate {delta} outside (0, 1/2]")

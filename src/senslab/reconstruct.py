@@ -36,8 +36,9 @@ from .core import (
     _check_tables,
     check_n,
     degree,
+    distances,
     sensitivity,
-    weights_vector,
+    set_bit_positions,
 )
 
 TIE = "tie"
@@ -55,14 +56,6 @@ class ExtensionOutcome:
     @property
     def ok(self) -> bool:
         return self.value is not None
-
-    @classmethod
-    def extended(cls, value) -> "ExtensionOutcome":
-        return cls(value=value)
-
-    @classmethod
-    def failed(cls, point: Point, reason: str) -> "ExtensionOutcome":
-        return cls(value=None, failed_point=point, reason=reason)
 
 
 def _check_extension(n: int, center: int, radius: int, tables) -> np.ndarray:
@@ -82,15 +75,9 @@ def _check_extension(n: int, center: int, radius: int, tables) -> np.ndarray:
 def _sphere(n: int, center: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """S(center, k) by increasing index, and its (|S|, k) table of inward
     neighbours: row j holds the neighbours of point j at distance k - 1."""
-    idx = np.sort(np.flatnonzero(weights_vector(n) == k) ^ center)
-    diff = idx ^ center
-    inward = np.empty((len(idx), k), dtype=np.int64)
-    for q in range(n):
-        has = np.flatnonzero((diff >> q) & 1)
-        # bit q is the c-th lowest set bit of its row, c = wt(row & (2^q - 1))
-        col = np.bitwise_count(diff[has] & ((1 << q) - 1))
-        inward[has, col] = idx[has] ^ (1 << q)
-    return idx, inward
+    idx = np.flatnonzero(distances(n, center) == k)
+    bits = set_bit_positions(idx ^ center, n, k).astype(np.int64)
+    return idx, idx[:, None] ^ (1 << bits)
 
 
 def majority_extend_batch(
@@ -121,13 +108,13 @@ def majority_extend_batch(
 
 def _one_row_outcome(n: int, tables: np.ndarray, tie: np.ndarray) -> ExtensionOutcome:
     if tie[0] >= 0:
-        return ExtensionOutcome.failed(Point(n, int(tie[0])), TIE)
-    return ExtensionOutcome.extended(TruthTable(n, tables[0]))
+        return ExtensionOutcome(None, Point(n, int(tie[0])), TIE)
+    return ExtensionOutcome(TruthTable(n, tables[0]))
 
 
 def majority_extend(advice: BallAdvice) -> ExtensionOutcome:
     return _one_row_outcome(advice.n, *majority_extend_batch(
-        advice.n, advice.center.index, advice.radius, advice.dense()[None, :]))
+        advice.n, advice.center.index, advice.radius, advice.values[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +136,7 @@ def _low_degree_extend(
     about the center are the same index set, `far`.
     """
     tables = _check_extension(n, center, radius, tables)
-    far = weights_vector(n)[np.arange(1 << n) ^ center] > radius
+    far = distances(n, center) > radius
 
     def stage(ufunc):
         def op(lo, hi, h):
@@ -169,12 +156,12 @@ def _low_degree_extend(
 
 def parity_extend(advice: BallAdvice) -> IntegerFunction:
     return IntegerFunction(advice.n, _low_degree_extend(
-        advice.n, advice.center.index, advice.radius, advice.dense(), mod2=False))
+        advice.n, advice.center.index, advice.radius, advice.values, mod2=False))
 
 
 def f2_extend(advice: BallAdvice) -> TruthTable:
     return TruthTable(advice.n, _low_degree_extend(
-        advice.n, advice.center.index, advice.radius, advice.dense(), mod2=True))
+        advice.n, advice.center.index, advice.radius, advice.values, mod2=True))
 
 
 def parity_extend_batch(n: int, center: int, radius: int, tables: np.ndarray) -> np.ndarray:
@@ -203,7 +190,7 @@ def sphere_extend(
     if s < 0:
         raise ValueError(f"sensitivity bound s must be >= 0, got {s}")
     if 4 * s > n:
-        return ExtensionOutcome.failed(center, OUT_OF_RANGE)
+        return ExtensionOutcome(None, center, OUT_OF_RANGE)
     r = 2 * s
     if sorted(values) != _sphere(n, center.index, r)[0].tolist():
         raise ValueError("advice domain is not exactly the radius-2s sphere")

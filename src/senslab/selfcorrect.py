@@ -19,7 +19,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .core import Point, TruthTable, weights_vector
+from .core import Point, TruthTable, distances
 from .evaluate import majority_threshold_c
 from .noise import _noise_signs, lambda_set, noise_rate, sample_noisy
 
@@ -73,6 +73,8 @@ class CorrectorParams:
             raise ValueError("self-correction needs s >= 1")
         d = noise_rate(self.delta if self.delta is not None else Fraction(1, 20 * self.s))
         object.__setattr__(self, "delta", d)
+        if isinstance(self.epsilon, float) or not 0 < Fraction(self.epsilon) < 1:
+            raise ValueError(f"epsilon must be an exact rational in (0, 1), not {self.epsilon!r}")
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
@@ -107,9 +109,8 @@ def corrupt_targeted(f: TruthTable, x: Point, count: int) -> tuple[CorruptedOrac
     (increasing distance, then index) — the region local queries sample."""
     if not 0 <= count <= (1 << f.n):
         raise ValueError("count out of range")
-    dist = weights_vector(f.n)[np.arange(1 << f.n) ^ x.index]
     # a stable sort by distance keeps ties in index order
-    nearest = np.argsort(dist, kind="stable")[:count]
+    nearest = np.argsort(distances(f.n, x.index), kind="stable")[:count]
     oracle = CorruptedOracle(f, frozenset(nearest.tolist()))
     return oracle, oracle.corrupted_table()
 

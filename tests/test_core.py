@@ -1,4 +1,5 @@
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from senslab.core import (
     degree,
     degree_f2,
     distance_fraction,
+    distances,
     evaluate_multilinear,
     is_subcube,
     lower_shadow,
@@ -41,6 +43,7 @@ from senslab.core import (
     seeded_rng,
     sensitivity,
     sensitivity_at,
+    set_bit_positions,
     sphere_points,
     zeta_transform,
 )
@@ -105,6 +108,39 @@ def test_ball_and_sphere_sizes():
     assert ball_indices(4, 3, 1) == sorted([3, 2, 1, 7, 11])
     assert len(sphere_points(Point(4, 0), 2)) == 6
     assert [p.index for p in ball_points(Point(3, 0), 3)] == list(range(8))
+
+
+def _reference_sphere(n, center, r):
+    # the enumeration by coordinate subsets, kept as the reference
+    return sorted(center ^ sum(1 << p for p in pos) for pos in combinations(range(n), r))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ball_and_sphere_match_subset_enumeration(n):
+    for center in range(1 << n):
+        ball = []
+        for r in range(n + 1):
+            sphere = _reference_sphere(n, center, r)
+            ball = sorted(ball + sphere)
+            assert [p.index for p in sphere_points(Point(n, center), r)] == sphere
+            assert ball_indices(n, center, r) == ball
+            assert all(type(i) is int for i in ball)
+
+
+def test_distances_match_popcount_at_large_n():
+    for n, center in ((1, 1), (7, 0b1010101), (24, 0xABCDEF), (24, (1 << 24) - 1)):
+        dist = distances(n, center)
+        assert dist.dtype == np.uint8 and dist.shape == (1 << n,)
+        probe = np.random.default_rng(n).integers(0, 1 << n, size=1000)
+        assert dist[probe].tolist() == [(int(i) ^ center).bit_count() for i in probe]
+    with pytest.raises(ValueError, match="out of range"):
+        distances(4, 16)
+
+
+def test_set_bit_positions():
+    table = set_bit_positions(np.array([0, 1, 6, 0b101001], dtype=np.int64), 6, 3)
+    assert table.dtype == np.uint8
+    assert table.tolist() == [[255, 255, 255], [0, 255, 255], [1, 2, 255], [0, 3, 5]]
 
 
 def test_neighborhood_dispatch():
@@ -511,18 +547,51 @@ def test_restrict_to_ball_or3():
     adv = restrict_to_ball(or_fn(3), Point(3, 0), 1)
     assert adv[Point(3, 0)] == 0
     assert adv[1] == adv[2] == adv[4] == 1
-    assert 3 not in adv
-    dense = adv.dense()
-    assert dense[3] == 255 and dense[0] == 0
+    assert 3 not in adv and -1 not in adv and 8 not in adv
+    for outside in (3, -1, 8):
+        with pytest.raises(KeyError):
+            adv[outside]
+    assert adv.values.tolist() == [0, 1, 1, 255, 1, 255, 255, 255]
+    assert not adv.values.flags.writeable
+
+
+def _or3_ball(*changes):
+    table = np.array([0, 1, 1, 255, 1, 255, 255, 255], dtype=np.uint8)
+    for i, v in changes:
+        table[i] = v
+    return table
+
+
+_BAD_ADVICE = [
+    (Point(3, 0), 1, _or3_ball((2, 255)), "point 2 inside the ball"),  # missing point
+    (Point(3, 0), 1, _or3_ball((3, 1)), "point 3 outside the ball"),
+    (Point(3, 0), 1, _or3_ball((0, 2)), "value 2 at point 0 inside"),  # not a bit
+    (Point(3, 0), 1, _or3_ball((7, 0)), "outside the ball, expected 255"),
+    (Point(3, 0), 1, _or3_ball()[:7], "expected a table of 8"),
+    (Point(3, 0), 1, _or3_ball().astype(np.float64), "must be integers"),
+    (Point(3, 0), 1, np.array([0, 1, 1, 511, 1, 255, 255, 255]), "outside the ball"),
+    (Point(3, 0), 1, np.array([-256, 1, 1, 255, 1, 255, 255, 255]), "inside the ball"),
+    (Point(3, 0), 0, {0: 0}, r"expected a table of 8 .* got \(\)"),  # the old dict format
+    (Point(3, 9), 0, {9: 1}, "index 9 out of range for n=3"),
+    (Point(3, 9), 0, _or3_ball(), "index 9 out of range"),
+    (Point(3, -1), 0, _or3_ball(), "index -1 out of range"),
+    (Point(30, 0), 0, {0: 1}, "outside supported range"),
+    (Point(0, 0), 0, np.zeros(1, dtype=np.uint8), "outside supported range"),
+    (Point(3, 0), 4, _or3_ball(), "radius 4 out of range"),
+]
 
 
 def test_ball_advice_validation():
-    with pytest.raises(ValueError):
-        BallAdvice(Point(3, 0), 1, {0: 0, 1: 1})  # missing points
-    with pytest.raises(ValueError):
-        BallAdvice(Point(3, 0), 0, {1: 0})  # outside the ball
-    with pytest.raises(ValueError):
-        BallAdvice(Point(3, 0), 0, {0: 2})  # not a bit
+    for center, radius, values, match in _BAD_ADVICE:
+        with pytest.raises(ValueError, match=match) as info:
+            BallAdvice(center, radius, values)
+        assert len(str(info.value).splitlines()) == 1
+
+
+def test_ball_advice_accepts_integer_tables_of_any_width():
+    adv = BallAdvice(Point(3, 0), 1, _or3_ball().astype(np.int64))
+    assert adv == restrict_to_ball(or_fn(3), Point(3, 0), 1)
+    assert adv.values.dtype == np.uint8
 
 
 def test_profile_majority():
@@ -572,6 +641,67 @@ def test_only_core_owns_the_batch_layout():
             else:
                 continue
             assert not names & owned, f"{path.name}:{node.lineno} uses {sorted(names & owned)}"
+
+
+_COUNTS = {"bitwise_count", "popcount", "bit_count"}
+
+
+def _counted_expressions(tree):
+    """The expressions whose set bits are counted: the argument of
+    np.bitwise_count and popcount, the receiver of int.bit_count, and the index
+    into weights_vector(n)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "bit_count" and isinstance(node.func, ast.Attribute):
+                yield node, node.func.value
+            elif name in _COUNTS and node.args:
+                yield node, node.args[0]
+        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "weights_vector"):
+            yield node, node.slice
+
+
+def _is_low_mask(node):
+    # (1 << q) - 1: the bits below q
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.LShift))
+
+
+def _kinds(expr):
+    """'distance' when the counted expression xors two values (wt(i ^ center)),
+    'rank' when it masks the bits below a position (the set-bit-rank loop)."""
+    kinds = set()
+    for node in ast.walk(expr):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor):
+            kinds.add("distance")
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                and (_is_low_mask(node.left) or _is_low_mask(node.right))):
+            kinds.add("rank")
+    return kinds
+
+
+def test_only_core_computes_distances_and_set_bit_ranks():
+    found = {"distance": [], "rank": []}
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node, expr in _counted_expressions(ast.parse(path.read_text(), filename=str(path))):
+            for kind in _kinds(expr):
+                found[kind].append(f"{path.name}:{node.lineno}")
+    # core.distances and core.set_bit_positions, once each
+    assert [site.split(":")[0] for site in found["distance"]] == ["core.py"], found
+    assert [site.split(":")[0] for site in found["rank"]] == ["core.py"], found
+
+
+def test_guard_sees_the_copies_it_forbids():
+    copies = [
+        "far = weights_vector(n)[np.arange(1 << n) ^ center] > radius",
+        "d = popcount(idx ^ center.index)",
+        "d = (i ^ c).bit_count()",
+        "col = np.bitwise_count(diff[has] & ((1 << q) - 1))",
+    ]
+    kinds = [set().union(*(_kinds(e) for _, e in _counted_expressions(ast.parse(c))))
+             for c in copies]
+    assert kinds == [{"distance"}] * 3 + [{"rank"}]
 
 
 def test_cli_and_verify_use_only_public_noise_names():

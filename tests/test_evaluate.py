@@ -123,6 +123,22 @@ def test_bottom_up_requires_radius():
         bottom_up_eval(restrict_to_ball(f, Point(6, 0), 1), 1, Point(6, 63))
 
 
+def _sampled(evaluate_at):
+    def run(advice, s, x):
+        return evaluate_at(advice, s, x, seeded_rng(3, "bad-point"))
+    return run
+
+
+@pytest.mark.parametrize("evaluator", [
+    bottom_up_eval, top_down_eval, _sampled(parallel_eval),
+    _sampled(lambda advice, s, x, rng: amplified_eval(advice, s, x, Fraction(1, 100), rng)),
+], ids=["bottom-up", "top-down", "parallel", "amplified"])
+@pytest.mark.parametrize("x", [Point(5, 31), Point(4, 99), Point(4, -1), Point(3, 7)])
+def test_scalar_evaluators_reject_points_off_the_cube(evaluator, x):
+    with pytest.raises(ValueError, match="not a point of the advice's 4-cube"):
+        evaluator(_advice(dictator(4), 1), 1, x)
+
+
 @pytest.mark.parametrize("evaluator", [bottom_up_eval, top_down_eval])
 def test_scalar_evaluators_reject_negative_s(evaluator):
     # radius n covers every point, so only the check on s can refuse
@@ -400,16 +416,7 @@ def test_parallel_batch_stream_is_pinned(name):
 
 
 # parallel_eval and amplified_eval: outputs, every EvalStats field and the next
-# 8 bytes of the stream.  At n = 24 the advice reads the whole table, since a
-# radius-10 BallAdvice there would be a dict of 4.6M points.
-class _TableAdvice:
-    def __init__(self, f):
-        self.n, self.center, self.radius, self.values = f.n, Point(f.n, 0), f.n, f.values
-
-    def __getitem__(self, x):
-        return int(self.values[x])
-
-
+# 8 bytes of the stream
 SCALAR_SAMPLERS_GOLDEN = "acb8242d937dacdf48a5fc0ad8fea212b821c07a6e8952a8c569b116a772a233"
 
 
@@ -419,8 +426,8 @@ def test_scalar_samplers_are_pinned():
     cases = [
         (_advice(random_dt(12, 1, seed=5), 1, 10), 1, (10, 11, 12)),
         (_advice(random_dt(16, 1, seed=7), 1, 10), 1, (11, 12, 13)),
-        (_TableAdvice(random_dt(24, 1, seed=3)), 1, (11, 13)),
-        (_TableAdvice(random_dt(24, 2, seed=3)), 2, (21, 24)),
+        (_advice(random_dt(24, 1, seed=3), 1, 10), 1, (11, 13)),
+        (_advice(random_dt(24, 2, seed=3), 2, 10), 2, (21, 24)),
     ]
     for advice, s, weights in cases:
         for w in weights:

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from senslab.core import Point, TruthTable, restrict_to_ball
-from senslab.families import random_function, tribes
+from senslab.families import random_dt, random_function, tribes
 from senslab.io import (
     FormatError,
     read_ball_advice,
@@ -36,6 +37,22 @@ def test_ball_advice_roundtrip(tmp_path):
     path = tmp_path / "f.ball"
     write_ball_advice(adv, path)
     assert read_ball_advice(path) == adv
+
+
+BALL_FILES_GOLDEN = "ccc283c35c088d0a6f07c1a1b50e7f358c4e7df3f09b142665aa0c8d78ad22c8"
+
+
+def test_ball_advice_files_are_pinned(tmp_path):
+    # the bytes of written .ball files, and a read-back that writes them again
+    h = hashlib.sha256()
+    path, again = tmp_path / "a.ball", tmp_path / "b.ball"
+    for f, center, r in ((tribes(2, 6), 9, 3), (random_dt(10, 2, seed=4), 613, 4),
+                         (random_dt(12, 1, seed=9), 0, 12)):
+        write_ball_advice(restrict_to_ball(f, Point(f.n, center), r), path)
+        write_ball_advice(read_ball_advice(path), again)
+        assert again.read_bytes() == path.read_bytes()
+        h.update(path.read_bytes())
+    assert h.hexdigest() == BALL_FILES_GOLDEN
 
 
 def test_truth_table_bad_inputs(tmp_path):

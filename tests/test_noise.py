@@ -45,6 +45,11 @@ def test_noise_rate_validation():
     for bad in (0, Fraction(3, 4), 1):
         with pytest.raises(ValueError):
             noise_rate(bad)
+    assert noise_rate("0.05") == Fraction(1, 20)
+    # Fraction(0.05) would be 3602879701896397/2^56: floats are refused, not converted
+    for bad in (0.05, np.float64(0.25), 0.5):
+        with pytest.raises(ValueError, match="exact rational"):
+            noise_rate(bad)
 
 
 def test_sample_noisy_statistics():

@@ -73,7 +73,7 @@ def test_majority_fails_below_radius():
 
 
 def test_majority_tie_reported():
-    adv = BallAdvice(Point(2, 0), 1, {0: 0, 1: 0, 2: 1})
+    adv = BallAdvice(Point(2, 0), 1, np.array([0, 0, 1, 255], dtype=np.uint8))
     out = majority_extend(adv)
     assert not out.ok
     assert out.reason == "tie"
@@ -139,7 +139,7 @@ def test_majority_batch_matches_scalar():
 
 def test_parity_rule_and2_example():
     # values on B(00, 1) of AND_2; the rule extends to x1 + x2 at 11 -> 2 -> not Boolean
-    adv = BallAdvice(Point(2, 0), 1, {0: 0, 1: 1, 2: 1})
+    adv = BallAdvice(Point(2, 0), 1, np.array([0, 1, 1, 255], dtype=np.uint8))
     ext = parity_extend(adv)
     assert ext.values.tolist() == [0, 1, 1, 2]
     assert not ext.is_boolean()
@@ -159,8 +159,10 @@ def test_parity_extension_degree_at_most_radius(f, data):
     # degree-<=r interpolant of the advice
     center = data.draw(st.integers(min_value=0, max_value=(1 << f.n) - 1))
     r = data.draw(st.integers(min_value=0, max_value=f.n))
-    vals = {i: int(f.values[i]) for i in ball_indices(f.n, center, r)}
-    ext = parity_extend(BallAdvice(Point(f.n, center), r, vals))
+    ball = ball_indices(f.n, center, r)
+    table = np.full(1 << f.n, 255, dtype=np.uint8)
+    table[ball] = f.values[ball]
+    ext = parity_extend(BallAdvice(Point(f.n, center), r, table))
     if ext.is_boolean():
         assert degree(ext.as_truth_table()) <= max(r, 0)
 

@@ -124,6 +124,12 @@ def test_params_validation_and_defaults():
         CorrectorParams(s=1, k=0)
     with pytest.raises(ValueError):
         CorrectorParams(s=1, delta=Fraction(2, 3))
+    assert CorrectorParams(s=1, epsilon="1/4").epsilon == Fraction(1, 4)
+    for bad in (0.1, 0, 1, Fraction(3, 2), -Fraction(1, 10)):
+        with pytest.raises(ValueError, match="epsilon"):
+            CorrectorParams(s=1, epsilon=bad)
+    with pytest.raises(ValueError, match="noise rate must be an exact rational"):
+        CorrectorParams(s=1, delta=0.05)
 
 
 def test_global_correct_already_clean():
