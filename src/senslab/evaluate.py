@@ -8,6 +8,9 @@ its values near 0^n:
     order); each point entering the ball takes the majority of its 2s+1
     neighbors in the previous ball.  bottom_up_eval walks one x and
     bottom_up_all sweeps every x, both on the per-bit plans of _bit_plan.
+    The sweep keeps only the rows something reads: a shift by bit k reads
+    offsets with no bit below k and the output reads offset 0, so the ball
+    at x with top bit k is read only at offsets above bit k.
   * top-down: memoized recursion; a point of weight > 2s takes the majority
     of 2s+1 of its lower neighbors (clear the lowest set bits one at a time).
   * parallel: randomized recursive majority over samples from the lower
@@ -110,9 +113,13 @@ def majority_threshold_c(mu, delta_target) -> int:
 # ---------------------------------------------------------------------------
 # bottom-up
 
-def _require_advice(advice: BallAdvice, s: int, factor: int, x: Point) -> int:
+def _require_s(s: int) -> None:
     if s < 0:
         raise ValueError(f"sensitivity bound s must be >= 0, got {s}")
+
+
+def _require_advice(advice: BallAdvice, s: int, factor: int, x: Point) -> int:
+    _require_s(s)
     if advice.center.index != 0:
         raise ValueError("advice must be centered at 0^n")
     if x.n != advice.n or not 0 <= x.index < 1 << advice.n:
@@ -126,10 +133,10 @@ def _require_advice(advice: BallAdvice, s: int, factor: int, x: Point) -> int:
 def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats]:
     """Ball-shifting evaluation; returns (f(x), stats).
 
-    Walks the per-bit plans that bottom_up_all sweeps (_bit_plan): the ball
-    is a uint8 array in offset order, and each set bit of x, in increasing
-    order, shifts it once.  points_computed counts initial advice reads plus
-    every majority-filled point.
+    Walks the whole ball, one _bit_plan per set bit of x: the ball is a
+    uint8 array in offset order, and each set bit, in increasing order,
+    shifts it once.  points_computed counts initial advice reads plus every
+    majority-filled point.
     """
     stats = EvalStats()
     r = _require_advice(advice, s, 2, x)
@@ -140,10 +147,11 @@ def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats
     masks = np.flatnonzero(weights_vector(x.n) <= r)  # the offsets of B(0, r)
     ball = advice.values[masks]  # the advice is centered at 0, so offsets are indices
     stats.record_points(masks)
+    rank = np.arange(len(masks))
     center = 0
     for i in (i for i in range(x.n) if (x.index >> i) & 1):
         # one bit's plan at a time, uncached: a walk needs only x's set bits
-        copy_src, new_rows, gather = _bit_plan(masks, x.n, r, i)
+        copy_src, new_rows, gather = _bit_plan(masks, masks, rank, x.n, r, i)
         center ^= 1 << i
         shifted = ball[np.maximum(copy_src, 0)]
         shifted[new_rows] = 2 * ball[gather].sum(axis=1) > gather.shape[1]
@@ -154,32 +162,50 @@ def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats
     return int(ball[0]), stats
 
 
-def _bit_plan(masks: np.ndarray, n: int, r: int, i: int):
+def _bit_plan(rows: np.ndarray, masks: np.ndarray, rank: np.ndarray, n: int, r: int, i: int):
     """The gather plan of one shift by bit i, (copy_src, new_rows, gather).
 
-    Offsets are the sorted masks m with wt(m) <= r; a ball around c holds
-    the value at c ^ m in column index_of(m).  Shifting c -> c ^ (1 << i)
-    copies column index_of(m ^ bit) when wt(m ^ bit) <= r and otherwise
-    (wt(m) = r, bit not in m) takes a majority over the r+1 columns
-    {m ^ bit ^ (1 << j) : j set in m ^ bit} of the old ball.
+    masks are the sorted offsets of B(0, r), and a ball around c holds the
+    value at c ^ masks[j] in row rank[j].  Shifting c -> c ^ (1 << i) fills
+    one row per offset m of `rows`: it copies the old row of m ^ bit when
+    wt(m ^ bit) <= r and otherwise (wt(m) = r, bit not in m) takes a
+    majority over the r+1 old rows {m ^ bit ^ (1 << j) : j set in m ^ bit}.
     """
-    old = masks ^ (1 << i)
+    def row_of(offsets):
+        return rank[np.searchsorted(masks, offsets)]
+
+    old = rows ^ (1 << i)
     kept = np.bitwise_count(old) <= r
-    copy_src = np.where(kept, np.searchsorted(masks, old), -1)  # masks are sorted
+    copy_src = np.full(len(rows), -1)
+    copy_src[kept] = row_of(old[kept])
     new_rows = np.flatnonzero(~kept)
     fresh = old[new_rows]  # weight r + 1
     bits = set_bit_positions(fresh, n, r + 1).astype(np.int64)
-    # searched column by column: each column's queries rise with fresh, which
-    # keeps the search in cache (row by row took 1.6x as long at n = 20, r = 4, 2-vCPU VM)
-    gather = np.searchsorted(masks, (fresh[:, None] ^ (1 << bits)).T).T
+    # searched column by column: for sorted rows each column's queries rise with
+    # fresh, which keeps the search in cache (row by row took 1.6x as long at
+    # n = 20, r = 4, 2-vCPU VM)
+    gather = row_of((fresh[:, None] ^ (1 << bits)).T).T
     return copy_src, new_rows, gather
 
 
 @lru_cache(maxsize=8)
 def _shift_plan(n: int, r: int):
-    """The offsets of B(0, r) and the plans of all n bits, for the sweep."""
+    """The sweep's offsets of B(0, r) and its n per-bit plans, demand-pruned.
+
+    The offsets are ordered by lowest set bit, highest first (0 first), so
+    for every k the offsets with no set bit below k are a prefix.  plans[k]
+    fills the block [2^k, 2^(k+1)) only at the offsets above bit k, the
+    first len(plans[k][0]), and reads the balls before it only at the
+    offsets with no bit below k.
+    """
     masks = np.flatnonzero(weights_vector(n) <= r)
-    return masks, [_bit_plan(masks, n, r, i) for i in range(n)]
+    low = np.where(masks == 0, n, np.bitwise_count((masks & -masks) - 1))  # uint8, <= n
+    order = np.argsort(n - low, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    offs = masks[order]
+    return offs, [_bit_plan(offs[:np.count_nonzero(low > k)], masks, rank, n, r, k)
+                  for k in range(n)]
 
 
 def bottom_up_all(f: TruthTable, s: int) -> TruthTable:
@@ -189,32 +215,35 @@ def bottom_up_all(f: TruthTable, s: int) -> TruthTable:
     is one shift (by x's highest set bit) past the ball at x minus that bit,
     so a single sweep in increasing index order fills a table of balls.
 
-    The table is offset-major, (|B(0, r)|, 2^n): balls[j, c] is the value at
-    c ^ offs[j], and f's table is balls[0].  The balls at x in
-    [2^hb, 2^(hb+1)) are the column block balls[:, 2^hb:2^(hb+1)], so a
-    shift's copy plan and each of its vote gathers move whole contiguous
-    rows of length 2^hb rather than strided columns.
+    Only demanded rows are kept.  A shift by bit k reads only offsets whose
+    bits are all >= k, and the output reads only offset 0, so a ball at x in
+    [2^k, 2^(k+1)) is read only at offsets above bit k: a prefix of
+    _shift_plan's order.  The table after bit k is offset-major,
+    (prefix, 2^(k+1)): balls[j, c] is the value at c ^ offs[j], and one
+    shift moves whole contiguous rows of length 2^k.  After bit n - 1 the
+    prefix is offset 0 alone, f's table.
     """
+    _require_s(s)
     n = f.n
     r = min(2 * s, n)
     if r >= n:
         return TruthTable(n, f.values)
     offs, plans = _shift_plan(n, r)
-    balls = np.empty((len(offs), 1 << n), dtype=np.uint8)
-    balls[:, 0] = f.values[offs]  # the advice: f on B(0, r)
-    for hb in range(n):
+    balls = f.values[offs][:, None]  # the advice: f on B(0, r), column 0
+    for hb, (copy_src, new_rows, gather) in enumerate(plans):
         # balls [2^hb, 2^(hb+1)) are one shift by bit hb past balls [0, 2^hb)
-        prev = balls[:, :1 << hb]
-        cur = balls[:, 1 << hb:2 << hb]
-        copy_src, new_rows, gather = plans[hb]
+        grown = np.empty((len(copy_src), 2 << hb), dtype=np.uint8)
+        grown[:, :1 << hb] = balls[:len(copy_src)]
+        cur = grown[:, 1 << hb:]
         # a fancy-index gather, not np.take(out=cur): np.take would first copy
-        # the strided prev and cur into contiguous buffers
-        cur[...] = prev[np.maximum(copy_src, 0)]
+        # the strided cur into a contiguous buffer
+        cur[...] = balls[np.maximum(copy_src, 0)]
         if len(new_rows):
             votes = np.zeros((len(new_rows), 1 << hb), dtype=np.uint8)
             for col in gather.T:
-                votes += prev[col]
+                votes += balls[col]
             cur[new_rows] = 2 * votes > gather.shape[1]
+        balls = grown
     return TruthTable(n, balls[0])
 
 
@@ -265,6 +294,7 @@ def top_down_visit_profile(n: int, s: int) -> np.ndarray:
     regardless of the advice values — so one bitset closure over the cube
     covers every possible run."""
     check_n(n, 13)
+    _require_s(s)
     r = min(2 * s, n)
     words = ((1 << n) + 63) // 64
     closure = np.zeros((1 << n, words), dtype=np.uint64)
@@ -307,6 +337,7 @@ def top_down_all(f: TruthTable, s: int) -> TruthTable:
     The rule of colex_smallest_lower_neighbors, for a whole level at once: a
     point takes the majority over the 2s+1 lower neighbours found by clearing
     its lowest set bit (low = rest & -rest) 2s+1 times."""
+    _require_s(s)
     n = f.n
     r = min(2 * s, n)
     if r >= n:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.stats import binom
 
-from senslab.core import Point, TruthTable, restrict_to_ball, seeded_rng, sensitivity
+from senslab.core import (
+    Point, TruthTable, restrict_to_ball, seeded_rng, sensitivity, weights_vector,
+)
 from senslab.evaluate import (
     EvalStats,
+    _bit_plan,
+    _shift_plan,
     amplified_eval,
     bottom_up_all,
     bottom_up_eval,
@@ -146,6 +151,16 @@ def test_scalar_evaluators_reject_negative_s(evaluator):
         evaluator(_advice(dictator(8), 4), -1, Point(8, 0b11111111))
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda s: bottom_up_all(dictator(6), s),
+    lambda s: top_down_all(dictator(6), s),
+    lambda s: top_down_visit_profile(6, s),
+], ids=["bottom_up_all", "top_down_all", "top_down_visit_profile"])
+def test_batch_sweeps_reject_negative_s(sweep):
+    with pytest.raises(ValueError, match="s must be >= 0, got -1"):
+        sweep(-1)
+
+
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=2))
 @settings(max_examples=20, deadline=None)
 def test_bottom_up_all_matches_truth(seed, s):
@@ -163,6 +178,75 @@ def test_bottom_up_all_matches_walk_on_random_tables(n, s):
     walked = [bottom_up_eval(advice, s, Point(n, x))[0] for x in range(1 << n)]
     assert swept.tolist() == walked
     assert (swept != f.values).any()
+
+
+def _bottom_up_full_table(f, s):
+    """The sweep with every ball whole: a (|B(0, 2s)|, 2^n) table, one
+    _bit_plan per bit over all offsets.  The reference bottom_up_all must
+    match bit for bit."""
+    n, r = f.n, min(2 * s, f.n)
+    if r >= n:
+        return f.values.copy()
+    masks = np.flatnonzero(weights_vector(n) <= r)
+    rank = np.arange(len(masks))
+    balls = np.empty((len(masks), 1 << n), dtype=np.uint8)
+    balls[:, 0] = f.values[masks]
+    for hb in range(n):
+        prev = balls[:, :1 << hb]
+        cur = balls[:, 1 << hb:2 << hb]
+        copy_src, new_rows, gather = _bit_plan(masks, masks, rank, n, r, hb)
+        cur[...] = prev[np.maximum(copy_src, 0)]
+        if len(new_rows):
+            votes = np.zeros((len(new_rows), 1 << hb), dtype=np.uint8)
+            for col in gather.T:
+                votes += prev[col]
+            cur[new_rows] = 2 * votes > gather.shape[1]
+    return balls[0].copy()
+
+
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_bottom_up_all_matches_full_table(n, s, seed):
+    f = TruthTable(n, np.random.default_rng(seed).integers(0, 2, size=1 << n, dtype=np.uint8))
+    assert bottom_up_all(f, s).values.tobytes() == _bottom_up_full_table(f, s).tobytes()
+
+
+# sha256 of bottom_up_all(random_function(n, 7), s).values, taken from the
+# full-table sweep; at (16, 3) that table is 931 MiB, so only the hash is kept
+BOTTOM_UP_SHA256 = {
+    (8, 3): "8055f2fe2343e2847e03c7c7b8c9e6ab13c55f294a72f4ff6049ebd5728edc0b",
+    (10, 4): "46ab5fff9e2f73aff69d762faac4eaddfa01969ba8943937eb92e76071e61974",
+    (12, 3): "703c409e0496e3de3a4968aa7471a454e2555c39c876979226d505d69077dc18",
+    (13, 2): "891022b3a1e22426f0a00634d69fdb1b0b2839fa6a3331413ff789ef8f97e963",
+    (16, 3): "cb93304ab545b06bd2a8dd77ddffa235f1a1cb9b1621127e82322fa6b98fc3c7",
+}
+
+
+@pytest.mark.parametrize("n,s", sorted(BOTTOM_UP_SHA256))
+def test_bottom_up_all_pinned(n, s):
+    f = random_function(n, 7)
+    out = bottom_up_all(f, s).values
+    assert out.dtype == np.uint8 and out.shape == (1 << n,)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == BOTTOM_UP_SHA256[n, s]
+    assert (out != f.values).any()
+    if n < 16:
+        assert out.tobytes() == _bottom_up_full_table(f, s).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_bottom_up_all_memory_scales_with_rows_read(n):
+    # the full table would be |B(0, 6)| * 2^n bytes: 931 MiB at n = 16
+    f = random_dt(n, 3, seed=n)
+    _shift_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        out = bottom_up_all(f, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == f
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
