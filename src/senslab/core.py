@@ -228,6 +228,20 @@ def set_bit_positions(masks: np.ndarray, n: int, width: int) -> np.ndarray:
     return table
 
 
+def all_set_bit_positions(n: int) -> np.ndarray:
+    """set_bit_positions(arange(2^n), n, n), built by doubling: bit k is the
+    highest set bit of x | 2^k for x < 2^k, so rows [2^k, 2^(k+1)) are rows
+    [0, 2^k) with k written at column wt(x)."""
+    table = np.full((1 << n, n), 255, dtype=np.uint8)
+    flat = table.reshape(-1)
+    w = weights_vector(n)
+    for k in range(n):
+        h = 1 << k
+        table[h : 2 * h] = table[:h]
+        flat[np.arange(h, 2 * h, dtype=np.int64) * n + w[:h]] = k
+    return table
+
+
 def all_neighbors(x: Point) -> list[Point]:
     return [Point(x.n, x.index ^ (1 << i)) for i in range(x.n)]
 

@@ -33,6 +33,7 @@ from .core import (
     BallAdvice,
     Point,
     TruthTable,
+    all_set_bit_positions,
     check_n,
     popcount,
     set_bit_positions,
@@ -322,11 +323,13 @@ def top_down_visit_profile(n: int, s: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def set_bits_table(n: int) -> np.ndarray:
-    """table[x, j] = position of the j-th lowest set bit of x (255 padding).
+    """table[x, j] = position of the j-th lowest set bit of x (255 padding),
+    read-only and cached per n; core.all_set_bit_positions builds it by
+    doubling, 2^n * n bytes.
 
     parallel_eval_batch is its only caller in the library: the sweeps clear
     the lowest set bit with rest & -rest instead."""
-    t = set_bit_positions(np.arange(1 << n, dtype=np.uint32), n, n)
+    t = all_set_bit_positions(n)
     t.setflags(write=False)
     return t
 

@@ -43,6 +43,9 @@ from .core import (
 # the round-off of `noise_operator` by (n+2) 2^-53 2^(n/2), 1.2e-11 at n = 24.
 THRESHOLD_BAND = 1e-9
 ENUM_GUARD = 1 << 20
+# int32 codistance rows plus the int64 output of downward_mismatch_table, 12 (n+1) 2^n
+# bytes: 1.1 GiB at n = 22 runs, 2.3 GiB at n = 23 and 4.7 GiB at n = 24 are refused
+DOWNWARD_TABLE_MAX_BYTES = 1 << 31
 
 
 def noise_rate(value) -> Fraction:
@@ -270,9 +273,14 @@ def downward_mismatch_table(f: TruthTable) -> np.ndarray:
     mismatches are the zeros there, C(wt(x), t) minus that count, formed in place.
     For t > wt(x) both terms are 0.  Block by block of columns, the C(wt(x), t)
     are gathered by weight, subtracted where f = 1, and the block is written
-    transposed into the output."""
+    transposed into the output.  Refused before allocating when the rows and the
+    output would pass DOWNWARD_TABLE_MAX_BYTES (n >= 23)."""
     check_n(f.n)
     n = f.n
+    nbytes = (4 + 8) * (n + 1) << n
+    if nbytes > DOWNWARD_TABLE_MAX_BYTES:
+        raise ValueError(f"downward_mismatch_table at n={n} would allocate {nbytes / 2**30:.1f} GiB, "
+                         f"over the {DOWNWARD_TABLE_MAX_BYTES / 2**30:.0f} GiB limit")
     z = _codistance_rows(f.values, n, _one_sided_step)
     w = weights_vector(n)
     ones = f.values.view(bool)

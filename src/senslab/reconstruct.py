@@ -12,12 +12,15 @@ Each rule has one engine, and its scalar calls are one-row batches.
 Parity and f2 share _low_degree_extend, which folds the translation to the
 center into the butterfly stages; core lays the batch out, and a tall one
 comes back as a point-major (transposed) view.  The majority rule,
-majority_extend_batch, fills one sphere around the center at a time and
-reports a row's first tie in (distance, index) order, so failures are
-deterministic; majority_extend, sphere_extend and r_maj_bruteforce call it
-with one row.  r_bruteforce_batch is the one brute-force radius scan for
-both rules; a row leaves it once its least radius is found, or, within a
-radius, once one center fails it.
+majority_extend_batch, fills one sphere around the center at a time; a point
+at distance m sums its m inward neighbours by clearing the lowest set bit of
+its offset from the center m times (the walk of evaluate.top_down_all), so a
+call holds a few index vectors per sphere and no neighbour table.  It reports
+a row's first tie in (distance, index) order, so failures are deterministic;
+majority_extend, sphere_extend and r_maj_bruteforce call it with one row.
+r_bruteforce_batch is the one brute-force radius scan for both rules; a row
+leaves it once its least radius is found, or, within a radius, once one
+center fails it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .core import (
     degree,
     distances,
     sensitivity,
-    set_bit_positions,
 )
 
 TIE = "tie"
@@ -72,14 +74,6 @@ def _check_extension(n: int, center: int, radius: int, tables) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # majority rule
 
-def _sphere(n: int, center: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """S(center, k) by increasing index, and its (|S|, k) table of inward
-    neighbours: row j holds the neighbours of point j at distance k - 1."""
-    idx = np.flatnonzero(distances(n, center) == k)
-    bits = set_bit_positions(idx ^ center, n, k).astype(np.int64)
-    return idx, idx[:, None] ^ (1 << bits)
-
-
 def majority_extend_batch(
     n: int, center: int, radius: int, tables: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,18 +81,26 @@ def majority_extend_batch(
 
     `tables` is (num_functions, 2^n) uint8 holding each function's values on
     B(center, radius) (entries outside the ball are ignored).  A point at
-    distance k+1 reads only the sphere at distance k, so each sphere is one
-    gather.  Returns the extended tables and, per row, the index of the
-    first tie point in (distance, index) order, or -1; a row with a tie
+    distance m reads only its m inward neighbours on the sphere at distance
+    m - 1, one per set bit of its offset from the center: m gathers, each
+    clearing the lowest remaining bit (low = rest & -rest), so no (|S|, m)
+    table is built.  Returns the extended tables and, per row, the index of
+    the first tie point in (distance, index) order, or -1; a row with a tie
     holds arbitrary values from the tie level onward.
     """
     tables = np.array(_check_extension(n, center, radius, tables), dtype=np.uint8, copy=True)
     if tables.ndim != 2:
         raise ValueError(f"the majority rule needs a 2-D batch, not shape {tables.shape}")
     tie = np.full(len(tables), -1, dtype=np.int64)
+    dist = distances(n, center)
     for m in range(radius + 1, n + 1):
-        idx, inward = _sphere(n, center, m)
-        ones = tables[:, inward].sum(axis=-1, dtype=np.uint8)  # m <= 24 votes
+        idx = np.flatnonzero(dist == m)
+        rest = idx ^ center
+        ones = np.zeros((len(tables), len(idx)), dtype=np.uint8)  # m <= 24 votes
+        for _ in range(m):
+            low = rest & -rest
+            ones += tables[:, idx ^ low]
+            rest ^= low
         tables[:, idx] = 2 * ones > m
         ties = 2 * ones == m
         first = (tie < 0) & ties.any(axis=1)
@@ -192,7 +194,7 @@ def sphere_extend(
     if 4 * s > n:
         return ExtensionOutcome(None, center, OUT_OF_RANGE)
     r = 2 * s
-    if sorted(values) != _sphere(n, center.index, r)[0].tolist():
+    if sorted(values) != np.flatnonzero(distances(n, center.index) == r).tolist():
         raise ValueError("advice domain is not exactly the radius-2s sphere")
     vals = np.zeros((1, 1 << n), dtype=np.uint8)
     for i, v in values.items():
@@ -255,10 +257,3 @@ def r_bruteforce_batch(n: int, tables: np.ndarray, rule: str, centers=None) -> n
         first[live] = r
     return first
 
-
-def r_par_bruteforce(f: TruthTable, all_centers: bool = True) -> int:
-    """Smallest r such that the parity rule recovers f from B(x0, r), either
-    for every center or for x0 = 0 only."""
-    check_n(f.n, BRUTE_FORCE_MAX_N)
-    centers = None if all_centers else [0]
-    return int(r_bruteforce_batch(f.n, f.values[None, :], "par", centers)[0])

@@ -9,7 +9,8 @@ import hypothesis.strategies as st
 from scipy.stats import binom
 
 from senslab.core import (
-    Point, TruthTable, restrict_to_ball, seeded_rng, sensitivity, weights_vector,
+    Point, TruthTable, restrict_to_ball, seeded_rng, sensitivity, set_bit_positions,
+    weights_vector,
 )
 from senslab.evaluate import (
     EvalStats,
@@ -369,6 +370,13 @@ def test_set_bits_table_padding():
     t = set_bits_table(3)
     assert t[0b101].tolist() == [0, 2, 255]
     assert t[0b111].tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_set_bits_table_matches_set_bit_positions(n):
+    t = set_bits_table(n)
+    assert t.dtype == np.uint8 and t.shape == (1 << n, n) and not t.flags.writeable
+    assert t.tobytes() == set_bit_positions(np.arange(1 << n), n, n).tobytes()
 
 
 # ---------------------------------------------------------------------------

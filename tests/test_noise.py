@@ -1,4 +1,9 @@
 import hashlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +212,30 @@ def test_downward_table_matches_scalar(f, data):
     from math import comb
 
     assert downward_mismatch(f, x, t) == Fraction(int(table[x.index, t]), comb(weight(x), t))
+
+
+_REFUSE_N24 = """
+import numpy as np
+from senslab.core import TruthTable
+from senslab.noise import downward_mismatch_table
+try:
+    downward_mismatch_table(TruthTable(24, np.zeros(1 << 24, dtype=np.uint8)))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_downward_table_refuses_n24_before_allocating():
+    # the rows and the output would need ~4.7 GiB; under a 1 GiB address-space
+    # limit a missing guard dies on its first allocation instead of filling memory
+    src = str(Path(noise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _REFUSE_N24], env=env, capture_output=True,
+                          text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("downward_mismatch_table at n=24 would allocate")
+    assert proc.stdout.count("\n") == 1
 
 
 def test_downward_sampled_tracks_exact():

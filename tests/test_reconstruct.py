@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from senslab.core import (
     TruthTable,
     ball_indices,
     degree,
+    distances,
     degree_f2,
     mobius_coefficients,
     mobius_coefficients_f2,
@@ -35,7 +37,6 @@ from senslab.reconstruct import (
     r_maj,
     r_maj_bruteforce,
     r_par,
-    r_par_bruteforce,
     sphere_extend,
 )
 
@@ -78,6 +79,38 @@ def test_majority_tie_reported():
     assert not out.ok
     assert out.reason == "tie"
     assert out.failed_point == Point(2, 3)
+
+
+def _ball_rows(f, center, r):
+    """f's table as a one-row batch, zeroed outside B(center, r)."""
+    return np.where(distances(f.n, center) <= r, f.values, 0).astype(np.uint8)[None, :]
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_majority_recovers_large_n_from_both_poles(n):
+    f = random_dt(n, 2, seed=n)
+    assert 0 < f.values.sum() < 1 << n
+    center = 0b1011 << 3
+    for c in (center, center ^ ((1 << n) - 1)):
+        ext, tie = majority_extend_batch(n, c, 4, _ball_rows(f, c, 4))
+        assert tie.tolist() == [-1]
+        assert ext[0].tobytes() == f.values.tobytes()
+
+
+def test_majority_batch_memory_is_a_few_sphere_vectors():
+    # per sphere a few int64 index vectors, no (|S|, k) inward table: the
+    # sphere-table engine peaked at ~250 MiB here
+    n = 22
+    f = random_dt(n, 2, seed=n)
+    rows = _ball_rows(f, 88, 4)
+    tracemalloc.start()
+    try:
+        ext, _ = majority_extend_batch(n, 88, 4, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ext[0].tobytes() == f.values.tobytes()
+    assert peak < 64 * 2**20
 
 
 def _reference_majority(vals: list[int], n: int, center: int, r: int) -> int | None:
@@ -283,6 +316,13 @@ def test_radius_known_values():
     assert r_par(parity(6)) == 6
     assert r_par(dictator(6, 5)) == 1
     assert r_par(constant(5, 1)) == 0
+
+
+def r_par_bruteforce(f, all_centers=True):
+    """Smallest r such that the parity rule recovers f from B(x0, r), either
+    for every center or for x0 = 0 only: a one-row radius scan."""
+    centers = None if all_centers else [0]
+    return int(r_bruteforce_batch(f.n, f.values[None, :], "par", centers)[0])
 
 
 @given(small_tables)
