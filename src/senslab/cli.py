@@ -61,7 +61,10 @@ def _note(msg: str) -> None:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as e:  # argparse reports a ValueError as a usage error
+        raise ValueError(str(e)) from e
 
 
 def _int_list(text: str) -> list[int]:
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, help="report only this class")
     p.add_argument("--allow-long", action="store_true",
-                   help="permit the minutes-scale n=5 scan")
+                   help="permit the n=5 census (a few seconds)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("interpolate", help="random-sample interpolation experiment")

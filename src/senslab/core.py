@@ -514,15 +514,6 @@ def degree_f2(f: TruthTable) -> int:
     return int(_degrees(f.values, f.n, mod2=True))
 
 
-def evaluate_multilinear(c: IntegerFunction, x: Point) -> int:
-    """Sum of c_S over S contained in the support of x."""
-    total = 0
-    for mask, coeff in enumerate(c.values):
-        if coeff and (mask & x.index) == mask:
-            total += int(coeff)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # bias, subcubes, distances
 

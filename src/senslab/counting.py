@@ -1,10 +1,12 @@
-"""Exhaustive enumeration of the sensitivity classes F(s, n) at tiny n.
+"""The sensitivity classes F(s, n) at tiny n: exact counts, bounds, and the
+random-sample interpolation experiment.
 
-F(s, n) is the set of Boolean functions on n variables with s(f) <= s.  At
-n <= 4 the whole space (2^16 tables) is scanned as a numpy matrix; n = 5
-(2^32 candidates) is opt-in and runs a bit-parallel filter where each uint32
-chunk element *is* a truth table and per-point sensitivities accumulate in
-bit-sliced carry-save counters.
+F(s, n) is the set of Boolean functions on n variables with s(f) <= s.  Its
+count is built by gluing restrictions up from n = 0: each member of F(s, k+1)
+is a pair of members of F(s, k), its two halves along the last coordinate.
+Tables travel as packed codes (bit x = value at point x), and the last level
+is counted over word pairs without being built.  n <= 4 takes milliseconds;
+n = 5 is opt-in and takes a few seconds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .core import TruthTable, _check_tables, _degrees, _sensitivity_counts, sens
 
 ENUM_MAX_N = 4
 LONG_ENUM_N = 5
+# Pairs per row block of the last glue level: a few 2^22-entry temporaries of
+# 2-byte words, about 8 MiB each, at n = 5.
+GLUE_BLOCK_PAIRS = 1 << 22
 
 
 def all_tables(n: int) -> np.ndarray:
@@ -27,8 +31,7 @@ def all_tables(n: int) -> np.ndarray:
     (bit x of t = value at point x)."""
     if n > ENUM_MAX_N:
         raise ValueError(f"full function space needs n <= {ENUM_MAX_N}")
-    count = 1 << (1 << n)
-    return ((np.arange(count, dtype=np.uint32)[:, None] >> np.arange(1 << n)[None, :]) & 1).astype(np.uint8)
+    return _unpack(np.arange(1 << (1 << n), dtype=np.uint32), n)
 
 
 def per_function_sensitivity(tables: np.ndarray, n: int) -> np.ndarray:
@@ -41,66 +44,66 @@ def per_function_degree(tables: np.ndarray, n: int) -> np.ndarray:
     return _degrees(tables, n)
 
 
-def _chunk_class_ok(arr: np.ndarray) -> list[np.ndarray]:
-    """Per-s membership masks for an array of uint32-encoded 5-variable
-    tables: out[s][i] is True iff s(table arr[i]) <= s.  Bit x of each uint32
-    is the value at point x; per-point sensitivities accumulate in three
-    bit-sliced carry-save counter planes (max count is n = 5)."""
-    n = LONG_ENUM_N
-    size = 1 << n
-    arr = np.asarray(arr, dtype=np.uint32)
-    c0 = np.zeros_like(arr)
-    c1 = np.zeros_like(arr)
-    c2 = np.zeros_like(arr)
-    for i in range(n):
-        step = np.uint32(1 << i)
-        m = np.uint32(sum(1 << pos for pos in range(size) if not (pos >> i) & 1))
-        shuffled = ((arr >> step) & m) | ((arr & m) << step)
-        diff = arr ^ shuffled
-        t0 = c0 & diff
-        c0 ^= diff
-        t1 = c1 & t0
-        c1 ^= t0
-        c2 |= t1
-    zero = np.uint32(0)
-    viol = [
-        c2 | c1 | c0,        # some point has count > 0
-        c2 | c1,             # count > 1
-        c2 | (c1 & c0),      # count > 2
-        c2,                  # count > 3
-        c2 & c0,             # count > 4
-    ]
-    return [v == zero for v in viol] + [np.ones(len(arr), dtype=bool)]
+def _unpack(codes: np.ndarray, n: int) -> np.ndarray:
+    """(rows, 2^n) uint8 tables of packed codes: bit x of codes[i] is the value at x."""
+    return ((codes[:, None] >> np.arange(1 << n, dtype=codes.dtype)) & 1).astype(np.uint8)
 
 
-def _bit_parallel_class_counts(n: int, chunk_bits: int = 22) -> list[int]:
-    """|F(s, 5)| for all s by scanning all 2^32 tables in uint32 chunks."""
-    assert n == LONG_ENUM_N
-    totals = [0] * (n + 1)
-    chunk = 1 << chunk_bits
-    for start in range(0, 1 << (1 << n), chunk):
-        arr = np.arange(start, start + chunk, dtype=np.uint64).astype(np.uint32)
-        ok = _chunk_class_ok(arr)
-        for s in range(n + 1):
-            totals[s] += int(np.count_nonzero(ok[s]))
-    return totals
+def _tight(codes: np.ndarray, k: int, s: int) -> np.ndarray:
+    """Packed masks of the points where each k-variable table has sensitivity s or more."""
+    high = _sensitivity_counts(_unpack(codes, k), k) >= s
+    return np.bitwise_or.reduce(high.astype(codes.dtype) << np.arange(1 << k, dtype=codes.dtype), axis=1)
+
+
+def _glue(codes: np.ndarray, tight: np.ndarray, k: int) -> np.ndarray:
+    """F(s, k+1) as codes f0 | f1 << 2^k: the pairs of members of F(s, k) whose
+    xor is zero where either is tight."""
+    ok = ((codes[:, None] ^ codes[None, :]) & (tight[:, None] | tight[None, :])) == 0
+    f0, f1 = np.nonzero(ok)
+    return codes[f0] | (codes[f1] << np.uint32(1 << k))
+
+
+def _count_glued(codes: np.ndarray, tight: np.ndarray, k: int) -> int:
+    """|F(s, k+1)| from the members of F(s, k), without building it.  The pair
+    test is symmetric, so each row block meets its own square and the rows
+    after it, whose pairs count twice; codes shrink to 2^k-bit words."""
+    word = np.dtype(f"u{max(1, (1 << k) // 8)}")
+    codes, tight = codes.astype(word), tight.astype(word)
+    rows = max(1, GLUE_BLOCK_PAIRS // len(codes))
+    total = 0
+    for a in range(0, len(codes), rows):
+        b = min(a + rows, len(codes))
+        bad = codes[a:b, None] ^ codes[None, a:]
+        bad &= tight[a:b, None] | tight[None, a:]
+        total += bad[:, : b - a].size - int(np.count_nonzero(bad[:, : b - a]))
+        total += 2 * (bad[:, b - a :].size - int(np.count_nonzero(bad[:, b - a :])))
+    return total
+
+
+def _class_count(n: int, s: int) -> int:
+    """|F(s, n)| by gluing restrictions from n = 0.  Restricting a coordinate cannot
+    raise sensitivity, and s(f, (x, b)) = s(f_b, x) + [f0(x) != f1(x)], so F(s, k+1)
+    is the pairs (f0, f1) from F(s, k) with f0 ^ f1 zero on the points where f0 or
+    f1 already has sensitivity s."""
+    if s >= n:
+        return 1 << (1 << n)
+    codes = np.arange(2, dtype=np.uint32)  # F(s, 0): the two constants
+    for k in range(n - 1):
+        codes = _glue(codes, _tight(codes, k, s), k)
+    return _count_glued(codes, _tight(codes, n - 1, s), n - 1)
+
+
+def _check_census_n(n: int, allow_long: bool) -> None:
+    if not (1 <= n <= ENUM_MAX_N or (n == LONG_ENUM_N and allow_long)):
+        raise ValueError(f"census needs 1 <= n <= 4, or n = 5 with allow_long; got n={n}")
 
 
 def enumerate_class(n: int, s: int, allow_long: bool = False) -> int:
-    """|F(s, n)| by exhaustive scan."""
+    """|F(s, n)| by gluing restrictions."""
     if not 0 <= s <= n:
         raise ValueError(f"s={s} out of range")
-    return build_census(n, allow_long).counts[s]
-
-
-def class_members(n: int, s: int) -> Iterator[TruthTable]:
-    """Stream the members of F(s, n) in increasing table-index order."""
-    if n > ENUM_MAX_N:
-        raise ValueError(f"member streaming needs n <= {ENUM_MAX_N}")
-    tables = all_tables(n)
-    sens = per_function_sensitivity(tables, n)
-    for row in np.nonzero(sens <= s)[0]:
-        yield TruthTable(n, tables[row])
+    _check_census_n(n, allow_long)
+    return _class_count(n, s)
 
 
 def count_bounds(n: int, s: int) -> tuple[int, int]:
@@ -128,13 +131,8 @@ class ClassCensus:
 
 
 def build_census(n: int, allow_long: bool = False) -> ClassCensus:
-    if 1 <= n <= ENUM_MAX_N:
-        sens = per_function_sensitivity(all_tables(n), n)
-        counts = [int((sens <= s).sum()) for s in range(n + 1)]
-    elif n == LONG_ENUM_N and allow_long:
-        counts = _bit_parallel_class_counts(n)
-    else:
-        raise ValueError(f"census needs 1 <= n <= 4, or n = 5 with allow_long; got n={n}")
+    _check_census_n(n, allow_long)
+    counts = [_class_count(n, s) for s in range(n + 1)]
     bounds = [count_bounds(n, s) for s in range(n + 1)]
     return ClassCensus(
         n=n,
@@ -151,10 +149,23 @@ def xor_sensitivity_check(f1: TruthTable, f2: TruthTable) -> bool:
 
 
 INTERPOLATION_C = 3
+# Bytes of one trial's projection of F(min(2s, n), n) onto k sample points, one
+# uint8 per member and point.  The F(s, n) projection and np.unique's sorted copy
+# of it sit beside it, so a process peaks at about twice this: at n = 4, s = 3 the
+# default k = 3072 projects 192 MiB and peaks at 384 MiB, and k = 4096, the most
+# this limit admits there, peaks at 498 MiB.  2^28 admits the default k for every
+# s <= 3 at n <= 4.
+INTERPOLATION_MAX_BYTES = 1 << 28
 
 
 def interpolation_sample_size(n: int, s: int, c: int = INTERPOLATION_C) -> int:
-    """k = C * 2^(2s) * C(n, <=4s) with the experiment default C = 3."""
+    """k = C * 2^(2s) * C(n, <=4s) with the experiment default C = 3.  Refused once
+    2^(2s) alone reaches INTERPOLATION_MAX_BYTES: the experiment refuses such a k
+    (F(2s, n) holds the two constants), and near s = 10^12 the integer would not fit
+    in memory."""
+    if 2 * s >= INTERPOLATION_MAX_BYTES.bit_length() - 1:
+        raise ValueError(f"default sample size at s={s} passes the interpolation limit "
+                         f"of {INTERPOLATION_MAX_BYTES} bytes")
     return c * (1 << (2 * s)) * sum(comb(n, i) for i in range(min(4 * s, n) + 1))
 
 
@@ -183,7 +194,8 @@ def interpolation_experiment(
     on the sample, hitting succeeds when every nonzero member of F(2s,n) has
     a one on the sample.  Hitting implies interpolation (the xor of a
     distinguishing pair lies in F(2s,n)); the converse is checked
-    empirically, not assumed."""
+    empirically, not assumed.  Refused before the first draw when a trial
+    would project F(min(2s, n), n) onto more than INTERPOLATION_MAX_BYTES."""
     if not 1 <= n <= ENUM_MAX_N or s < 0 or trials < 1:
         raise ValueError(f"interpolation experiment needs 1 <= n <= {ENUM_MAX_N}, s >= 0 and "
                          f"trials >= 1; got n={n}, s={s}, trials={trials}")
@@ -192,6 +204,10 @@ def interpolation_experiment(
     small = tables[sens <= s]
     double = tables[sens <= min(2 * s, n)]
     nonzero_double = double[double.any(axis=1)]
+    size = k if fixed_sample is None else len(fixed_sample)
+    if size * len(double) > INTERPOLATION_MAX_BYTES:
+        raise ValueError(f"interpolation sample of {size} points projects {len(double)} members onto "
+                         f"{size * len(double)} bytes per trial, over the {INTERPOLATION_MAX_BYTES} limit")
     interp_ok = 0
     hit_ok = 0
     agree = True

@@ -243,27 +243,11 @@ def downward_mismatch(f: TruthTable, x: Point, t: int) -> Fraction:
     total = comb(w, t)
     if total > ENUM_GUARD:
         raise ValueError(
-            f"|D(x,t)| = {total} exceeds enumeration guard; use the sampled variant"
+            f"|D(x,t)| = {total} exceeds enumeration guard; use downward_mismatch_table"
         )
     fx = f(x)
     bad = sum(f(y) != fx for y in lower_shadow(x, t))
     return Fraction(bad, total)
-
-
-def downward_mismatch_sampled(
-    f: TruthTable, x: Point, t: int, rng: np.random.Generator, samples: int = 10_000
-) -> tuple[Fraction, float]:
-    """Monte Carlo estimate plus its binomial standard error."""
-    fx = f(x)
-    bad = sum(f(downward_sample(x, t, rng)) != fx for _ in range(samples))
-    p = bad / samples
-    return Fraction(bad, samples), (p * (1 - p) / samples) ** 0.5
-
-
-def ones_by_codistance(values: np.ndarray, n: int) -> np.ndarray:
-    """z[x, j] = sum of values[y] over subsets y of x with wt(x) - wt(y) = j,
-    by a bit-at-a-time subset DP (O(n^2 2^n)), as a C-contiguous int64 table."""
-    return np.ascontiguousarray(_codistance_rows(values, n, _one_sided_step).T, dtype=np.int64)
 
 
 def downward_mismatch_table(f: TruthTable) -> np.ndarray:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import senslab
+from senslab import counting
 from senslab.cli import main
 from senslab.core import Point, TruthTable, restrict_to_ball
 from senslab.families import dictator, random_dt, random_function, tribes
@@ -353,3 +358,205 @@ def test_seed_echoed_in_reports(tmp_path, capsys):
         capsys, "gen", "--family", "random", "--n", "5", "--seed", "77", "--out", path
     )
     assert code == 0 and reports[0]["seed"] == 77
+
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: malformed and oversized files, out-of-range flags.  Every example is
+# refused before any work: sizes stay under the caps, and no call starts a process.
+
+def _refused(argv):
+    """main(argv) run in-process: it must exit 2 with one stderr line and no report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, ""), (argv, code, err.getvalue())
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+def _poke(data, text, chars):
+    """text with one character replaced by a draw from chars."""
+    i = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+    return text[:i] + data.draw(st.sampled_from(chars)) + text[i + 1:]
+
+
+small_n = st.integers(min_value=1, max_value=6)
+# n = 0, past MAX_N, or past Python's 4300-digit limit for int parsing
+bad_n = st.one_of(st.just("0"), st.integers(min_value=25, max_value=10**9).map(str),
+                  st.integers(min_value=4301, max_value=5000).map(lambda d: "9" * d))
+bad_header = st.from_regex(r"n=[0-9]{0,3}[a-z,.=-][0-9a-z]{0,3}", fullmatch=True)
+
+
+def _bad_tt(data):
+    n = data.draw(small_n)
+    bits = "".join(data.draw(st.lists(st.sampled_from("01"), min_size=1 << n, max_size=1 << n)))
+    kind = data.draw(st.sampled_from(["no bits", "header", "n", "length", "char", "utf-8"]))
+    if kind == "no bits":
+        return f"n={n}\n".encode()
+    if kind == "header":
+        return f"{data.draw(bad_header)}\n{bits}\n".encode()
+    if kind == "n":
+        return f"n={data.draw(bad_n)}\n01\n".encode()
+    if kind == "length":
+        bits = data.draw(st.text("01", min_size=1, max_size=80).filter(lambda b: len(b) != 1 << n))
+    elif kind == "char":
+        bits = _poke(data, bits, "2x.-")
+    else:
+        return f"n={n}\n".encode() + b"\xff" + bits[1:].encode() + b"\n"
+    return f"n={n}\n{bits}\n".encode()
+
+
+def _bad_ball(data, path):
+    n = data.draw(small_n)
+    radius = data.draw(st.integers(min_value=0, max_value=n))
+    center = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    f = random_function(n, seed=data.draw(st.integers(min_value=0, max_value=2**16)))
+    write_ball_advice(restrict_to_ball(f, Point(n, center), radius), path)
+    head, *lines = path.read_text().splitlines()
+    kind = data.draw(st.sampled_from(["empty", "header", "n", "radius", "center", "count",
+                                      "value", "point", "order", "fields", "utf-8"]))
+    center_field = head.split()[1]
+    if kind == "empty":
+        return b""
+    if kind == "header":
+        head = data.draw(bad_header)
+    elif kind == "n":
+        head = f"n={data.draw(bad_n)} {center_field} radius=1"
+    elif kind == "radius":
+        head = f"n={n} {center_field} radius={data.draw(st.integers(min_value=n + 1, max_value=10**6))}"
+    elif kind == "center":
+        bits = data.draw(st.text("01", min_size=1, max_size=30).filter(lambda b: len(b) != n))
+        head = f"n={n} center={bits} radius={radius}"
+    elif kind == "count":
+        i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        lines = lines[:i] + lines[i + 1:] if data.draw(st.booleans()) else lines[:i] + [lines[i]] + lines[i:]
+    else:
+        i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        point, value = lines[i].split()
+        if kind == "value":
+            lines[i] = f"{point} {data.draw(st.sampled_from(['2', 'x', '01', '-1']))}"
+        elif kind == "point":
+            lines[i] = f"{_poke(data, point, '2x') if data.draw(st.booleans()) else point + '0'} {value}"
+        elif kind == "order":
+            if len(lines) == 1:
+                lines[i] = f"{point} {value} 1"
+            else:
+                j = data.draw(st.integers(min_value=0, max_value=len(lines) - 1).filter(lambda j: j != i))
+                lines[j] = lines[i]  # a duplicate, or two points out of order
+        elif kind == "fields":
+            lines[i] = f"{point} {value} {value}"
+        else:
+            return "\n".join([head] + lines).encode() + b"\n\xff\n"
+    return "\n".join([head] + lines).encode() + b"\n"
+
+
+TT_COMMANDS = [
+    ["measure"],
+    ["ns", "--delta", "1/4"],
+    ["lambda", "--delta", "1/8", "--theta", "1/10"],
+    ["correct", "--mode", "global", "--s", "1"],
+]
+BALL_COMMANDS = [
+    ["extend", "--rule", "maj"], ["extend", "--rule", "par"], ["extend", "--rule", "f2"],
+    ["eval", "--algo", "bottom-up", "--s", "1", "--x", "0"],
+    ["eval", "--algo", "top-down", "--s", "1", "--x", "0"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_refuses_malformed_files(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = tmp / "out.tt"
+    if data.draw(st.booleans()):
+        path = tmp / "in.tt"
+        path.write_bytes(_bad_tt(data))
+        command = data.draw(st.sampled_from(TT_COMMANDS + [
+            ["gen", "--family", "junta-lift", "--n", "8", "--positions", "1", "--out", str(out), "--inner"]]))
+        flag = [] if command[0] == "gen" else ["--in"]
+    else:
+        path = tmp / "in.ball"
+        path.write_bytes(_bad_ball(data, path))
+        command, flag = data.draw(st.sampled_from(BALL_COMMANDS)), ["--advice"]
+    _refused(command + flag + [str(path)])
+    assert not out.exists()
+
+
+def _out_of(lo, hi):
+    """Integers outside [lo, hi], near its ends and far from them."""
+    return st.one_of(st.integers(min_value=lo - 10**12, max_value=lo - 1),
+                     st.integers(min_value=hi + 1, max_value=hi + 10**12))
+
+
+def _bad_flags(data, ball, tt):
+    num = lambda s: str(data.draw(s))  # noqa: E731
+    fraction = st.tuples(st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=50))
+    kind = data.draw(st.sampled_from(["gen", "enumerate n", "enumerate s", "interpolate n",
+                                      "interpolate trials", "interpolate k", "interpolate s",
+                                      "verify", "eval s", "correct", "delta", "theta"]))
+    if kind == "gen":
+        family = data.draw(st.sampled_from(["constant", "or", "and", "parity", "random"]))
+        return ["gen", "--family", family, "--n", num(_out_of(1, 24)), "--out", str(tt) + ".new"]
+    if kind == "enumerate n":
+        n = data.draw(st.one_of(_out_of(1, 5), st.just(5)))
+        return ["enumerate", "--n", str(n)] + (["--allow-long"] if n != 5 and data.draw(st.booleans()) else [])
+    if kind == "enumerate s":
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        return ["enumerate", "--n", str(n), "--s", num(_out_of(0, n))]
+    if kind == "interpolate n":
+        return ["interpolate", "--n", num(_out_of(1, 4)), "--s", "1", "--k", "4", "--trials", "1"]
+    if kind == "interpolate trials":
+        return ["interpolate", "--n", "3", "--s", "1", "--trials", num(st.integers(max_value=0))]
+    if kind == "interpolate k":
+        # past INTERPOLATION_MAX_BYTES over |F(2, 3)| = 118 members, or negative
+        k = data.draw(st.one_of(st.integers(min_value=counting.INTERPOLATION_MAX_BYTES // 118 + 1),
+                                st.integers(max_value=-1)))
+        return ["interpolate", "--n", "3", "--s", "1", "--k", str(k), "--trials", "1"]
+    if kind == "interpolate s":
+        # 2^(2s) alone passes the byte limit, or s < 0
+        s = data.draw(st.one_of(st.integers(min_value=14), st.integers(max_value=-1)))
+        return ["interpolate", "--n", "3", "--s", str(s), "--trials", "1"]
+    if kind == "verify":
+        if data.draw(st.booleans()):
+            return ["verify", "--suite", "ball", "--n", num(_out_of(1, 4))]
+        return ["verify", "--suite", data.draw(st.sampled_from(["rules", "noise", "counting"])),
+                "--n", num(st.integers())]
+    if kind == "eval s":
+        algo = data.draw(st.sampled_from(["bottom-up", "top-down"]))
+        return ["eval", "--algo", algo, "--advice", str(ball), "--s", num(st.integers(max_value=-1)),
+                "--x", "1" * 6]
+    if kind == "correct":
+        s, k = data.draw(st.sampled_from([(st.integers(max_value=0), st.just(1)),
+                                          (st.integers(min_value=1, max_value=3), st.integers(max_value=0))]))
+        return ["correct", "--mode", "global", "--in", str(tt), "--s", num(s), "--k", num(k)]
+    p, q = data.draw(fraction.filter(lambda pq: not 0 < pq[0] / pq[1] <= (1 / 2 if kind == "delta" else 1)))
+    if kind == "delta":
+        return ["ns", "--in", str(tt), f"--delta={p}/{q}"]
+    return ["lambda", "--in", str(tt), "--delta", "1/8", f"--theta={p}/{q}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_refuses_out_of_range_flags(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("flags")
+    ball, tt = tmp / "f.ball", tmp / "f.tt"
+    write_ball_advice(restrict_to_ball(dictator(6), Point(6, 0), 6), str(ball))
+    write_truth_table(dictator(6), str(tt))
+    _refused(_bad_flags(data, ball, tt))
+    assert not Path(str(tt) + ".new").exists()
+
+
+def test_a_zero_denominator_is_a_usage_error(tmp_path):
+    path = tmp_path / "f.tt"
+    write_truth_table(dictator(4), str(path))
+    with pytest.raises(SystemExit) as e:
+        main(["ns", "--in", str(path), "--delta", "1/0"])
+    assert e.value.code == 2
+
+
+def test_interpolate_refuses_a_huge_k(capsys):
+    assert main(["interpolate", "--n", "3", "--s", "1", "--k", "1000000000000", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: interpolation sample of 1000000000000 points projects 118 members "
+                            "onto 118000000000000 bytes per trial, over the 268435456 limit\n")

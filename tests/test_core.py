@@ -1,4 +1,5 @@
 import ast
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from senslab.core import (
     degree_f2,
     distance_fraction,
     distances,
-    evaluate_multilinear,
     is_subcube,
     lower_shadow,
     mobius_coefficients,
@@ -275,6 +275,15 @@ def test_zeta_inverts_mobius(f):
     assert zeta_transform(c) == f
 
 
+def evaluate_multilinear(c: IntegerFunction, x: Point) -> int:
+    """Reference: the sum of c_S over S contained in the support of x."""
+    total = 0
+    for mask, coeff in enumerate(c.values):
+        if coeff and (mask & x.index) == mask:
+            total += int(coeff)
+    return total
+
+
 @given(tables)
 @settings(max_examples=30)
 def test_multilinear_evaluation(f):
@@ -388,7 +397,7 @@ SCHEDULE_CASES = {
     "zeta-64x4096": lambda: _zeta_int(_bits((64, 1 << 12), 7).astype(np.int64)),
     "f2-2x3x131072": lambda: _zeta_f2(_bits((2, 3, 1 << 17), 8)),
     "sensitivity-2x3x65536": lambda: _sensitivity_counts(_bits((2, 3, 1 << 16), 9), 16),
-    "codistance-16": lambda: noise.ones_by_codistance(_bits((1 << 16,), 10), 16),
+    "codistance-16": lambda: noise._codistance_rows(_bits((1 << 16,), 10), 16, noise._one_sided_step),
     "downward-16": lambda: noise.downward_mismatch_table(random_function(16, 11)),
     "noise-int64-18": lambda: noise._noise_numerators(_bits((1 << 18,), 12), 18, Fraction(1, 3)),
     "noise-object-17": lambda: noise._noise_numerators(_bits((1 << 17,), 13), 17, Fraction(1, 20)),
@@ -702,6 +711,56 @@ def test_guard_sees_the_copies_it_forbids():
     kinds = [set().union(*(_kinds(e) for _, e in _counted_expressions(ast.parse(c))))
              for c in copies]
     assert kinds == [{"distance"}] * 3 + [{"rank"}]
+
+
+def _public_names_without_a_use(root):
+    """Public top-level defs and classes of src/senslab that nothing but the tests
+    uses: no Name or Attribute in src/ refers to them outside their own definition,
+    senslab/__init__.py does not export them, and neither perfbench/ nor README
+    names them."""
+    package = root / "src" / "senslab"
+    defined, used, exported = [], set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (path.name, stmt.name)
+                if not stmt.name.startswith("_"):
+                    defined.append(owner)
+            if path.name == "__init__.py" and isinstance(stmt, ast.ImportFrom):
+                exported |= {alias.name for alias in stmt.names}
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) if isinstance(node, ast.Name) else (
+                    node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None:
+                    used.add((name, owner))
+    named = "\n".join(path.read_text() for path in sorted((root / "perfbench").rglob("*"))
+                      if path.is_file() and path.suffix in {".py", ".json", ".md"})
+    named += (root / "README.md").read_text()
+    return [f"{file}:{name}" for file, name in defined
+            if not any(n == name and owner != (file, name) for n, owner in used)
+            and name not in exported
+            and not re.search(rf"\b{re.escape(name)}\b", named)]
+
+
+def test_every_public_definition_has_a_use_outside_the_tests():
+    # a function only the tests call belongs in the tests, as a reference helper
+    assert _public_names_without_a_use(Path(core.__file__).resolve().parents[2]) == []
+
+
+def test_use_guard_flags_what_only_its_own_body_calls(tmp_path):
+    package = tmp_path / "src" / "senslab"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "__init__.py").write_text("from .a import exported\n")
+    (package / "a.py").write_text(
+        "def exported():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
+        "def recursive(k):\n    return recursive(k - 1)\n\n\ndef benched():\n    pass\n\n\n"
+        "def documented():\n    pass\n\n\nclass Unused:\n    pass\n\n\ndef _private():\n    pass\n")
+    (tmp_path / "perfbench" / "run.py").write_text("a.benched()\n")
+    (tmp_path / "README.md").write_text("`documented` is a public helper\n")
+    assert _public_names_without_a_use(tmp_path) == ["a.py:recursive", "a.py:Unused"]
 
 
 def test_cli_and_verify_use_only_public_noise_names():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from senslab import counting
 from senslab.core import TruthTable, seeded_rng, sensitivity
 from senslab.counting import (
-    _chunk_class_ok,
+    INTERPOLATION_MAX_BYTES,
     all_tables,
     build_census,
-    class_members,
     count_bounds,
     enumerate_class,
     interpolation_experiment,
@@ -22,7 +22,58 @@ from senslab.families import dictator, parity, random_dt
 
 
 # ---------------------------------------------------------------------------
-# exhaustive censuses
+# reference scans
+
+def class_members(n, s):
+    """Reference: the members of F(s, n) by a scan of every table, in increasing table-index order."""
+    tables = all_tables(n)
+    sens = per_function_sensitivity(tables, n)
+    for row in np.nonzero(sens <= s)[0]:
+        yield TruthTable(n, tables[row])
+
+
+def _chunk_class_ok(arr):
+    """Reference: per-s membership masks for uint32-encoded 5-variable tables:
+    out[s][i] is True iff s(table arr[i]) <= s.  Bit x of each uint32 is the
+    value at point x; per-point sensitivities accumulate in three bit-sliced
+    carry-save counter planes (max count is n = 5)."""
+    n = 5
+    size = 1 << n
+    arr = np.asarray(arr, dtype=np.uint32)
+    c0 = np.zeros_like(arr)
+    c1 = np.zeros_like(arr)
+    c2 = np.zeros_like(arr)
+    for i in range(n):
+        step = np.uint32(1 << i)
+        m = np.uint32(sum(1 << pos for pos in range(size) if not (pos >> i) & 1))
+        shuffled = ((arr >> step) & m) | ((arr & m) << step)
+        diff = arr ^ shuffled
+        t0 = c0 & diff
+        c0 ^= diff
+        t1 = c1 & t0
+        c1 ^= t0
+        c2 |= t1
+    zero = np.uint32(0)
+    viol = [
+        c2 | c1 | c0,        # some point has count > 0
+        c2 | c1,             # count > 1
+        c2 | (c1 & c0),      # count > 2
+        c2,                  # count > 3
+        c2 & c0,             # count > 4
+    ]
+    return [v == zero for v in viol] + [np.ones(len(arr), dtype=bool)]
+
+
+def _glued_members(n, s):
+    """The codes of F(s, n), glued level by level as the census glues them."""
+    codes = np.arange(2, dtype=np.uint32)
+    for k in range(n):
+        codes = counting._glue(codes, counting._tight(codes, k, s), k)
+    return codes
+
+
+# ---------------------------------------------------------------------------
+# censuses
 
 def test_all_tables_shape():
     t = all_tables(3)
@@ -35,6 +86,44 @@ def test_small_class_sizes():
     assert enumerate_class(2, 1) == 6  # constants + (anti)dictators
     assert enumerate_class(2, 2) == 16
     assert enumerate_class(3, 1) == 8  # 2 + 2n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_glued_counts_match_the_scan(n):
+    sens = per_function_sensitivity(all_tables(n), n)
+    scan = [int((sens <= s).sum()) for s in range(n + 1)]
+    assert build_census(n).counts == scan
+    assert [enumerate_class(n, s) for s in range(n + 1)] == scan
+    assert all(type(c) is int for c in build_census(n).counts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_glued_members_match_the_scan(n):
+    # codes are table indices, so each glued level is the scan's member set
+    sens = per_function_sensitivity(all_tables(n), n)
+    for s in range(n + 1):
+        assert np.array_equal(np.sort(_glued_members(n, s)), np.nonzero(sens <= s)[0])
+
+
+def test_n5_census_pinned():
+    census = build_census(5, allow_long=True)
+    assert census.counts == [2, 12, 2472, 25850380, 1843434662, 1 << 32]
+    assert all(type(c) is int for c in census.counts)
+    assert all(lo <= c <= hi for lo, c, hi in zip(census.lower, census.counts, census.upper))
+    assert [enumerate_class(5, s, allow_long=True) for s in range(4)] == census.counts[:4]
+    with pytest.raises(ValueError, match="census needs"):
+        enumerate_class(5, 1)  # needs allow_long
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_glued_n5_members_match_the_bit_sliced_filter(s):
+    # members of F(s, 5) and every table one point away from one: the filter and
+    # membership in the glued set agree on all of them
+    members = _glued_members(5, s)
+    assert len(members) == [2, 12, 2472][s]
+    flips = np.uint32(1) << np.arange(32, dtype=np.uint32)
+    codes = np.unique(np.concatenate([members, (members[:, None] ^ flips).ravel()]))
+    assert np.array_equal(_chunk_class_ok(codes)[s], np.isin(codes, members))
 
 
 def test_census_anchors():
@@ -142,6 +231,27 @@ def test_interpolation_default_size_reliable():
     rng = seeded_rng(7, "interp-random")
     res = interpolation_experiment(4, 1, k, 100, rng)
     assert res.success_fraction >= Fraction(99, 100)
+
+
+def test_interpolation_refuses_a_huge_sample_before_drawing():
+    rng = seeded_rng(0, "x")
+    state = rng.bit_generator.state
+    members = enumerate_class(3, 2)  # F(min(2s, n), n) at s = 1
+    k = INTERPOLATION_MAX_BYTES // members + 1
+    with pytest.raises(ValueError, match=f"projects {members} members onto {k * members} bytes") as e:
+        interpolation_experiment(3, 1, k, 1, rng)
+    assert "\n" not in str(e.value)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="over the 268435456 limit"):
+        interpolation_experiment(3, 1, 0, 1, rng, fixed_sample=np.zeros(k, dtype=np.int64))
+    assert rng.bit_generator.state == state
+
+
+def test_interpolation_default_size_limit():
+    assert interpolation_sample_size(1, 13) == 3 * 4**13 * 2
+    for s in (14, 10**12):
+        with pytest.raises(ValueError, match=f"default sample size at s={s} passes"):
+            interpolation_sample_size(1, s)
 
 
 def test_interpolation_guard():

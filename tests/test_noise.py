@@ -18,7 +18,6 @@ from senslab.noise import (
     RealFunction,
     distance_census,
     downward_mismatch,
-    downward_mismatch_sampled,
     downward_mismatch_table,
     downward_sample,
     exact_noise_value,
@@ -31,7 +30,6 @@ from senslab.noise import (
     noise_sensitivity,
     noise_sensitivity_all,
     noise_sensitivity_at,
-    ones_by_codistance,
     sample_noisy,
     sse_corollary_check,
     walsh_hadamard,
@@ -236,6 +234,20 @@ def test_downward_table_refuses_n24_before_allocating():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("downward_mismatch_table at n=24 would allocate")
     assert proc.stdout.count("\n") == 1
+
+
+def downward_mismatch_sampled(f, x, t, rng, samples):
+    """Reference: a Monte Carlo estimate of downward_mismatch plus its binomial standard error."""
+    fx = f(x)
+    bad = sum(f(downward_sample(x, t, rng)) != fx for _ in range(samples))
+    p = bad / samples
+    return Fraction(bad, samples), (p * (1 - p) / samples) ** 0.5
+
+
+def ones_by_codistance(values, n):
+    """z[x, j] = sum of values[y] over subsets y of x with wt(x) - wt(y) = j: the
+    one-sided codistance rows behind downward_mismatch_table, as (2^n, n+1) int64."""
+    return np.ascontiguousarray(noise._codistance_rows(values, n, noise._one_sided_step).T, dtype=np.int64)
 
 
 def test_downward_sampled_tracks_exact():
