@@ -52,6 +52,7 @@ from .evaluate import (
     majority_threshold_c,
     parallel_eval,
     parallel_eval_batch,
+    parallel_eval_law,
     top_down_all,
     top_down_eval,
     top_down_visit_profile,

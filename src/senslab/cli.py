@@ -283,17 +283,19 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    census = counting.build_census(args.n, allow_long=args.allow_long)
-    outputs = {
-        "n": census.n,
-        "counts": census.counts,
-        "lower": census.lower,
-        "upper": census.upper,
-    }
-    if args.s is not None:
-        lower, upper = counting.count_bounds(args.n, args.s)  # refuses s outside [0, n]
-        outputs = {"n": census.n, "s": args.s, "count": census.counts[args.s],
-                   "lower": lower, "upper": upper}
+    if args.s is None:
+        census = counting.build_census(args.n, allow_long=args.allow_long)
+        outputs = {
+            "n": census.n,
+            "counts": census.counts,
+            "lower": census.lower,
+            "upper": census.upper,
+        }
+    else:
+        # refuses n before s, as the whole census does; counts the one class
+        count = counting.enumerate_class(args.n, args.s, allow_long=args.allow_long)
+        lower, upper = counting.count_bounds(args.n, args.s)
+        outputs = {"n": args.n, "s": args.s, "count": count, "lower": lower, "upper": upper}
     emit("enumerate", {"n": args.n, "s": args.s, "allow_long": args.allow_long}, outputs)
     return 0
 
@@ -438,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError) as e:
+    except (FormatError, OSError) as e:  # OSError: a missing, unreadable or directory path
         _note(f"error: {e}")
         return 2
     except ValueError as e:

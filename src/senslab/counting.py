@@ -100,9 +100,9 @@ def _check_census_n(n: int, allow_long: bool) -> None:
 
 def enumerate_class(n: int, s: int, allow_long: bool = False) -> int:
     """|F(s, n)| by gluing restrictions."""
+    _check_census_n(n, allow_long)
     if not 0 <= s <= n:
         raise ValueError(f"s={s} out of range")
-    _check_census_n(n, allow_long)
     return _class_count(n, s)
 
 

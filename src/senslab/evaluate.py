@@ -15,7 +15,8 @@ its values near 0^n:
     of 2s+1 of its lower neighbors (clear the lowest set bits one at a time).
   * parallel: randomized recursive majority over samples from the lower
     shadow D(x, t) with t = floor(wt(x)/(10s+1)); per-call error <= 1/20,
-    amplified by independent repetition.
+    amplified by independent repetition.  parallel_eval_law gives its exact
+    output law at every x.
 
 All majorities here have odd arity, so no tie rule is ever needed.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, log
+from math import ceil, comb, log
 
 import numpy as np
 
@@ -429,7 +430,7 @@ def parallel_eval_batch(
     point; returns a (len(points), trials) uint8 array of outputs.
 
     Distributionally identical to parallel_eval (same sampling law per node,
-    independent subtrees); used for large statistical sweeps.
+    independent subtrees); parallel_eval_law is the exact law of both.
 
     Since n <= 20, every point that recurses has s = 1 (for s >= 2 the
     cutoff min(10s, n) is n) and weight 11..20, so t = floor(wt/11) = 1: each
@@ -485,3 +486,44 @@ def parallel_eval_batch(
         for tr in range(trials):
             results[recurse, tr] = live_votes(live)
     return results
+
+
+def parallel_eval_law(f: TruthTable, s: int) -> np.ndarray:
+    """p(x) = Pr[parallel evaluation of f at x outputs 1] at every x, float64.
+
+    The exact output law of parallel_eval and parallel_eval_batch, one weight
+    level at a time.  A point at or below the cutoff min(10s, n) reads f.  Above
+    it t = floor(wt/(10s+1)) = 1, and each of the c = parallel_sample_count()
+    independent subtrees starts at a uniform lower neighbour, so with a(x) the
+    mean of p over the lower neighbours (cleared by the lowest-set-bit walk of
+    top_down_all), p(x) = Pr[Bin(c, a(x)) > c/2].
+
+    Round-off: the mean of d <= 24 values in [0, 1] adds at most 24 units of
+    2^-53 to the error of its inputs, and the tail at most 16 more.  The tail's
+    derivative is 140 a^3 (1-a)^3 <= 140/64 < 2.2 (c = 7), so one level turns an
+    error e into at most 2.2 e + 69 * 2^-53.  At most 11 levels recurse (s = 1,
+    n <= 21), so |p - exact| < 69 * 2^-53 * 2.2^11 / 1.2 < 4e-11.
+
+    Refuses s < 1, and an n where a recursing level has t >= 2 (n >= 20s + 2,
+    so s = 1 at n >= 22).
+    """
+    if s < 1:
+        raise ValueError("parallel evaluation needs s >= 1")
+    n = f.n
+    if n >= 2 * (10 * s + 1):
+        raise ValueError(f"the law clears one bit per sample, but weight {20 * s + 2} "
+                         f"clears two at s={s}; n={n} needs n <= {20 * s + 1}")
+    c = parallel_sample_count()
+    w = weights_vector(n)
+    p = f.values.astype(np.float64)
+    for level in range(min(10 * s, n) + 1, n + 1):
+        pts = np.flatnonzero(w == level)
+        rest = pts.copy()
+        a = np.zeros(len(pts))
+        for _ in range(level):
+            low = rest & -rest
+            a += p[pts ^ low]
+            rest ^= low
+        a /= level
+        p[pts] = sum(comb(c, k) * a**k * (1 - a) ** (c - k) for k in range(c // 2 + 1, c + 1))
+    return p

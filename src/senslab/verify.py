@@ -278,60 +278,53 @@ def criterion_visit_bound() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: parallel evaluator error rate at n = 16
-
-PARALLEL_N = 16
-PARALLEL_TRIALS = 2000
-PARALLEL_CHUNK = 250
-
+# criterion 6: parallel evaluator error law, s = 1 at n = 16 and s = 2 at n = 22
 
 def parallel_corpus() -> list[tuple[str, int, TruthTable]]:
-    n = PARALLEL_N
+    """Criterion 6's functions as (name, s, f).  Each recurses somewhere: the s = 1
+    half at n = 16 (weights 11..16), the s = 2 half at n = 22 (weights 21..22,
+    still one cleared bit per sample since floor(22/21) = 1)."""
+    n, m = 16, 22
     return [
         ("dictator", 1, families.dictator(n, 1)),
         ("dictator-neg", 1, families.dictator(n, 9).complement()),
         ("random-dt-1", 1, _nonconstant_dt(n, 1, SEED)),
-        ("addressing-2", 2, families.addressing(2, n)),
-        ("junta-maj3", 2, families.junta_lift(families.majority(3), n, [3, 8, 14])),
-        ("junta-parity2", 2, families.junta_lift(families.parity(2), n, [5, 11])),
-        ("random-dt-2a", 2, families.random_dt(n, 2, seed=SEED + 1)),
-        ("random-dt-2b", 2, families.random_dt(n, 2, seed=SEED + 2)),
-        ("random-dt-2c", 2, families.random_dt(n, 2, seed=SEED + 3)),
-        ("random-dt-2d", 2, families.random_dt(n, 2, seed=SEED + 4)),
+        ("addressing-2", 2, families.addressing(2, m)),
+        ("junta-maj3", 2, families.junta_lift(families.majority(3), m, [3, 8, 14])),
+        ("junta-parity2", 2, families.junta_lift(families.parity(2), m, [5, 11])),
+        ("random-dt-2a", 2, families.random_dt(m, 2, seed=SEED + 1)),
+        ("random-dt-2b", 2, families.random_dt(m, 2, seed=SEED + 2)),
+        ("random-dt-2c", 2, families.random_dt(m, 2, seed=SEED + 3)),
+        ("random-dt-2d", 2, families.random_dt(m, 2, seed=SEED + 4)),
     ]
 
 
 def criterion_parallel_error() -> CheckResult:
+    """Pr[parallel evaluation errs at x] <= 1/20 at every x, from the exact law."""
     name = "parallel-error"
-    n = PARALLEL_N
-    trials = PARALLEL_TRIALS
-    sigma = sqrt(0.05 * 0.95 / trials)
-    allowed = int((0.05 + 3 * sigma) * trials)  # max error count per point
-    points = np.arange(1 << n, dtype=np.int64)
-    worst = 0
-    for fname, s, f in parallel_corpus():
+    # the law's round-off is below 4e-11 (derived at evaluate.parallel_eval_law), so
+    # a point passes only if its error clears 1/20 by more than that
+    allowed = 1 / 20 - 1e-10
+    worst: dict[tuple[int, int], float] = {}  # (s, n) -> worst Pr[error]
+    corpus = parallel_corpus()
+    for fname, s, f in corpus:
+        if f.n <= 10 * s:
+            return CheckResult(6, name, False, f"{fname}: n={f.n} <= 10s, recurses at no point")
         if sensitivity(f).s > s:
             return CheckResult(6, name, False, f"{fname}: sensitivity above claimed {s}")
-        rng = seeded_rng(SEED, "parallel", fname)
-        errors = np.zeros(1 << n, dtype=np.int64)
-        done = 0
-        while done < trials:
-            m = min(PARALLEL_CHUNK, trials - done)
-            out = evaluate.parallel_eval_batch(f, s, points, m, rng)
-            errors += (out != f.values[:, None]).sum(axis=1, dtype=np.int64)
-            done += m
-        if int(errors.max()) > allowed:
-            x = int(errors.argmax())
+        err = np.abs(evaluate.parallel_eval_law(f, s) - f.values)
+        x = int(err.argmax())
+        if err[x] > allowed:
             return CheckResult(
                 6, name, False,
-                f"{fname}: point {x} failed {int(errors.max())}/{trials} times, "
-                f"allowed {allowed}",
+                f"{fname}: Pr[error] at point {x} is {err[x]:.6f}, above 1/20 - 1e-10",
             )
-        worst = max(worst, int(errors.max()))
+        worst[s, f.n] = max(worst.get((s, f.n), 0.0), float(err[x]))
+    errors = ", ".join(f"{e:.6f} (s={s}, n={n})" for (s, n), e in worst.items())
     return CheckResult(
         6, name, True,
-        f"10 corpus functions at n={n}: worst per-point error count "
-        f"{worst}/{trials} <= {allowed} (= 1/20 + 3 sigma)",
+        f"{len(corpus)} corpus functions, each recursing somewhere: exact worst "
+        f"Pr[error] {errors} <= 1/20 at every point",
     )
 
 

@@ -192,12 +192,19 @@ def test_correct_local_refuses_huge_default_k(tmp_path, capsys):
     )
 
 
-def test_enumerate_cli(capsys):
+def test_enumerate_cli(capsys, monkeypatch):
     code, reports = run(capsys, "enumerate", "--n", "3")
     assert code == 0
     assert reports[0]["outputs"]["counts"] == [2, 8, 118, 256]
+    # --s counts its own class only, and refuses n before s as the census does
+    monkeypatch.setattr(counting, "build_census", None)
     code, reports = run(capsys, "enumerate", "--n", "3", "--s", "1")
-    assert reports[0]["outputs"]["count"] == 8
+    assert reports[0]["outputs"] == {"n": 3, "s": 1, "count": 8, "lower": 6, "upper": 128}
+    assert main(["enumerate", "--n", "9", "--s", "20"]) == 2
+    assert capsys.readouterr().err == (
+        "error: census needs 1 <= n <= 4, or n = 5 with allow_long; got n=9\n")
+    assert main(["enumerate", "--n", "5", "--s", "9", "--allow-long"]) == 2
+    assert capsys.readouterr().err == "error: s=9 out of range\n"
 
 
 def test_interpolate_cli_deterministic(capsys):
@@ -291,6 +298,27 @@ def test_bad_usage_exits_two(tmp_path, capsys):
     bad.write_text("n=2\n01\n")
     code, _ = run(capsys, "measure", "--in", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--in", "--advice", "--inner", "--out"])
+def test_a_directory_path_exits_two(tmp_path, capsys, flag):
+    # IsADirectoryError is an OSError: one error line and exit 2, no traceback
+    tt, ball = tmp_path / "f.tt", tmp_path / "f.ball"
+    assert main(["gen", "--family", "dictator", "--n", "3", "--out", str(tt)]) == 0
+    write_ball_advice(restrict_to_ball(read_truth_table(tt), Point(3, 0), 2), ball)
+    capsys.readouterr()
+    d = str(tmp_path)
+    argv = {
+        "--in": ["measure", "--in", d],
+        "--advice": ["extend", "--rule", "maj", "--advice", d],
+        "--inner": ["gen", "--family", "junta-lift", "--n", "4", "--inner", d,
+                    "--out", str(tmp_path / "g.tt")],
+        "--out": ["extend", "--rule", "maj", "--advice", str(ball), "--out", d],
+    }[flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def run_subprocess(*argv, timeout=30):

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.stats import binom
 
+from senslab import verify
 from senslab.core import (
     Point, TruthTable, restrict_to_ball, seeded_rng, sensitivity, set_bit_positions,
     weights_vector,
@@ -23,6 +25,7 @@ from senslab.evaluate import (
     majority_threshold_c,
     parallel_eval,
     parallel_eval_batch,
+    parallel_eval_law,
     parallel_sample_count,
     set_bits_table,
     top_down_all,
@@ -445,6 +448,7 @@ def test_parallel_one_level_law():
     share = np.array([np.mean([f(p ^ (1 << j)) for j in range(12) if p >> j & 1]) for p in pts])
     law = binom.sf(c // 2, c, share)
     assert law.min() == 0 and 0.99 < law.max() < 1  # a sure point and a random one
+    assert np.abs(parallel_eval_law(f, 1)[pts] - law).max() <= 1e-15
     sigma = np.sqrt(law * (1 - law) / trials)
     freq = parallel_eval_batch(f, 1, pts, trials, seeded_rng(5, "law")).mean(axis=1)
     assert (np.abs(freq - law) <= 4 * sigma).all()
@@ -453,6 +457,62 @@ def test_parallel_one_level_law():
     for i in (int(law.argmin()), int(law.argmax())):
         hits = sum(parallel_eval(adv, 1, Point(12, int(pts[i])), rng) for _ in range(trials))
         assert abs(hits / trials - law[i]) <= 4 * sigma[i]
+
+    # full depth: at n = 14, s = 1 a random function recurses through weights
+    # 11..14, and its law is mid-range there.  20000 trials make 4 sigma smaller
+    # than 0.0146, the 3-sigma slack of the 2000-trial sampling criterion 6 ran
+    # before it read the law
+    g = random_function(14, seed=0)
+    law = parallel_eval_law(g, 1)
+    w = weights_vector(14)
+    mid = np.flatnonzero((0.09 < law) & (law < 0.91))
+    pts = np.concatenate([mid[w[mid] == k][:8] for k in range(11, 15)])
+    assert sorted(set(w[pts].tolist())) == [11, 12, 13, 14] and len(pts) == 25
+    trials = 20000
+    sigma = np.sqrt(law[pts] * (1 - law[pts]) / trials)
+    assert (4 * sigma < 0.0146).all()
+    freq = parallel_eval_batch(g, 1, pts, trials, seeded_rng(5, "law-deep")).mean(axis=1)
+    assert (np.abs(freq - law[pts]) <= 4 * sigma).all()
+
+    # the scalar sampler two levels deep at s = 2: the weight-22 point of criterion
+    # 6's random-dt-2c, where t = floor(22/21) = floor(21/21) = 1
+    h = random_dt(22, 2, seed=verify.SEED + 3)
+    x, trials = (1 << 22) - 1, 1000
+    p = parallel_eval_law(h, 2)[x]
+    assert 0.99 < p < 1
+    adv, rng = _advice(h, 2, 10), seeded_rng(5, "law-scalar-22")
+    hits = sum(parallel_eval(adv, 2, Point(22, x), rng) for _ in range(trials))
+    assert abs(hits / trials - p) <= 4 * np.sqrt(p * (1 - p) / trials) < 0.0146
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_parallel_law_matches_fractions(n):
+    # the same recursion in exact rationals; the derived round-off bound is 4e-11
+    f = random_function(n, seed=n)
+    c = parallel_sample_count()
+    exact = [Fraction(int(v)) for v in f.values]
+    for x in sorted(range(1 << n), key=lambda x: x.bit_count()):
+        d = x.bit_count()
+        if d > 10:
+            a = sum(exact[x ^ (1 << j)] for j in range(n) if x >> j & 1) / d
+            exact[x] = sum(comb(c, k) * a**k * (1 - a) ** (c - k) for k in range(c // 2 + 1, c + 1))
+    law = parallel_eval_law(f, 1)
+    assert max(abs(Fraction(float(v)) - e) for v, e in zip(law, exact)) <= Fraction(1, 10**14)
+
+
+def test_parallel_law_refusals():
+    with pytest.raises(ValueError, match="s >= 1"):
+        parallel_eval_law(dictator(12), 0)
+    with pytest.raises(ValueError, match="n <= 21"):
+        parallel_eval_law(dictator(22), 1)  # weight 22 clears two bits per sample
+    assert parallel_eval_law(dictator(21), 1).shape == (1 << 21,)
+
+
+def test_parallel_criterion_fails_a_function_that_never_recurses(monkeypatch):
+    # at n = 16 the s = 2 cutoff is min(20, 16) = 16: no point recurses
+    monkeypatch.setattr(verify, "parallel_corpus", lambda: [("dt-16", 2, random_dt(16, 2, seed=5))])
+    result = verify.criterion_parallel_error()
+    assert not result.ok and result.detail == "dt-16: n=16 <= 10s, recurses at no point"
 
 
 # ---------------------------------------------------------------------------
