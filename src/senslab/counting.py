@@ -151,11 +151,18 @@ def xor_sensitivity_check(f1: TruthTable, f2: TruthTable) -> bool:
 INTERPOLATION_C = 3
 # Bytes of one trial's projection of F(min(2s, n), n) onto k sample points, one
 # uint8 per member and point.  The F(s, n) projection and np.unique's sorted copy
-# of it sit beside it, so a process peaks at about twice this: at n = 4, s = 3 the
-# default k = 3072 projects 192 MiB and peaks at 384 MiB, and k = 4096, the most
-# this limit admits there, peaks at 498 MiB.  2^28 admits the default k for every
+# of it sit beside it, so a process peaks below twice this: at n = 4, s = 3 the
+# default k = 3072 projects 192 MiB and peaks at 318 MiB, and k = 4096, the most
+# this limit admits there, peaks at 411 MiB.  2^28 admits the default k for every
 # s <= 3 at n <= 4.
 INTERPOLATION_MAX_BYTES = 1 << 28
+# Bytes projected over all trials, trials * k * |F(min(2s, n), n)|: the work one
+# experiment starts.  A projected byte cost 0.9-7 ns at the default k of every
+# n >= 2 measured (n = 4, s = 3: 2.4 ns, 0.49 s a trial; n = 3, s = 7: 6.7 ns) and
+# 19 ns at n = 1, s = 10, whose 4 members leave per-sample costs unshared.  So 2^33
+# runs for at most about a minute at n >= 2 and three at n = 1, and it admits the
+# default --trials 100 at n = 4 for s <= 2.
+INTERPOLATION_MAX_WORK = 1 << 33
 
 
 def interpolation_sample_size(n: int, s: int, c: int = INTERPOLATION_C) -> int:
@@ -195,7 +202,8 @@ def interpolation_experiment(
     a one on the sample.  Hitting implies interpolation (the xor of a
     distinguishing pair lies in F(2s,n)); the converse is checked
     empirically, not assumed.  Refused before the first draw when a trial
-    would project F(min(2s, n), n) onto more than INTERPOLATION_MAX_BYTES."""
+    would project F(min(2s, n), n) onto more than INTERPOLATION_MAX_BYTES, or
+    all trials together onto more than INTERPOLATION_MAX_WORK."""
     if not 1 <= n <= ENUM_MAX_N or s < 0 or trials < 1:
         raise ValueError(f"interpolation experiment needs 1 <= n <= {ENUM_MAX_N}, s >= 0 and "
                          f"trials >= 1; got n={n}, s={s}, trials={trials}")
@@ -208,6 +216,9 @@ def interpolation_experiment(
     if size * len(double) > INTERPOLATION_MAX_BYTES:
         raise ValueError(f"interpolation sample of {size} points projects {len(double)} members onto "
                          f"{size * len(double)} bytes per trial, over the {INTERPOLATION_MAX_BYTES} limit")
+    if trials * size * len(double) > INTERPOLATION_MAX_WORK:
+        raise ValueError(f"{trials} interpolation trials project {trials * size * len(double)} bytes in all, "
+                         f"over the {INTERPOLATION_MAX_WORK} limit")
     interp_ok = 0
     hit_ok = 0
     agree = True
@@ -216,8 +227,11 @@ def interpolation_experiment(
             sample = np.asarray(fixed_sample, dtype=np.int64)
         else:
             sample = rng.integers(0, 1 << n, size=k)
-        proj = small[:, sample]
-        interp = len(np.unique(proj, axis=0)) == len(small)
+        # each member's projection is one opaque k-byte row: np.unique sorts them
+        # with memcmp, where unique(axis=0) builds a structured dtype of k fields
+        proj = np.take(small, sample, axis=1)
+        distinct = len(np.unique(proj.view(f"V{len(sample)}"))) if len(sample) else 1
+        interp = distinct == len(small)
         hit = bool(nonzero_double[:, sample].any(axis=1).all()) if len(nonzero_double) else True
         if hit and not interp:
             raise AssertionError("hitting trial failed to interpolate")

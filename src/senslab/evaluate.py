@@ -437,7 +437,7 @@ def parallel_eval_batch(
     sample clears one uniformly chosen set bit.
 
     Stream contract: trials run one after another; within a trial each
-    recursion level takes one rng.random(c * L) call for its L live nodes,
+    level of the tree takes one rng.random(c * L) call for its L live nodes,
     shaped (c, L), and sample j of node i clears set bit floor(u[j, i] * wt).
     The next level holds the children of the deeper nodes in (node, sample)
     order.  Seeded outputs replay byte for byte.
@@ -458,33 +458,42 @@ def parallel_eval_batch(
         at = leaf_rows * n + j
         leafval[at] = f.values[leaf_rows ^ (1 << bits[at].astype(np.int64))]
 
-    def live_votes(live: np.ndarray) -> np.ndarray:
-        """Majority of c samples at each node of weight > cutoff."""
-        wt = w[live]
-        slot = rng.random(c * len(live)).reshape(c, len(live))
-        slot *= wt
-        flat = slot.astype(np.int64)  # floor(u * wt), then the flat index
-        del slot
-        flat += live * n
-        # right at weight cutoff + 1; the deeper nodes are overwritten below
-        votes = leafval[flat].sum(axis=0, dtype=np.uint8)
-        deep = np.flatnonzero(wt > cutoff + 1)
-        if len(deep):
-            # children in (node, sample) order
-            children = live[deep, None] ^ (1 << bits[flat[:, deep].T].astype(np.int64))
-            del flat
-            child_votes = live_votes(children.reshape(-1)).reshape(-1, c)
-            votes[deep] = child_votes.sum(axis=1, dtype=np.uint8)
-        return (votes > c // 2).astype(np.uint8)  # c is odd
-
     points = np.asarray(points, dtype=np.int64)
     recurse = w[points] > cutoff
-    live = points[recurse]
     results = np.empty((len(points), trials), dtype=np.uint8)
     results[:] = f.values[points][:, None]
-    if len(live):
-        for tr in range(trials):
-            results[recurse, tr] = live_votes(live)
+    if not recurse.any():
+        return results
+    # the tree's shape depends on the weights alone: a node of weight wt > cutoff + 1
+    # has c children of weight wt - 1.  So every trial refills the same level arrays,
+    # and the levels share one buffer for their draws and one for their flat indices:
+    # a trial allocates (and page-faults) none of its large arrays anew
+    wts, deeps = [], []
+    wt = w[points[recurse]]
+    while len(wt):
+        wts.append(wt)
+        deeps.append(np.flatnonzero(wt > cutoff + 1))
+        wt = np.repeat(wt[deeps[-1]] - 1, c)
+    lives = [points[recurse]] + [np.empty(len(wt), dtype=np.int64) for wt in wts[1:]]
+    votes = [np.empty(len(wt), dtype=np.uint8) for wt in wts]
+    widest = c * max(map(len, wts))
+    u_buf, flat_buf = np.empty(widest), np.empty(widest, dtype=np.int64)
+    for tr in range(trials):
+        for i, (wt, deep, live) in enumerate(zip(wts, deeps, lives)):
+            u = rng.random(out=u_buf[: c * len(live)].reshape(c, -1))
+            u *= wt
+            flat = flat_buf[: u.size].reshape(c, -1)
+            np.copyto(flat, u, casting="unsafe")  # floor(u * wt), then the flat index
+            flat += live * n
+            # right at weight cutoff + 1; the deeper nodes are overwritten below
+            leafval[flat].sum(axis=0, dtype=np.uint8, out=votes[i])
+            if len(deep):
+                # children in (node, sample) order
+                np.bitwise_xor(live[deep, None], 1 << bits[flat[:, deep].T].astype(np.int64),
+                               out=lives[i + 1].reshape(-1, c))
+        for i in range(len(wts) - 2, -1, -1):
+            votes[i][deeps[i]] = (votes[i + 1] > c // 2).reshape(-1, c).sum(axis=1, dtype=np.uint8)
+        results[recurse, tr] = votes[0] > c // 2  # c is odd
     return results
 
 

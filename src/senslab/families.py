@@ -118,25 +118,31 @@ def junta_lift(f: TruthTable, n: int, positions: list[int] | None = None) -> Tru
 
 def random_dt(n: int, depth: int, seed: int) -> TruthTable:
     """Uniform-ish random decision tree of the given depth (distinct
-    variables along each path, random leaf bits); guarantees s(f) <= depth."""
+    variables along each path, random leaf bits); guarantees s(f) <= depth.
+
+    The tree is drawn in pre-order (a node's variable, then its bit-0 subtree,
+    then its bit-1 subtree, one bit per leaf), and each leaf writes its bit to
+    its subcube through a strided view, so every entry is written once."""
     check_n(n)
     if not 0 <= depth <= n:
         raise ValueError(f"depth {depth} out of range")
     rng = seeded_rng(seed, "random-dt", n, depth)
     vals = np.zeros(1 << n, dtype=np.uint8)
-    idx = np.arange(1 << n)
+    cube = vals.reshape((2,) * n)  # axis n - 1 - v holds variable v
+    path: list = [slice(None)] * n
 
-    def grow(mask: np.ndarray, d: int, avail: list[int]) -> None:
+    def grow(d: int, avail: list[int]) -> None:
         if d == 0:
-            vals[mask] = rng.integers(0, 2)
+            cube[tuple(path)] = rng.integers(0, 2)
             return
         var = avail[rng.integers(len(avail))]
         rest = [v for v in avail if v != var]
-        side = ((idx >> var) & 1).astype(bool)
-        grow(mask & ~side, d - 1, rest)
-        grow(mask & side, d - 1, rest)
+        for bit in (0, 1):
+            path[n - 1 - var] = bit
+            grow(d - 1, rest)
+        path[n - 1 - var] = slice(None)
 
-    grow(np.ones(1 << n, dtype=bool), depth, list(range(n)))
+    grow(depth, list(range(n)))
     return TruthTable(n, vals)
 
 

@@ -19,7 +19,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .core import Point, TruthTable, distances
+from .core import BLOCK_BYTES, Point, TruthTable, distances
 from .evaluate import majority_threshold_c
 from .noise import _noise_signs, lambda_set, noise_rate, sample_noisy
 
@@ -56,7 +56,10 @@ class CorruptedOracle:
 
 K_FACTOR = 4  # default k = K_FACTOR * s * log2(n/s); the analysis leaves it open
 LOCAL_TRIAL_CHUNK = 200  # trials per batch chunk; it fixes the seeded stream
-MAX_LOCAL_QUERIES = 10**8  # c^k oracle queries per local correction
+# c^k oracle queries per local correction.  A batch chunk of up to this many leaves
+# holds about 5/c bytes a leaf plus about 1 MiB of blocks (0.9 bytes a leaf
+# measured at c = 7, 7^8 leaves), so about 70 MiB at this limit for c = 7.
+MAX_LOCAL_QUERIES = 10**8
 
 
 @dataclass(frozen=True)
@@ -239,36 +242,61 @@ def local_correct_batch(
     k: int | None = None,
 ) -> np.ndarray:
     """`trials` independent local corrections of the same point, expanded
-    level-by-level as arrays (same sampling law as local_correct)."""
+    level-by-level as arrays (same sampling law as local_correct).
+
+    The seeded stream is one `rng.integers(0, q, size=(L, n))` call per level
+    of L noisy copies, row i flipping bit j when its draw j is below p, for
+    delta = p/q.  uint32 draws (q <= 2^32) give the same values and stream as
+    int64 draws: numpy draws both widths with 32-bit Lemire rejection there.
+    That call is made in row blocks of about BLOCK_BYTES, which gives the same
+    values and leaves the same generator state: bounded draws are made one
+    value at a time, and the bit generator keeps its spare 32-bit half between
+    calls.  So no array grows with leaves x n: a level holds its int32 points
+    and the last level is answered and folded block by block, each block a
+    whole number of sibling groups."""
     n = oracle.truth.n
     k, c = _tree_shape(params, n, k)
     p, q = params.delta.numerator, params.delta.denominator
-    row_bytes = (n + 7) // 8
-    # half the bytes of int64 draws and the same stream: numpy draws both widths
-    # with 32-bit Lemire rejection for q <= 2^32
     draw_dtype = np.uint32 if q <= 1 << 32 else np.int64
+    # rows per block: whole sibling groups whose draws fill at most BLOCK_BYTES
+    groups = max(1, BLOCK_BYTES // (c * n * np.dtype(draw_dtype).itemsize))
+    block = groups * c
+    row_bytes = (n + 7) // 8
+
+    def noisy(kids: np.ndarray) -> np.ndarray:
+        """Flip each bit of each of `kids` (int32 points) at rate delta, in place."""
+        # bit i of a flip mask is draw i of its row: rows padded to whole
+        # bytes pack in one flat pass (a per-row packbits axis is several
+        # times slower), and a row's bytes, zero-extended to 4, read as
+        # one little-endian int32 (n <= 24 fills at most 3)
+        flips = np.zeros((len(kids), 8 * row_bytes), dtype=bool)
+        np.less(rng.integers(0, q, size=(len(kids), n), dtype=draw_dtype), p, out=flips[:, :n])
+        masks = np.zeros((len(kids), 4), dtype=np.uint8)
+        masks[:, :row_bytes] = np.packbits(flips.reshape(-1), bitorder="little").reshape(-1, row_bytes)
+        kids ^= masks.view("<i4")[:, 0]
+        return kids
+
+    def majority(votes: np.ndarray) -> np.ndarray:
+        return (votes.reshape(-1, c).sum(axis=1) > c // 2).astype(np.uint8)  # c is odd
+
     # a chunk holds at most MAX_LOCAL_QUERIES leaves; _tree_shape makes it >= 1 tree
     chunk = min(LOCAL_TRIAL_CHUNK, MAX_LOCAL_QUERIES // c**k)
     out = np.empty(trials, dtype=np.uint8)
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        pts = np.full(m, x.index, dtype=np.int64)
-        for _ in range(k):
+    for done in range(0, trials, chunk):
+        pts = np.full(min(chunk, trials - done), x.index, dtype=np.int32)
+        for _ in range(k - 1):
             pts = np.repeat(pts, c)
-            # bit i of a flip mask is draw i of its row: rows padded to whole
-            # bytes pack in one flat pass (a per-row packbits axis is several
-            # times slower), and a row's bytes, zero-extended to 8, read as
-            # one little-endian int64 (n <= 24 fills at most 3)
-            flips = np.zeros((len(pts), 8 * row_bytes), dtype=bool)
-            flips[:, :n] = rng.integers(0, q, size=(len(pts), n), dtype=draw_dtype) < p
-            masks = np.zeros((len(pts), 8), dtype=np.uint8)
-            packed = np.packbits(flips.reshape(-1), bitorder="little")
-            masks[:, :row_bytes] = packed.reshape(-1, row_bytes)
-            pts ^= masks.view("<i8")[:, 0]
-        votes = oracle.answer_batch(pts)
-        for _ in range(k):
-            votes = (votes.reshape(-1, c).sum(axis=1) > c // 2).astype(np.uint8)  # c is odd
-        out[done : done + m] = votes
-        done += m
+            for lo in range(0, len(pts), block):
+                noisy(pts[lo : lo + block])
+        if k == 0:
+            votes = oracle.answer_batch(pts)
+        else:
+            # each block's leaves are the c noisy copies of `groups` points
+            votes = np.empty(len(pts), dtype=np.uint8)
+            for lo in range(0, len(pts), groups):
+                leaves = noisy(np.repeat(pts[lo : lo + groups], c))
+                votes[lo : lo + groups] = majority(oracle.answer_batch(leaves))
+            for _ in range(k - 1):
+                votes = majority(votes)
+        out[done : done + len(votes)] = votes
     return out

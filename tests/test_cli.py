@@ -520,8 +520,8 @@ def _bad_flags(data, ball, tt):
     num = lambda s: str(data.draw(s))  # noqa: E731
     fraction = st.tuples(st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=50))
     kind = data.draw(st.sampled_from(["gen", "enumerate n", "enumerate s", "interpolate n",
-                                      "interpolate trials", "interpolate k", "interpolate s",
-                                      "verify", "eval s", "correct", "delta", "theta"]))
+                                      "interpolate trials", "interpolate huge trials", "interpolate k",
+                                      "interpolate s", "verify", "eval s", "correct", "delta", "theta"]))
     if kind == "gen":
         family = data.draw(st.sampled_from(["constant", "or", "and", "parity", "random"]))
         return ["gen", "--family", family, "--n", num(_out_of(1, 24)), "--out", str(tt) + ".new"]
@@ -535,6 +535,10 @@ def _bad_flags(data, ball, tt):
         return ["interpolate", "--n", num(_out_of(1, 4)), "--s", "1", "--k", "4", "--trials", "1"]
     if kind == "interpolate trials":
         return ["interpolate", "--n", "3", "--s", "1", "--trials", num(st.integers(max_value=0))]
+    if kind == "interpolate huge trials":
+        # past INTERPOLATION_MAX_WORK: trials * 4 points * |F(2, 3)| = 118 members
+        trials = data.draw(st.integers(min_value=counting.INTERPOLATION_MAX_WORK // (4 * 118) + 1))
+        return ["interpolate", "--n", "3", "--s", "1", "--k", "4", "--trials", str(trials)]
     if kind == "interpolate k":
         # past INTERPOLATION_MAX_BYTES over |F(2, 3)| = 118 members, or negative
         k = data.draw(st.one_of(st.integers(min_value=counting.INTERPOLATION_MAX_BYTES // 118 + 1),
@@ -588,3 +592,11 @@ def test_interpolate_refuses_a_huge_k(capsys):
     assert captured.out == ""
     assert captured.err == ("error: interpolation sample of 1000000000000 points projects 118 members "
                             "onto 118000000000000 bytes per trial, over the 268435456 limit\n")
+
+
+def test_interpolate_refuses_the_default_trials_at_n4_s3(capsys):
+    assert main(["interpolate", "--n", "4", "--s", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 100 interpolation trials project 20132659200 bytes in all, "
+                            "over the 8589934592 limit\n")

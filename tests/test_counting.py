@@ -8,6 +8,7 @@ from senslab import counting
 from senslab.core import TruthTable, seeded_rng, sensitivity
 from senslab.counting import (
     INTERPOLATION_MAX_BYTES,
+    INTERPOLATION_MAX_WORK,
     all_tables,
     build_census,
     count_bounds,
@@ -245,6 +246,31 @@ def test_interpolation_refuses_a_huge_sample_before_drawing():
     with pytest.raises(ValueError, match="over the 268435456 limit"):
         interpolation_experiment(3, 1, 0, 1, rng, fixed_sample=np.zeros(k, dtype=np.int64))
     assert rng.bit_generator.state == state
+
+
+def test_interpolation_refuses_too_many_trials_before_drawing():
+    rng = seeded_rng(0, "x")
+    state = rng.bit_generator.state
+    members = enumerate_class(3, 2)
+    trials = INTERPOLATION_MAX_WORK // (4 * members) + 1
+    with pytest.raises(ValueError, match=f"{trials} interpolation trials project {trials * 4 * members} bytes"):
+        interpolation_experiment(3, 1, 4, trials, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_interpolation_distinct_rows_match_the_row_unique():
+    # each member's projection is compared as one opaque row; unique(axis=0) is the reference
+    tables = all_tables(4)
+    small = tables[per_function_sensitivity(tables, 4) <= 1]
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for k in (1, 2, 3, 4, 6, 9, 40):
+        sample = rng.integers(0, 16, size=k)
+        expect = len(np.unique(small[:, sample], axis=0)) == len(small)
+        res = interpolation_experiment(4, 1, 0, 1, rng, fixed_sample=sample)
+        assert res.interpolation_successes == expect
+        outcomes.add(expect)
+    assert outcomes == {False, True}
 
 
 def test_interpolation_default_size_limit():

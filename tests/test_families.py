@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,28 @@ def test_random_dt_depth_bounds_sensitivity():
         for seed in range(5):
             f = random_dt(8, depth, seed=seed)
             assert sensitivity(f).s <= depth
+
+
+# sha256 of random_dt(n, depth, seed).values: the seeded stream and the table layout
+RANDOM_DT_TABLES = {
+    (1, 0, 3): "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",
+    (1, 1, 2): "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254",
+    (6, 2, 11): "18be69df7ff7dc8bb61ac3a5c1fd6a0c4a0c482af198480ae8d1dc81ae748b70",
+    (8, 4, 5): "c43e985643f95afbad0d6372da7b824a4028b035ba90952f2887be0c9a5902d0",
+    (10, 10, 7): "6794aa66e2811cfa81101a260121542759e6ee1ea17f4140e3a3aa36b741a32d",
+    (12, 3, 1209): "5758cd4bd1dad2ec83f12a80f50de39d8a16196c7ed80dc4662a5b946800b0d1",
+    (16, 2, 5): "3176eb235c545c3b4d731de7cc5b205feb432da37c351f9eac05814148541ff5",
+    (20, 1, 3): "beab7a99d97fc2a5a824de6a5da4f31bca49144da07b59365e0258653abd4a60",
+    (22, 2, 1012): "49380280ed7eb86c190ceec6111e5ebd1e4551db1c0094509acd6649a29469fc",
+    (22, 3, 9): "220dc6950cf90aa83a658b08b9d9809650e08d418a6ce1d7d2405edc28f1e239",
+}
+
+
+@pytest.mark.parametrize("n,depth,seed", sorted(RANDOM_DT_TABLES))
+def test_random_dt_tables_are_pinned(n, depth, seed):
+    f = random_dt(n, depth, seed)
+    assert f.values.dtype == np.uint8 and f.values.shape == (1 << n,)
+    assert hashlib.sha256(f.values.tobytes()).hexdigest() == RANDOM_DT_TABLES[n, depth, seed]
 
 
 def test_random_dt_deterministic():

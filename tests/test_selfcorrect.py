@@ -230,8 +230,38 @@ def test_local_corrects_corrupted_query_point():
     assert (out == f(x)).mean() >= 0.97
 
 
+@pytest.mark.parametrize("n,k,trials", [(16, 7, 1), (12, 4, 200)])
+def test_local_batch_memory_does_not_grow_with_leaves_times_n(n, k, trials):
+    # one tree of 7^7 leaves, and one full LOCAL_TRIAL_CHUNK of criterion 11's
+    # adversarial shape; the level-wise (L, n) draw matrix took 85-106 bytes a leaf
+    f = random_function(n, seed=2)
+    oracle, _ = corrupt_targeted(f, Point(n, 0), 1)
+    params = CorrectorParams(s=1)
+    local_correct_batch(oracle, Point(n, 0), params, 1, seeded_rng(1, "warm"), k=1)
+    tracemalloc.start()
+    try:
+        out = local_correct_batch(oracle, Point(n, 0), params, trials, seeded_rng(2, "mem"), k=k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (trials,)
+    assert peak <= 4 * trials * 7**k  # measured 1.6 and 2.4 bytes a leaf
+
+
 # ---------------------------------------------------------------------------
 # seeded streams: local_correct_batch must replay byte for byte
+
+@pytest.mark.parametrize("q,dtype", [(20, np.uint32), (3 * 10**9 + 7, np.uint32), ((1 << 40) + 1, np.int64)])
+def test_bounded_draws_split_by_rows(q, dtype):
+    # local_correct_batch draws each level's (L, n) matrix in row blocks and
+    # relies on this: the blocks give the same values and leave the same state
+    whole_rng, split_rng = seeded_rng(3, "split", q), seeded_rng(3, "split", q)
+    whole = whole_rng.integers(0, q, size=(101, 13), dtype=dtype)
+    split = [split_rng.integers(0, q, size=(rows, 13), dtype=dtype) for rows in (1, 7, 33, 3, 57)]
+    assert np.array_equal(whole, np.concatenate(split))
+    assert whole_rng.bit_generator.state == split_rng.bit_generator.state
+    assert whole_rng.bytes(8) == split_rng.bytes(8)
+
 
 LOCAL_STREAMS = {  # (n, k): (sha256 of outputs, next 8 stream bytes, dtype, shape)
     (13, 2): ("e12280c0c688d6706beab94d4c1a62dc89a2322bbf4e2ce07388e600c20edfb0", "1565d0226c4091c5",
