@@ -79,10 +79,9 @@ from .noise import (
     hypercontractivity_check,
     lambda_set,
     noise_operator,
-    noise_sensitivity,
     noise_sensitivity_all,
     noise_sensitivity_at,
-    sse_corollary_check,
+    noise_sensitivity_below,
     walsh_hadamard,
 )
 from .reconstruct import (

@@ -133,6 +133,8 @@ class TruthTable:
 
     def __call__(self, x: Point | int) -> int:
         idx = x.index if isinstance(x, Point) else x
+        if (isinstance(x, Point) and x.n != self.n) or not 0 <= idx < len(self.values):
+            raise ValueError(f"{x!r} is not a point of the {self.n}-cube")
         return int(self.values[idx])
 
     def __eq__(self, other) -> bool:
@@ -307,8 +309,7 @@ class SensResult(NamedTuple):
 
 
 def sensitivity_at(f: TruthTable, x: Point) -> int:
-    idx = x.index
-    v = f.values[idx]
+    idx, v = x.index, f(x)
     return int(sum(f.values[idx ^ (1 << i)] != v for i in range(f.n)))
 
 

@@ -156,13 +156,15 @@ INTERPOLATION_C = 3
 # this limit admits there, peaks at 411 MiB.  2^28 admits the default k for every
 # s <= 3 at n <= 4.
 INTERPOLATION_MAX_BYTES = 1 << 28
-# Bytes projected over all trials, trials * k * |F(min(2s, n), n)|: the work one
-# experiment starts.  A projected byte cost 0.9-7 ns at the default k of every
-# n >= 2 measured (n = 4, s = 3: 2.4 ns, 0.49 s a trial; n = 3, s = 7: 6.7 ns) and
-# 19 ns at n = 1, s = 10, whose 4 members leave per-sample costs unshared.  So 2^33
-# runs for at most about a minute at n >= 2 and three at n = 1, and it admits the
-# default --trials 100 at n = 4 for s <= 2.
+# The work of one experiment, trials * k * (|F(min(2s, n), n)| + INTERPOLATION_SAMPLE_BYTES), in
+# bytes.  A projected byte cost 0.9-7 ns at the default k of every n >= 2 measured (n = 4, s = 3:
+# 2.4 ns, 0.49 s a trial; n = 3, s = 7: 6.7 ns), so 2^33 runs for at most about a minute, and it
+# admits the default --trials 100 at n = 4 for s <= 2.
 INTERPOLATION_MAX_WORK = 1 << 33
+# What a sample costs that its members do not share (its draw, gathers and sort overhead): a sample
+# cost 58-68 ns at n = 1 (4 members) and 92 ns at n = 2 (16), so up to 57 ns beyond about 3 ns a
+# member, 8 bytes at 7 ns a byte.
+INTERPOLATION_SAMPLE_BYTES = 8
 
 
 def interpolation_sample_size(n: int, s: int, c: int = INTERPOLATION_C) -> int:
@@ -203,7 +205,7 @@ def interpolation_experiment(
     distinguishing pair lies in F(2s,n)); the converse is checked
     empirically, not assumed.  Refused before the first draw when a trial
     would project F(min(2s, n), n) onto more than INTERPOLATION_MAX_BYTES, or
-    all trials together onto more than INTERPOLATION_MAX_WORK."""
+    all trials together past INTERPOLATION_MAX_WORK."""
     if not 1 <= n <= ENUM_MAX_N or s < 0 or trials < 1:
         raise ValueError(f"interpolation experiment needs 1 <= n <= {ENUM_MAX_N}, s >= 0 and "
                          f"trials >= 1; got n={n}, s={s}, trials={trials}")
@@ -216,8 +218,10 @@ def interpolation_experiment(
     if size * len(double) > INTERPOLATION_MAX_BYTES:
         raise ValueError(f"interpolation sample of {size} points projects {len(double)} members onto "
                          f"{size * len(double)} bytes per trial, over the {INTERPOLATION_MAX_BYTES} limit")
-    if trials * size * len(double) > INTERPOLATION_MAX_WORK:
-        raise ValueError(f"{trials} interpolation trials project {trials * size * len(double)} bytes in all, "
+    work = trials * size * (len(double) + INTERPOLATION_SAMPLE_BYTES)
+    if work > INTERPOLATION_MAX_WORK:
+        raise ValueError(f"{trials} interpolation trials project {trials * size * len(double)} bytes and "
+                         f"draw {trials * size} samples, {work} priced bytes in all, "
                          f"over the {INTERPOLATION_MAX_WORK} limit")
     interp_ok = 0
     hit_ok = 0

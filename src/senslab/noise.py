@@ -4,9 +4,9 @@
 with probability 1-delta and flipped with probability delta.  The float path
 is the character transform; the exact path is the integer step
 [[q-p, p], [p, q-p]] (delta = p/q) on the same butterfly, giving q^n T_rho f
-at every point.  Threshold decisions (Lambda-sets, the majority step) take the
-float path outside a 1e-9 band and settle the points inside it exactly: a few
-by their distance census, many by one pass of the integer step.
+at every point.  Threshold decisions (Lambda-sets, the majority step, NS(x) < b)
+take the float path outside a 1e-9 band and settle the points inside it exactly:
+a few by their distance census, many by one pass of the integer step.
 
 The distance census and the downward mismatch table are ranked subset DPs over
 rows indexed by distance (codistance); they share one banded int32 butterfly,
@@ -190,35 +190,31 @@ def distance_census(values: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(_codistance_rows(values, n, step).T, dtype=np.int64)
 
 
-def exact_noise_value(f_or_values, x: Point, delta) -> Fraction:
-    """T_{1-2delta} f(x) as an exact rational (single point, O(2^n))."""
-    delta = noise_rate(delta)
-    f = f_or_values if isinstance(f_or_values, TruthTable) else TruthTable(x.n, f_or_values)
-    return Fraction(_census_numerators(f.values, x.n, delta, [x.index])[0], delta.denominator**x.n)
-
-
-def exact_noise_values(f: TruthTable, delta) -> list[Fraction]:
-    """All of T_{1-2delta} f as exact rationals (guarded like the census)."""
-    delta = noise_rate(delta)
-    check_n(f.n, PAIRWISE_MAX_N)
-    denom = delta.denominator**f.n
-    return [Fraction(num, denom) for num in _noise_numerators(f.values, f.n, delta).tolist()]
-
-
 def noise_sensitivity_at(f: TruthTable, x: Point, delta) -> Fraction:
-    """NS_delta[f](x) = Pr_{y ~ N_{1-2delta}(x)}[f(y) != f(x)], exact."""
-    t = exact_noise_value(f, x, delta)
-    return t if f(x) == 0 else 1 - t
+    """NS_delta[f](x) = Pr_{y ~ N_{1-2delta}(x)}[f(y) != f(x)], exact (one census, O(2^n))."""
+    delta, fx = noise_rate(delta), f(x)
+    t = Fraction(_census_numerators(f.values, f.n, delta, [x.index])[0], delta.denominator**f.n)
+    return t if fx == 0 else 1 - t
 
 
 def noise_sensitivity_all(f: TruthTable, delta) -> list[Fraction]:
-    tvals = exact_noise_values(f, delta)
-    return [t if f.values[i] == 0 else 1 - t for i, t in enumerate(tvals)]
+    """NS_delta[f](x) at every x, exact, by one pass of the integer step (guarded)."""
+    delta = noise_rate(delta)
+    check_n(f.n, PAIRWISE_MAX_N)
+    denom = delta.denominator**f.n
+    nums = _noise_numerators(f.values, f.n, delta).tolist()
+    return [Fraction(denom - num if v else num, denom) for num, v in zip(nums, f.values.tolist())]
 
 
-def noise_sensitivity(f: TruthTable, delta) -> Fraction:
-    """Average of NS_delta[f](x) over uniform x, exact."""
-    return sum(noise_sensitivity_all(f, delta), Fraction(0)) / (1 << f.n)
+def noise_sensitivity_below(f: TruthTable, delta, bound) -> np.ndarray:
+    """NS_delta[f](x) < bound at every x (bool), by the exact signs of T_{1-2delta} f - bound
+    where f = 0 and of T_{1-2delta} f - (1 - bound) where f = 1; a float bound is refused."""
+    delta = noise_rate(delta)
+    if isinstance(bound, float):
+        raise ValueError(f"bound must be an exact rational, not the float {bound!r}")
+    bound = Fraction(bound)
+    below, above = _noise_signs(f.values, f.n, delta, [bound, 1 - bound])
+    return np.where(f.values == 1, above > 0, below < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +233,7 @@ def downward_sample(x: Point, t: int, rng: np.random.Generator) -> Point:
 
 def downward_mismatch(f: TruthTable, x: Point, t: int) -> Fraction:
     """Pr_{y in D(x,t)}[f(y) != f(x)] by full enumeration (guarded)."""
-    w = weight(x)
+    fx, w = f(x), weight(x)
     if not 0 <= t <= w:
         raise ValueError(f"t={t} exceeds weight {w}")
     total = comb(w, t)
@@ -245,7 +241,6 @@ def downward_mismatch(f: TruthTable, x: Point, t: int) -> Fraction:
         raise ValueError(
             f"|D(x,t)| = {total} exceeds enumeration guard; use downward_mismatch_table"
         )
-    fx = f(x)
     bad = sum(f(y) != fx for y in lower_shadow(x, t))
     return Fraction(bad, total)
 
@@ -340,7 +335,3 @@ def hypercontractivity_check(n: int, members: Iterable, delta, theta) -> SseRepo
     """mu(Lambda_{delta,theta}(S)) <= (mu(S)/theta^2)^(1+2delta), exactly."""
     return expansion_reports(n, members, delta, [theta])[0]
 
-
-def sse_corollary_check(n: int, members: Iterable, delta, theta) -> SseReport:
-    """Premise mu(S) <= theta^(4+2/delta) implies mu(Lambda) <= mu(S)^(1+delta)."""
-    return expansion_reports(n, members, delta, [theta])[0]

@@ -343,16 +343,16 @@ def criterion_noise_stability() -> CheckResult:
             if s == 0:
                 continue
             for delta in (Fraction(1, 20 * s), Fraction(1, 4 * s)):
-                vals = noise.noise_sensitivity_all(f, delta)
                 bound = 2 * delta * s
-                for x, v in enumerate(vals):
-                    if not v < bound:
-                        return CheckResult(
-                            7, name, False,
-                            f"{fname} at n={n}, delta={delta}: NS(x={x}) = {v} "
-                            f"not < 2*delta*s = {bound}",
-                        )
-                total += len(vals)
+                below = noise.noise_sensitivity_below(f, delta, bound)
+                if not below.all():
+                    x = int(np.argmin(below))  # the first failing point
+                    return CheckResult(
+                        7, name, False,
+                        f"{fname} at n={n}, delta={delta}: NS(x={x}) = "
+                        f"{noise.noise_sensitivity_at(f, Point(n, x), delta)} not < 2*delta*s = {bound}",
+                    )
+                total += len(below)
     return CheckResult(
         7, name, True,
         f"{total} exact pointwise noise-sensitivity values strictly below "

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import senslab
-from senslab import counting
+from senslab import cli, counting
 from senslab.cli import main
 from senslab.core import Point, TruthTable, restrict_to_ball
 from senslab.families import dictator, random_dt, random_function, tribes
@@ -598,5 +598,32 @@ def test_interpolate_refuses_the_default_trials_at_n4_s3(capsys):
     assert main(["interpolate", "--n", "4", "--s", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: 100 interpolation trials project 20132659200 bytes in all, "
-                            "over the 8589934592 limit\n")
+    assert captured.err == ("error: 100 interpolation trials project 20132659200 bytes and draw 307200 "
+                            "samples, 20135116800 priced bytes in all, over the 8589934592 limit\n")
+
+
+def test_interpolate_prices_the_work_members_do_not_share(capsys):
+    # 85 trials of k = 25165824 over 4 members project under 2^33 bytes but run ~2.5 minutes
+    start = time.perf_counter()
+    assert main(["interpolate", "--n", "1", "--s", "11", "--trials", "85"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("25669140480 priced bytes in all, over the 8589934592 limit\n")
+
+
+class _Admitted(Exception):
+    pass
+
+
+class _FirstDraw:
+    def integers(self, *args, **kwargs):
+        raise _Admitted
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_interpolate_admits_the_default_trials_at_n4(monkeypatch, s):
+    # admitted: every limit passes and the first draw is reached (the trials are not run)
+    monkeypatch.setattr(cli, "seeded_rng", lambda *args: _FirstDraw())
+    with pytest.raises(_Admitted):
+        main(["interpolate", "--n", "4", "--s", str(s)])

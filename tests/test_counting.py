@@ -9,6 +9,7 @@ from senslab.core import TruthTable, seeded_rng, sensitivity
 from senslab.counting import (
     INTERPOLATION_MAX_BYTES,
     INTERPOLATION_MAX_WORK,
+    INTERPOLATION_SAMPLE_BYTES,
     all_tables,
     build_census,
     count_bounds,
@@ -252,7 +253,7 @@ def test_interpolation_refuses_too_many_trials_before_drawing():
     rng = seeded_rng(0, "x")
     state = rng.bit_generator.state
     members = enumerate_class(3, 2)
-    trials = INTERPOLATION_MAX_WORK // (4 * members) + 1
+    trials = INTERPOLATION_MAX_WORK // (4 * (members + INTERPOLATION_SAMPLE_BYTES)) + 1
     with pytest.raises(ValueError, match=f"{trials} interpolation trials project {trials * 4 * members} bytes"):
         interpolation_experiment(3, 1, 4, trials, rng)
     assert rng.bit_generator.state == state

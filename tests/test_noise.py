@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from senslab import noise, verify
-from senslab.core import Point, TruthTable, seeded_rng, weight
+from senslab.core import Point, TruthTable, seeded_rng, sensitivity_at, weight
 from senslab.families import dictator, majority, parity, random_dt, random_function, tribes
 from senslab.noise import (
     RealFunction,
@@ -20,18 +20,15 @@ from senslab.noise import (
     downward_mismatch,
     downward_mismatch_table,
     downward_sample,
-    exact_noise_value,
-    exact_noise_values,
     expansion_reports,
     hypercontractivity_check,
     lambda_set,
     noise_operator,
     noise_rate,
-    noise_sensitivity,
     noise_sensitivity_all,
     noise_sensitivity_at,
+    noise_sensitivity_below,
     sample_noisy,
-    sse_corollary_check,
     walsh_hadamard,
 )
 
@@ -130,8 +127,9 @@ def test_real_function_accepts_noise_operator_outputs():
 @settings(max_examples=25)
 def test_exact_matches_float(f):
     delta = Fraction(1, 7)
-    exact = exact_noise_values(f, delta)
-    approx = noise_operator(f, delta).values
+    exact = noise_sensitivity_all(f, delta)
+    t = noise_operator(f, delta).values
+    approx = np.where(f.values == 1, 1 - t, t)
     assert max(abs(float(e) - a) for e, a in zip(exact, approx)) < 1e-10
 
 
@@ -150,18 +148,11 @@ def test_distance_census_matches_pairwise_definition(n):
 REGIMES = [(6, Fraction(1, 20)), (13, Fraction(1, 40))]
 
 
-@pytest.mark.parametrize("n, delta", REGIMES)
-def test_exact_noise_values_match_single_points(n, delta):
-    f = random_function(n, 11)
-    vals = exact_noise_values(f, delta)
-    for i in (0, 1, (1 << n) // 3, (1 << n) - 1):
-        assert vals[i] == exact_noise_value(f, Point(n, i), delta)
-
-
 def test_noise_sensitivity_dictator():
     for n in (3, 6):
         for delta in (Fraction(1, 20), Fraction(1, 3)):
-            assert noise_sensitivity(dictator(n, 2), delta) == delta
+            vals = noise_sensitivity_all(dictator(n, 2), delta)
+            assert sum(vals, Fraction(0)) / len(vals) == delta
 
 
 def test_noise_sensitivity_parity_closed_form():
@@ -172,11 +163,82 @@ def test_noise_sensitivity_parity_closed_form():
 
 
 def test_noise_sensitivity_all_matches_at():
-    f = majority(5)
-    delta = Fraction(1, 9)
-    vals = noise_sensitivity_all(f, delta)
-    for i in (0, 7, 31):
-        assert vals[i] == noise_sensitivity_at(f, Point(5, i), delta)
+    # one butterfly pass against one census per point, in both REGIMES of q^n
+    cases = [(majority(5), Fraction(1, 9))] + [(random_function(n, 11), delta) for n, delta in REGIMES]
+    for f, delta in cases:
+        vals = noise_sensitivity_all(f, delta)
+        for i in (0, 1, 7, (1 << f.n) // 3, (1 << f.n) - 1):
+            assert vals[i] == noise_sensitivity_at(f, Point(f.n, i), delta)
+
+
+# ---------------------------------------------------------------------------
+# NS(x) < b by threshold signs
+
+@pytest.mark.parametrize("delta", [Fraction(1, 20), Fraction(1, 4), Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize("n", [6, 9])
+def test_noise_sensitivity_below_matches_exact_values(n, delta):
+    f = random_dt(n, 3, n)
+    ns = noise_sensitivity_all(f, delta)
+    attained = sorted(set(ns))
+    # a bound equal to an attained value puts exact ties in the float band
+    for bound in (attained[0], attained[len(attained) // 2], attained[-1], 2 * delta * 3):
+        below = noise_sensitivity_below(f, delta, bound)
+        assert below.dtype == bool and below.tolist() == [v < bound for v in ns]
+
+
+def test_noise_sensitivity_below_decides_ties_exactly():
+    # NS(x) = delta at every point of a dictator
+    f, delta = dictator(6), Fraction(1, 20)
+    assert not noise_sensitivity_below(f, delta, delta).any()
+    assert noise_sensitivity_below(f, delta, delta + Fraction(1, 10**15)).all()
+
+
+def test_noise_sensitivity_below_at_n16_matches_single_points():
+    # q^n = 40^16 passes int64: the tied half-cube is settled in Python ints
+    f, delta = random_dt(16, 3, 5), Fraction(1, 40)
+    xs = seeded_rng(16, "below").integers(0, 1 << 16, size=8).tolist()
+    ns = [noise_sensitivity_at(f, Point(16, x), delta) for x in xs]
+    for bound in (min(ns), max(ns), 2 * delta * 3):
+        below = noise_sensitivity_below(f, delta, bound)
+        assert [bool(below[x]) for x in xs] == [v < bound for v in ns]
+
+
+def test_noise_sensitivity_below_refuses_a_float_bound():
+    for bad in (0.1, np.float64(0.1)):
+        with pytest.raises(ValueError, match="exact rational"):
+            noise_sensitivity_below(dictator(6), Fraction(1, 20), bad)
+
+
+def test_criterion_noise_stability_prints_the_exact_failing_value(monkeypatch):
+    real = noise.noise_sensitivity_below
+
+    def failing(f, delta, bound):
+        below = real(f, delta, bound).copy()
+        below[5] = False
+        return below
+
+    monkeypatch.setattr(noise, "noise_sensitivity_below", failing)
+    result = verify.criterion_noise_stability()
+    n = verify.NOISE_SIZES[0]
+    fname, f = next((name, g) for name, g in verify.standard_corpus(n) if verify.sensitivity(g).s)
+    delta = Fraction(1, 20 * verify.sensitivity(f).s)
+    value = noise_sensitivity_at(f, Point(n, 5), delta)
+    assert not result.ok
+    assert result.detail == (f"{fname} at n={n}, delta={delta}: NS(x=5) = {value} "
+                             f"not < 2*delta*s = {2 * delta * verify.sensitivity(f).s}")
+
+
+@pytest.mark.parametrize("x", [Point(3, 1), Point(5, 1), Point(4, 99), Point(4, -1)], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda x: sensitivity_at(dictator(4), x),
+    lambda x: downward_mismatch(dictator(4), x, 1),
+    lambda x: noise_sensitivity_at(dictator(4), x, Fraction(1, 20)),
+], ids=["sensitivity_at", "downward_mismatch", "noise_sensitivity_at"])
+def test_point_entries_refuse_a_point_off_the_cube(call, x):
+    # a Point of another dimension used to be read silently, an index past 2^n raised IndexError
+    with pytest.raises(ValueError, match="is not a point of the 4-cube") as e:
+        call(x)
+    assert "\n" not in str(e.value)
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +368,13 @@ def test_lambda_set_decides_a_large_band_exactly(n, delta):
     assert lambda_set(n, half, delta, 1 - delta + Fraction(1, 10**40)) == frozenset()
 
 
-def test_exact_noise_value_rejects_non_boolean_values():
-    with pytest.raises(ValueError):
-        exact_noise_value(np.array([0, 2, 0, 0]), Point(2, 0), Fraction(1, 4))
-
-
 def test_hypercontractivity_report_fields():
     rep = hypercontractivity_check(6, range(4), Fraction(1, 20), Fraction(2, 5))
     assert rep.mu_S == Fraction(4, 64)
     assert rep.holds
-    cor = sse_corollary_check(6, range(4), Fraction(1, 20), Fraction(2, 5))
-    assert cor.bound or not cor.premise
+    assert rep.bound or not rep.premise
     # a one-shot iterator of members is read once for both Lambda and mu(S)
     assert hypercontractivity_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == rep
-    assert sse_corollary_check(6, iter(range(4)), Fraction(1, 20), Fraction(2, 5)) == cor
 
 
 def _report_fields(rep):
@@ -349,8 +404,8 @@ def test_expansion_reports_match_one_theta_calls(monkeypatch, n, delta):
         assert engines == [engine]
         assert [set(rep.lam) for rep in reports] == [lam, set()]
         for rep, one_theta in zip(reports, thetas):
-            for single in (hypercontractivity_check, sse_corollary_check):
-                assert _report_fields(rep) == _report_fields(single(n, members, delta, one_theta))
+            single = hypercontractivity_check(n, members, delta, one_theta)
+            assert _report_fields(rep) == _report_fields(single)
             assert rep.lam == lambda_set(n, members, delta, one_theta)
 
 
@@ -363,7 +418,7 @@ def test_criterion_sse_runs_one_noise_operator_per_set(monkeypatch):
 
 
 BAD_MEMBERS = [-1, 3.7, True, 1 << 6, "5", Point(5, 3)]
-EXPANSION_FUNCTIONS = [lambda_set, hypercontractivity_check, sse_corollary_check]
+EXPANSION_FUNCTIONS = [lambda_set, hypercontractivity_check]
 
 
 @pytest.mark.parametrize("fn", EXPANSION_FUNCTIONS)
