@@ -23,7 +23,10 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 MAX_N = 24          # hard cap for truth-table scale
-PAIRWISE_MAX_N = 13  # cap for O(4^n) all-pairs routines
+# n cap of distance_census, noise_sensitivity_all and expansion_reports, which build a
+# (2^n, n+1) census or one Python object per point (a Fraction, a member of Lambda).  It
+# stays because the CLI's ns, lambda and correct --mode global exit 2 above it.
+PAIRWISE_MAX_N = 13
 
 
 def check_n(n: int, cap: int | None = None) -> None:

@@ -10,10 +10,11 @@ a few by their distance census, many by one pass of the integer step.
 
 The distance census and the downward mismatch table are ranked subset DPs over
 rows indexed by distance (codistance); they share one banded int32 butterfly,
-`_codistance_rows`, and return int64 tables of shape (2^n, n+1).  The downward
-table is finished in one pass over column blocks of BLOCK_BYTES: each block turns
-counts of ones into mismatches where f = 1 and is written, transposed and widened,
-into the int64 output while it is still in cache.
+`_codistance_rows`, and return C-contiguous int32 tables of shape (2^n, n+1).
+Every entry counts points at one distance, at most C(24, 12) < 2^31; a caller that
+multiplies entries widens them first.  The downward table is finished in one pass
+over column blocks of BLOCK_BYTES: each block turns counts of ones into mismatches
+where f = 1 and is written, transposed, into the output while it is still in cache.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .core import (
 # the round-off of `noise_operator` by (n+2) 2^-53 2^(n/2), 1.2e-11 at n = 24.
 THRESHOLD_BAND = 1e-9
 ENUM_GUARD = 1 << 20
-# int32 codistance rows plus the int64 output of downward_mismatch_table, 12 (n+1) 2^n
-# bytes: 1.1 GiB at n = 22 runs, 2.3 GiB at n = 23 and 4.7 GiB at n = 24 are refused
+# int32 codistance rows plus the int32 output of downward_mismatch_table, 8 (n+1) 2^n
+# bytes: 1.5 GiB at n = 23 runs and 3.1 GiB at n = 24 is refused
 DOWNWARD_TABLE_MAX_BYTES = 1 << 31
 
 
@@ -179,7 +180,8 @@ def _one_sided_step(lo, hi, k):
 
 def distance_census(values: np.ndarray, n: int) -> np.ndarray:
     """census[x, d] = #{y : d(x,y) = d and values[y] = 1} by the two-sided codistance
-    butterfly (O(n^2 2^n), guarded): each coordinate moves a partner's row d to d+1."""
+    butterfly (O(n^2 2^n), guarded): each coordinate moves a partner's row d to d+1.
+    Returned as a C-contiguous int32 (2^n, n+1) table, the rows transposed."""
     check_n(n, PAIRWISE_MAX_N)
 
     def step(lo, hi, k):
@@ -187,7 +189,7 @@ def distance_census(values: np.ndarray, n: int) -> np.ndarray:
         np.add(lo[1 : k + 1], hi[:k], out=lo[1 : k + 1])
         hi[1 : k + 1] = moved
 
-    return np.ascontiguousarray(_codistance_rows(values, n, step).T, dtype=np.int64)
+    return np.ascontiguousarray(_codistance_rows(values, n, step).T)
 
 
 def noise_sensitivity_at(f: TruthTable, x: Point, delta) -> Fraction:
@@ -246,17 +248,18 @@ def downward_mismatch(f: TruthTable, x: Point, t: int) -> Fraction:
 
 
 def downward_mismatch_table(f: TruthTable) -> np.ndarray:
-    """M[x, t] = #{y in D(x,t) : f(y) != f(x)} for every x and t at once (int64).
+    """M[x, t] = #{y in D(x,t) : f(y) != f(x)} for every x and t at once, as a
+    C-contiguous int32 (2^n, n+1) table (widen it before multiplying entries).
 
     Row t of the codistance DP counts the ones of f in D(x, t); where f(x) = 1 the
     mismatches are the zeros there, C(wt(x), t) minus that count, formed in place.
     For t > wt(x) both terms are 0.  Block by block of columns, the C(wt(x), t)
     are gathered by weight, subtracted where f = 1, and the block is written
-    transposed into the output.  Refused before allocating when the rows and the
-    output would pass DOWNWARD_TABLE_MAX_BYTES (n >= 23)."""
+    transposed into the output.  The rows and the output take 8 (n+1) 2^n bytes;
+    refused before allocating when that passes DOWNWARD_TABLE_MAX_BYTES (n = 24)."""
     check_n(f.n)
     n = f.n
-    nbytes = (4 + 8) * (n + 1) << n
+    nbytes = (4 + 4) * (n + 1) << n
     if nbytes > DOWNWARD_TABLE_MAX_BYTES:
         raise ValueError(f"downward_mismatch_table at n={n} would allocate {nbytes / 2**30:.1f} GiB, "
                          f"over the {DOWNWARD_TABLE_MAX_BYTES / 2**30:.0f} GiB limit")
@@ -264,7 +267,7 @@ def downward_mismatch_table(f: TruthTable) -> np.ndarray:
     w = weights_vector(n)
     ones = f.values.view(bool)
     sizes = np.array([[comb(d, t) for d in range(n + 1)] for t in range(n + 1)], dtype=np.int32)
-    out = np.empty((1 << n, n + 1), dtype=np.int64)
+    out = np.empty((1 << n, n + 1), dtype=np.int32)
     cols = BLOCK_BYTES // out[0].nbytes  # output rows of one block
     for a in range(0, 1 << n, cols):
         blk = z[:, a : a + cols]

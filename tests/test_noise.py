@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_distance_census_matches_pairwise_definition(n):
     dist = np.bitwise_count(idx[:, None] ^ idx[None, :])  # all 4^n pairs
     brute = np.stack([((dist == d) * vals[None, :]).sum(axis=1) for d in range(n + 1)], axis=1)
     census = distance_census(vals, n)
-    assert census.dtype == np.int64 and census.flags.c_contiguous
+    assert census.dtype == np.int32 and census.flags.c_contiguous
     assert np.array_equal(census, brute)
 
 
@@ -306,6 +307,45 @@ def test_downward_table_refuses_n24_before_allocating():
     assert proc.stdout.count("\n") == 1
 
 
+_RUN_N23 = """
+import numpy as np
+from senslab.core import TruthTable
+from senslab.noise import downward_mismatch_table
+try:
+    downward_mismatch_table(TruthTable(23, np.zeros(1 << 23, dtype=np.uint8)))
+except MemoryError:
+    print("MemoryError")
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_downward_table_admits_n23():
+    # 8 (n+1) 2^n = 1.5 GiB passes the byte check; under a 512 MiB address-space limit
+    # the 768 MiB of codistance rows, the first allocation, then fails in numpy
+    src = str(Path(noise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _RUN_N23], env=env, capture_output=True,
+                          text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "MemoryError\n"
+
+
+def test_downward_table_memory_is_rows_plus_int32_output():
+    n = 16
+    f = random_function(n, 11)
+    tracemalloc.start()
+    try:
+        table = downward_mismatch_table(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int32
+    # int32 rows and int32 output; an int64 output would need 12 (n+1) 2^n
+    assert peak <= (8 * (n + 1) << n) + (1 << 20)
+
+
 def downward_mismatch_sampled(f, x, t, rng, samples):
     """Reference: a Monte Carlo estimate of downward_mismatch plus its binomial standard error."""
     fx = f(x)
@@ -316,8 +356,8 @@ def downward_mismatch_sampled(f, x, t, rng, samples):
 
 def ones_by_codistance(values, n):
     """z[x, j] = sum of values[y] over subsets y of x with wt(x) - wt(y) = j: the
-    one-sided codistance rows behind downward_mismatch_table, as (2^n, n+1) int64."""
-    return np.ascontiguousarray(noise._codistance_rows(values, n, noise._one_sided_step).T, dtype=np.int64)
+    one-sided codistance rows behind downward_mismatch_table, as (2^n, n+1) int32."""
+    return np.ascontiguousarray(noise._codistance_rows(values, n, noise._one_sided_step).T)
 
 
 def test_downward_sampled_tracks_exact():
@@ -452,7 +492,7 @@ def test_expansion_functions_accept_points_and_numpy_indices():
 
 
 # ---------------------------------------------------------------------------
-# codistance tables: pinned byte for byte (sha256 of the int64 bytes)
+# codistance tables: pinned byte for byte (sha256 of the int32 tables widened to int64)
 
 CODISTANCE_SHA256 = {
     ("down", "function", 12): "cf325de6cb8a3cd731bb2b84fa6bedb2bca5d157bdc5ab9c6e332ebdbf35d7ae",
@@ -483,9 +523,10 @@ CODISTANCE_KERNELS = {
 def test_codistance_tables_pinned(kernel, family, n):
     f = random_function(n, 7) if family == "function" else random_dt(n, 3, 7)
     table = CODISTANCE_KERNELS[kernel](f)
-    assert table.dtype == np.int64 and table.shape == (1 << n, n + 1)
+    assert table.dtype == np.int32 and table.shape == (1 << n, n + 1)
     assert table.flags.c_contiguous
-    assert hashlib.sha256(table.tobytes()).hexdigest() == CODISTANCE_SHA256[kernel, family, n]
+    digest = hashlib.sha256(table.astype(np.int64).tobytes()).hexdigest()
+    assert digest == CODISTANCE_SHA256[kernel, family, n]
 
 
 # ---------------------------------------------------------------------------
