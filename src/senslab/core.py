@@ -233,6 +233,18 @@ def set_bit_positions(masks: np.ndarray, n: int, width: int) -> np.ndarray:
     return table
 
 
+def lower_neighbors(x, k: int, center: int = 0):
+    """Yield k neighbours of x one step nearer to center, for an index or a signed
+    integer index array: x with the lowest, then the next lowest, ... set bit of
+    x ^ center flipped (the lowest-set-bit walk, rest & -rest).  k must not
+    exceed d(x, center)."""
+    rest = x ^ center
+    for _ in range(k):
+        low = rest & -rest
+        yield x ^ low
+        rest ^= low
+
+
 def all_set_bit_positions(n: int) -> np.ndarray:
     """set_bit_positions(arange(2^n), n, n), built by doubling: bit k is the
     highest set bit of x | 2^k for x < 2^k, so rows [2^k, 2^(k+1)) are rows

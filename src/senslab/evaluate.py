@@ -36,6 +36,7 @@ from .core import (
     TruthTable,
     all_set_bit_positions,
     check_n,
+    lower_neighbors,
     popcount,
     set_bit_positions,
     weight,
@@ -252,41 +253,28 @@ def bottom_up_all(f: TruthTable, s: int) -> TruthTable:
 # ---------------------------------------------------------------------------
 # top-down
 
-def colex_smallest_lower_neighbors(x: Point, k: int) -> list[Point]:
-    """The k lower neighbors obtained by clearing, one at a time, the k
-    lowest-index one-bits of x."""
-    if not 0 <= k <= weight(x):
-        raise ValueError(f"k={k} exceeds weight {weight(x)}")
-    out = []
-    rest = x.index
-    for _ in range(k):
-        low = rest & -rest
-        out.append(Point(x.n, x.index ^ low))
-        rest ^= low
-    return out
-
-
 def top_down_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats]:
-    """Memoized recursion on 2s+1 lower neighbors per point."""
+    """Memoized recursion on the first 2s+1 core.lower_neighbors of each point."""
     stats = EvalStats()
     cutoff = _require_advice(advice, s, 2, x)  # min(2s, n), at most the radius
     memo: dict[int, int] = {}
 
-    def rec(p: Point) -> int:
-        got = memo.get(p.index)
+    def rec(p: int) -> int:
+        got = memo.get(p)
         if got is not None:
             return got
-        if weight(p) <= cutoff:
+        w = popcount(p)
+        if w <= cutoff:
             v = advice[p]
         else:
-            votes = sum(rec(q) for q in colex_smallest_lower_neighbors(p, 2 * s + 1))
+            votes = sum(rec(q) for q in lower_neighbors(p, 2 * s + 1))
             stats.majority_votes += 1
             v = 1 if 2 * votes > 2 * s + 1 else 0
-        memo[p.index] = v
-        stats.record_point(weight(p))
+        memo[p] = v
+        stats.record_point(w)
         return v
 
-    return rec(x), stats
+    return rec(x.index), stats
 
 
 def top_down_visit_profile(n: int, s: int) -> np.ndarray:
@@ -304,14 +292,11 @@ def top_down_visit_profile(n: int, s: int) -> np.ndarray:
     idx = np.arange(1 << n)
     closure[idx, idx // 64] |= np.uint64(1) << (idx % 64).astype(np.uint64)
     for level in range(r + 1, n + 1):
-        # the lowest-set-bit walk of top_down_all, on visit sets
+        # the lower neighbours of top_down_all, on visit sets
         pts = np.flatnonzero(w == level)
-        rest = pts.copy()
         acc = closure[pts]
-        for _ in range(2 * s + 1):
-            low = rest & -rest
-            acc |= closure[pts ^ low]
-            rest ^= low
+        for q in lower_neighbors(pts, 2 * s + 1):
+            acc |= closure[q]
         closure[pts] = acc
     profile = np.zeros((1 << n, n + 1), dtype=np.int64)
     for k in range(n + 1):
@@ -328,8 +313,8 @@ def set_bits_table(n: int) -> np.ndarray:
     read-only and cached per n; core.all_set_bit_positions builds it by
     doubling, 2^n * n bytes.
 
-    parallel_eval_batch is its only caller in the library: the sweeps clear
-    the lowest set bit with rest & -rest instead."""
+    parallel_eval_batch is its only caller in the library: the sweeps take
+    core.lower_neighbors instead."""
     t = all_set_bit_positions(n)
     t.setflags(write=False)
     return t
@@ -338,9 +323,8 @@ def set_bits_table(n: int) -> np.ndarray:
 def top_down_all(f: TruthTable, s: int) -> TruthTable:
     """Levelwise batched top-down: weight w points only read weight w-1.
 
-    The rule of colex_smallest_lower_neighbors, for a whole level at once: a
-    point takes the majority over the 2s+1 lower neighbours found by clearing
-    its lowest set bit (low = rest & -rest) 2s+1 times."""
+    The rule of top_down_eval, for a whole level at once: a point takes the
+    majority over its first 2s+1 core.lower_neighbors."""
     _require_s(s)
     n = f.n
     r = min(2 * s, n)
@@ -350,12 +334,9 @@ def top_down_all(f: TruthTable, s: int) -> TruthTable:
     out = f.values.copy()  # every point above weight r is written before it is read
     for level in range(r + 1, n + 1):
         pts = np.flatnonzero(w == level)
-        rest = pts.copy()
         votes = np.zeros(len(pts), dtype=np.uint8)  # at most 2s + 1 <= n votes
-        for _ in range(2 * s + 1):
-            low = rest & -rest
-            votes += out[pts ^ low]
-            rest ^= low
+        for q in lower_neighbors(pts, 2 * s + 1):
+            votes += out[q]
         out[pts] = votes > s
     return TruthTable(n, out)
 
@@ -504,8 +485,8 @@ def parallel_eval_law(f: TruthTable, s: int) -> np.ndarray:
     level at a time.  A point at or below the cutoff min(10s, n) reads f.  Above
     it t = floor(wt/(10s+1)) = 1, and each of the c = parallel_sample_count()
     independent subtrees starts at a uniform lower neighbour, so with a(x) the
-    mean of p over the lower neighbours (cleared by the lowest-set-bit walk of
-    top_down_all), p(x) = Pr[Bin(c, a(x)) > c/2].
+    mean of p over the lower neighbours (core.lower_neighbors, all wt(x) of
+    them), p(x) = Pr[Bin(c, a(x)) > c/2].
 
     Round-off: the mean of d <= 24 values in [0, 1] adds at most 24 units of
     2^-53 to the error of its inputs, and the tail at most 16 more.  The tail's
@@ -527,12 +508,9 @@ def parallel_eval_law(f: TruthTable, s: int) -> np.ndarray:
     p = f.values.astype(np.float64)
     for level in range(min(10 * s, n) + 1, n + 1):
         pts = np.flatnonzero(w == level)
-        rest = pts.copy()
         a = np.zeros(len(pts))
-        for _ in range(level):
-            low = rest & -rest
-            a += p[pts ^ low]
-            rest ^= low
+        for q in lower_neighbors(pts, level):
+            a += p[q]
         a /= level
         p[pts] = sum(comb(c, k) * a**k * (1 - a) ** (c - k) for k in range(c // 2 + 1, c + 1))
     return p

@@ -79,16 +79,6 @@ class RealFunction:
         object.__setattr__(self, "values", arr)
 
 
-def sample_noisy(x: Point, delta, rng: np.random.Generator) -> Point:
-    """One draw of y ~ N_{1-2delta}(x): each bit flipped with probability
-    exactly delta = p/q (integer rejection, no float rounding)."""
-    delta = noise_rate(delta)
-    p, q = delta.numerator, delta.denominator
-    flips = rng.integers(0, q, size=x.n) < p
-    mask = int(sum(1 << i for i in range(x.n) if flips[i]))
-    return Point(x.n, x.index ^ mask)
-
-
 # ---------------------------------------------------------------------------
 # float path: character transform
 

@@ -40,6 +40,7 @@ from .core import (
     check_n,
     degree,
     distances,
+    lower_neighbors,
     sensitivity,
 )
 
@@ -82,11 +83,11 @@ def majority_extend_batch(
     `tables` is (num_functions, 2^n) uint8 holding each function's values on
     B(center, radius) (entries outside the ball are ignored).  A point at
     distance m reads only its m inward neighbours on the sphere at distance
-    m - 1, one per set bit of its offset from the center: m gathers, each
-    clearing the lowest remaining bit (low = rest & -rest), so no (|S|, m)
-    table is built.  Returns the extended tables and, per row, the index of
-    the first tie point in (distance, index) order, or -1; a row with a tie
-    holds arbitrary values from the tie level onward.
+    m - 1, one per set bit of its offset from the center: m gathers, one per
+    step of core.lower_neighbors, so no (|S|, m) table is built.  Returns the
+    extended tables and, per row, the index of the first tie point in
+    (distance, index) order, or -1; a row with a tie holds arbitrary values
+    from the tie level onward.
     """
     tables = np.array(_check_extension(n, center, radius, tables), dtype=np.uint8, copy=True)
     if tables.ndim != 2:
@@ -95,12 +96,9 @@ def majority_extend_batch(
     dist = distances(n, center)
     for m in range(radius + 1, n + 1):
         idx = np.flatnonzero(dist == m)
-        rest = idx ^ center
         ones = np.zeros((len(tables), len(idx)), dtype=np.uint8)  # m <= 24 votes
-        for _ in range(m):
-            low = rest & -rest
-            ones += tables[:, idx ^ low]
-            rest ^= low
+        for q in lower_neighbors(idx, m, center):
+            ones += tables[:, q]
         tables[:, idx] = 2 * ones > m
         ties = 2 * ones == m
         first = (tie < 0) & ties.any(axis=1)

@@ -6,7 +6,8 @@ boundary (exact ties keep the previous value and are reported, never guessed).
 
 Local: answer a single point by building a c-regular depth-k tree whose
 children are noisy samples of their parent, querying the corrupted oracle at
-the c^k leaves only, and folding majorities upward.
+the c^k leaves only, and folding majorities upward.  local_correct_batch runs
+many such trees level by level as arrays; local_correct is one trial of it.
 
 Both take k = CorrectorParams.default_k(n) rounds unless k is given.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import BLOCK_BYTES, Point, TruthTable, distances
 from .evaluate import majority_threshold_c
-from .noise import _noise_signs, lambda_set, noise_rate, sample_noisy
+from .noise import _noise_signs, lambda_set, noise_rate
 
 
 @dataclass
@@ -40,11 +41,6 @@ class CorruptedOracle:
         self._flipped = np.zeros(1 << self.truth.n, dtype=np.uint8)
         self._flipped[list(self.corrupted)] = 1
         self._flipped.setflags(write=False)
-
-    def answer(self, x: Point | int) -> int:
-        idx = x.index if isinstance(x, Point) else int(x)
-        self.query_count += 1
-        return int(self.truth.values[idx] ^ self._flipped[idx])
 
     def answer_batch(self, indices: np.ndarray) -> np.ndarray:
         self.query_count += len(indices)
@@ -214,23 +210,12 @@ def local_correct(
     k: int | None = None,
 ) -> tuple[int, int]:
     """Answer f(x) from the corrupted oracle via a c-regular depth-k sampled
-    tree (children are noisy copies of the parent; leaves query the oracle).
-    Returns (bit, queries_used); queries_used is exactly c^k."""
-    k, c = _tree_shape(params, oracle.truth.n, k)
+    tree (children are noisy copies of the parent; leaves query the oracle):
+    one trial of local_correct_batch.  Returns (bit, queries_used);
+    queries_used is exactly c^k."""
     before = oracle.query_count
-
-    def rec(p: Point, depth: int) -> int:
-        if depth == k:
-            return oracle.answer(p)
-        votes = sum(
-            rec(sample_noisy(p, params.delta, rng), depth + 1) for _ in range(c)
-        )
-        return 1 if 2 * votes > c else 0
-
-    value = rec(x, 0)
-    used = oracle.query_count - before
-    assert used == c**k
-    return value, used
+    bit = local_correct_batch(oracle, x, params, 1, rng, k=k)[0]
+    return int(bit), oracle.query_count - before
 
 
 def local_correct_batch(
@@ -242,7 +227,7 @@ def local_correct_batch(
     k: int | None = None,
 ) -> np.ndarray:
     """`trials` independent local corrections of the same point, expanded
-    level-by-level as arrays (same sampling law as local_correct).
+    level-by-level as arrays (local_correct is one trial).
 
     The seeded stream is one `rng.integers(0, q, size=(L, n))` call per level
     of L noisy copies, row i flipping bit j when its draw j is below p, for

@@ -183,6 +183,20 @@ def test_correct_local_cli(tmp_path, capsys):
     assert reports[0]["seed"] == 4
 
 
+def test_correct_local_cli_answers_a_large_tree_in_seconds(tmp_path, capsys):
+    # one tree of 7^7 leaves: the bound allows about 6 us a leaf
+    path = str(tmp_path / "f.tt")
+    write_truth_table(dictator(12), path)
+    started = time.perf_counter()
+    code, reports = run(
+        capsys, "correct", "--mode", "local", "--in", path, "--s", "1",
+        "--x", "1" * 12, "--k", "7",
+    )
+    assert time.perf_counter() - started < 5
+    assert code == 0
+    assert reports[0]["outputs"]["queries"] == 823543
+
+
 def test_correct_local_refuses_huge_default_k(tmp_path, capsys):
     path = str(tmp_path / "f.tt")
     write_truth_table(dictator(12), path)
@@ -248,6 +262,16 @@ VERIFY_STDOUT = {
         'n=12, delta=1/20, theta in (2/5, 1/10); corollary premise met 0 times and its bound held '
         'every time", "name": "small-set-expansion", "ok": true}, "parameters": {"criterion": 9, '
         '"suite": "noise"}, "seed": null}',
+    ],
+    "selfcorrect": [
+        '{"command": "verify", "ok": true, "outputs": {"detail": "20/20 corrupted tables (64 flips '
+        'at s=1, 1 flip at s=2, n=12) recovered exactly with delta=1/8, k=15/21; every error set '
+        'stayed inside Lambda_(delta,2/5) of its predecessor", "name": "global-correction", "ok": '
+        'true}, "parameters": {"criterion": 10, "suite": "selfcorrect"}, "seed": null}',
+        '{"command": "verify", "ok": true, "outputs": {"detail": "clean failure rate <= 0.1285 at 3 '
+        'probe points; corrupted query point recovered 1000/1000 times with exactly c^k = 2401 '
+        'queries per call", "name": "local-correction", "ok": true}, "parameters": {"criterion": 11, '
+        '"suite": "selfcorrect"}, "seed": null}',
     ],
 }
 

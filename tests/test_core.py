@@ -701,6 +701,24 @@ def test_only_core_computes_distances_and_set_bit_ranks():
     assert [site.split(":")[0] for site in found["rank"]] == ["core.py"], found
 
 
+def _lowest_set_bit_sites(path):
+    """path.name:def for each top-level definition of `path` that takes a lowest set
+    bit as a & -a, once per occurrence."""
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                    and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+                    and ast.dump(node.left) == ast.dump(node.right.operand)):
+                yield f"{path.name}:{getattr(stmt, 'name', node.lineno)}"
+
+
+def test_only_core_walks_the_lowest_set_bits():
+    sites = [site for path in sorted(Path(core.__file__).parent.glob("*.py"))
+             for site in _lowest_set_bit_sites(path)]
+    # core.lower_neighbors, and the sweep's sort key by lowest set bit
+    assert sites == ["core.py:lower_neighbors", "evaluate.py:_shift_plan"], sites
+
+
 def test_guard_sees_the_copies_it_forbids():
     copies = [
         "far = weights_vector(n)[np.arange(1 << n) ^ center] > radius",

@@ -11,8 +11,8 @@ from scipy.stats import binom
 
 from senslab import verify
 from senslab.core import (
-    Point, TruthTable, restrict_to_ball, seeded_rng, sensitivity, set_bit_positions,
-    weights_vector,
+    Point, TruthTable, lower_neighbors, restrict_to_ball, seeded_rng, sensitivity,
+    set_bit_positions, weights_vector,
 )
 from senslab.evaluate import (
     EvalStats,
@@ -21,7 +21,6 @@ from senslab.evaluate import (
     amplified_eval,
     bottom_up_all,
     bottom_up_eval,
-    colex_smallest_lower_neighbors,
     majority_threshold_c,
     parallel_eval,
     parallel_eval_batch,
@@ -257,16 +256,13 @@ def test_bottom_up_all_memory_scales_with_rows_read(n):
 # top-down
 
 def test_lower_neighbor_order():
-    assert [p.index for p in colex_smallest_lower_neighbors(Point(3, 0b111), 2)] == [
-        0b110,
-        0b101,
-    ]
-    assert [p.index for p in colex_smallest_lower_neighbors(Point(4, 0b1010), 2)] == [
-        0b1000,
-        0b0010,
-    ]
-    with pytest.raises(ValueError):
-        colex_smallest_lower_neighbors(Point(3, 0b011), 3)
+    assert list(lower_neighbors(0b111, 2)) == [0b110, 0b101]
+    assert list(lower_neighbors(0b1010, 2)) == [0b1000, 0b0010]
+    # about a center: the set bits of x ^ center, lowest first
+    assert list(lower_neighbors(0b0110, 2, 0b0011)) == [0b0111, 0b0010]
+    # an index array walks each entry as the ints do
+    walk = lower_neighbors(np.array([0b111, 0b1010, 0b0110]), 2)
+    assert [q.tolist() for q in walk] == [[0b110, 0b1000, 0b0100], [0b101, 0b0010, 0b0010]]
 
 
 def test_top_down_advice_read_is_single_point():

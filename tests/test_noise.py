@@ -29,9 +29,9 @@ from senslab.noise import (
     noise_sensitivity_all,
     noise_sensitivity_at,
     noise_sensitivity_below,
-    sample_noisy,
     walsh_hadamard,
 )
+from senslab.selfcorrect import CorrectorParams, CorruptedOracle, local_correct_batch
 
 small_tables = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.binary(min_size=1 << n, max_size=1 << n).map(
@@ -53,13 +53,24 @@ def test_noise_rate_validation():
             noise_rate(bad)
 
 
-def test_sample_noisy_statistics():
+def _noisy_copies(n, x, delta, trials, rng, monkeypatch):
+    """The leaves of `trials` depth-1 local corrections of x: c noisy copies each."""
+    oracle = CorruptedOracle(dictator(n), frozenset())
+    leaves = []
+    answer = oracle.answer_batch
+    monkeypatch.setattr(oracle, "answer_batch", lambda idx: leaves.append(idx) or answer(idx))
+    local_correct_batch(oracle, Point(n, x), CorrectorParams(s=1, delta=delta), trials, rng, k=1)
+    return np.concatenate(leaves)
+
+
+def test_sample_noisy_statistics(monkeypatch):
+    # each bit of a noisy copy flips at rate delta; 600 trials of c = 7 leaves
     rng = seeded_rng(3, "noisy")
-    x = Point(1, 0)
-    flips = sum(sample_noisy(x, Fraction(1, 2), rng).index for _ in range(4000))
-    assert 1800 < flips < 2200  # ~Binomial(4000, 1/2)
-    stays = sum(sample_noisy(Point(4, 9), Fraction(1, 4), rng).index == 9 for _ in range(4000))
-    assert abs(stays / 4000 - 0.75**4) < 0.03
+    flips = _noisy_copies(1, 0, Fraction(1, 2), 600, rng, monkeypatch)
+    assert len(flips) == 4200
+    assert 1900 < flips.sum() < 2300  # ~Binomial(4200, 1/2)
+    stays = _noisy_copies(4, 9, Fraction(1, 4), 600, rng, monkeypatch) == 9
+    assert abs(stays.mean() - 0.75**4) < 0.03
 
 
 def test_walsh_hadamard_involution():
@@ -295,7 +306,7 @@ except ValueError as exc:
 
 
 def test_downward_table_refuses_n24_before_allocating():
-    # the rows and the output would need ~4.7 GiB; under a 1 GiB address-space
+    # the rows and the output would need ~3.1 GiB; under a 1 GiB address-space
     # limit a missing guard dies on its first allocation instead of filling memory
     src = str(Path(noise.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")

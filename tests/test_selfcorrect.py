@@ -26,12 +26,9 @@ from senslab.selfcorrect import (
 def test_oracle_answers_and_counts():
     f = dictator(4)
     oracle = CorruptedOracle(f, frozenset({3, 7}))
-    assert oracle.answer(Point(4, 3)) == f(3) ^ 1
-    assert oracle.answer(5) == f(5)
-    assert oracle.query_count == 2
     batch = oracle.answer_batch(np.array([3, 5, 7]))
     assert batch.tolist() == [f(3) ^ 1, f(5), f(7) ^ 1]
-    assert oracle.query_count == 5
+    assert oracle.query_count == 3
     assert error_set(oracle.corrupted_table(), f) == frozenset({3, 7})
 
 
@@ -180,6 +177,28 @@ def test_local_query_count_exact():
     assert used == 7**3
     assert oracle.query_count - before == used
     assert value == 1
+
+
+# local_correct's bits at x = 718 for seeds 0..5, per k; the tree's draws are made
+# level by level, as in local_correct_batch
+LOCAL_SCALAR_BITS = {0: "111111", 1: "011111", 2: "111110", 4: "100010"}
+
+
+def test_local_correct_is_one_trial_of_the_batch():
+    oracle, _ = corrupt(random_function(10, seed=5), Fraction(1, 16), seeded_rng(7, "wrap", "corrupt"))
+    params = CorrectorParams(s=1)
+    x = Point(10, 718)
+    for k, pinned in LOCAL_SCALAR_BITS.items():
+        bits = ""
+        for seed in range(len(pinned)):
+            scalar_rng, batch_rng = seeded_rng(seed, "wrap", k), seeded_rng(seed, "wrap", k)
+            before = oracle.query_count
+            bit, used = local_correct(oracle, x, params, scalar_rng, k=k)
+            assert type(bit) is int and used == oracle.query_count - before == 7**k
+            assert [bit] == local_correct_batch(oracle, x, params, 1, batch_rng, k=k).tolist()
+            assert scalar_rng.bytes(8) == batch_rng.bytes(8)
+            bits += str(bit)
+        assert bits == pinned, k
 
 
 def test_local_correction_refuses_huge_trees():
