@@ -45,8 +45,11 @@ def per_function_degree(tables: np.ndarray, n: int) -> np.ndarray:
 
 
 def _unpack(codes: np.ndarray, n: int) -> np.ndarray:
-    """(rows, 2^n) uint8 tables of packed codes: bit x of codes[i] is the value at x."""
-    return ((codes[:, None] >> np.arange(1 << n, dtype=codes.dtype)) & 1).astype(np.uint8)
+    """(rows, 2^n) uint8 tables of packed codes: bit x of codes[i] is the value at x.
+    Unpacked from the codes' little-endian bytes, so the output is the only large array."""
+    octets = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder("<")).view(np.uint8)
+    return np.unpackbits(octets.reshape(len(codes), codes.itemsize), axis=1, count=1 << n,
+                         bitorder="little")
 
 
 def _tight(codes: np.ndarray, k: int, s: int) -> np.ndarray:

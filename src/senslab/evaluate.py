@@ -346,11 +346,45 @@ def top_down_all(f: TruthTable, s: int) -> TruthTable:
 
 PARALLEL_BASE_ERROR = Fraction(1, 20)
 PARALLEL_SAMPLE_ERROR = Fraction(1, 5)
+# The most draws one parallel-evaluation call may make, counted from the weights of its
+# points before its first draw or allocation.  parallel_eval_batch costs about 23 ns and
+# 7-9 bytes of level arrays per draw of a trial (n = 16..18, every point, one trial;
+# 2-vCPU VM), so a call at the limit takes about 3 s and at most about 1.2 GB.  A draw
+# of the scalar sampler (noise.downward_sample in a Python frame) costs about 23 us, 2^10
+# batch draws, so parallel_eval and amplified_eval may make 2^-10 of the limit, about 3 s.
+PARALLEL_MAX_DRAWS = 1 << 27
 
 
 def parallel_sample_count() -> int:
     """c(1/5, 1/20): samples per recursion level."""
     return majority_threshold_c(PARALLEL_SAMPLE_ERROR, PARALLEL_BASE_ERROR)
+
+
+@lru_cache(maxsize=None)
+def _parallel_draws(n: int, s: int) -> tuple[int, ...]:
+    """draws[d] = the draws of one parallel evaluation at a point of weight d: none at
+    or below the cutoff min(10s, n), else c children, each one draw and an evaluation
+    at weight d - floor(d/(10s+1))."""
+    c, cutoff, draws = parallel_sample_count(), min(10 * s, n), [0] * (n + 1)
+    for d in range(cutoff + 1, n + 1):
+        draws[d] = c * (1 + draws[d - d // (10 * s + 1)])
+    return tuple(draws)
+
+
+def _check_draws(n: int, s: int, draws: int, limit: int) -> None:
+    if draws > limit:
+        raise ValueError(f"parallel evaluation at n={n}, s={s} would make {draws} draws, "
+                         f"over the limit of {limit}")
+
+
+def _check_scalar_call(advice: BallAdvice, s: int, x: Point, runs: int) -> None:
+    """Refuses s < 1, advice that does not cover radius 10s and `runs` scalar evaluations
+    at x that would pass PARALLEL_MAX_DRAWS at 2^10 batch draws a draw."""
+    if s < 1:
+        raise ValueError("parallel evaluation needs s >= 1")
+    _require_advice(advice, s, 10, x)
+    _check_draws(advice.n, s, runs * _parallel_draws(advice.n, s)[weight(x)],
+                 PARALLEL_MAX_DRAWS >> 10)
 
 
 def parallel_eval(
@@ -362,10 +396,10 @@ def parallel_eval(
     Each child is one noise.downward_sample draw from D(p, t).  Subtrees
     draw fresh samples (no memoization): reusing a sample across branches
     would correlate the majority votes the analysis needs independent.
+    A call whose tree would pass 2^-10 PARALLEL_MAX_DRAWS draws (131072, about
+    3 s) is refused before its first draw.
     """
-    if s < 1:
-        raise ValueError("parallel evaluation needs s >= 1")
-    _require_advice(advice, s, 10, x)
+    _check_scalar_call(advice, s, x, 1)
     c = parallel_sample_count()
 
     def rec(p: int, depth: int) -> int:
@@ -395,11 +429,13 @@ def amplified_eval(
     stats: EvalStats | None = None,
 ) -> int:
     """Repeat parallel_eval c(1/20, target_error) times and take the
-    majority."""
+    majority; refused before the first draw when the c runs together would pass
+    parallel_eval's draw limit."""
     target = Fraction(target_error)
     if not 0 < target <= PARALLEL_BASE_ERROR:
         raise ValueError("target error must lie in (0, 1/20]")
     c = majority_threshold_c(PARALLEL_BASE_ERROR, target)
+    _check_scalar_call(advice, s, x, c)
     votes = sum(parallel_eval(advice, s, x, rng, stats) for _ in range(c))
     return 1 if 2 * votes > c else 0
 
@@ -422,14 +458,21 @@ def parallel_eval_batch(
     shaped (c, L), and sample j of node i clears set bit floor(u[j, i] * wt).
     The next level holds the children of the deeper nodes in (node, sample)
     order.  Seeded outputs replay byte for byte.
+
+    A call whose draws, or those of one trial when trials = 0, would pass
+    PARALLEL_MAX_DRAWS is refused before its first draw or allocation.
     """
     if s < 1:
         raise ValueError("parallel evaluation needs s >= 1")
     n = f.n
     check_n(n, 20)
+    w = weights_vector(n)
+    points = np.asarray(points, dtype=np.int64)
+    per_trial = sum(k * d for k, d in zip(np.bincount(w[points], minlength=n + 1).tolist(),
+                                          _parallel_draws(n, s)))
+    _check_draws(n, s, max(trials, 1) * per_trial, PARALLEL_MAX_DRAWS)
     c = parallel_sample_count()
     bits = set_bits_table(n).reshape(-1)  # flat index x * n + j
-    w = weights_vector(n)
     cutoff = min(10 * s, n)
     # leafval[x * n + j] = f(x with its j-th set bit cleared), filled at weight
     # cutoff + 1 only: those nodes vote straight from the advice region
@@ -439,7 +482,6 @@ def parallel_eval_batch(
         at = leaf_rows * n + j
         leafval[at] = f.values[leaf_rows ^ (1 << bits[at].astype(np.int64))]
 
-    points = np.asarray(points, dtype=np.int64)
     recurse = w[points] > cutoff
     results = np.empty((len(points), trials), dtype=np.uint8)
     results[:] = f.values[points][:, None]

@@ -32,6 +32,7 @@ from .core import (
     Point,
     TruthTable,
     _butterfly,
+    _exact_int,
     _point_indices,
     check_n,
     lower_shadow,
@@ -109,10 +110,10 @@ def noise_operator(f: TruthTable, delta) -> RealFunction:
 
 def _noise_numerators(values: np.ndarray, n: int, delta: Fraction) -> np.ndarray:
     """q^n * T_{1-2delta} f at every point for delta = p/q: one butterfly pass of the
-    integer step [[q-p, p], [p, q-p]], in int64 when q^n < 2^63 (no partial sum
-    exceeds q^n) and in Python ints otherwise."""
+    integer step [[q-p, p], [p, q-p]] on the 0/1 table, in core._exact_int(q^n) (no
+    partial sum exceeds q^n; Python ints past int64)."""
     p, q = delta.numerator, delta.denominator
-    arr = np.array(values, dtype=np.int64 if q**n < 1 << 63 else object)
+    arr = np.array(values, dtype=_exact_int(q**n))
 
     def step(lo, hi, h):
         lo[...], hi[...] = (q - p) * lo + p * hi, p * lo + (q - p) * hi
@@ -138,11 +139,12 @@ def _noise_signs(values: np.ndarray, n: int, delta: Fraction, thetas: list) -> n
     signs = np.sign(gaps).astype(np.int8)
     band = np.flatnonzero((np.abs(gaps) <= THRESHOLD_BAND).any(axis=0))
     if len(band):
-        # An int64 butterfly pass costs 1.2n-2.3n censuses at n = 8..15 and 1.0n-1.2n at
-        # n = 16..22 (blocked); a Python-int pass 39n-45n at n = 15..18 (2-vCPU VM, best
-        # of 3).  The factors below stay within 2x of the crossover at every n; both engines
+        # A fixed-width butterfly pass (the work dtype of _noise_numerators, from
+        # core._exact_int) costs 1.2n-2.3n censuses at n = 8..15 and 1.0n-1.2n at n = 16..22
+        # in int64 (blocked); a Python-int pass 39n-45n at n = 15..18 (2-vCPU VM, best of
+        # 3).  The factors below stay within 2x of the crossover at every n; both engines
         # are exact, so a wrong pick only costs time.
-        if len(band) <= (2 if delta.denominator**n < 1 << 63 else 64) * n:
+        if len(band) <= (64 if _exact_int(delta.denominator**n) == object else 2) * n:
             nums = _census_numerators(values, n, delta, band.tolist())
         else:
             nums = _noise_numerators(values, n, delta)[band].astype(object)

@@ -37,6 +37,7 @@ from .core import (
     _batch_array,
     _butterfly,
     _check_tables,
+    _exact_int,
     check_n,
     degree,
     distances,
@@ -134,6 +135,12 @@ def _low_degree_extend(
     translation never moves data: a stage whose bit is set in the center runs
     with lo and hi swapped, and the points and coefficients of weight > radius
     about the center are the same index set, `far`.
+
+    Over the integers the work dtype is core._exact_int(M 3^n), with M the largest
+    |entry| of `tables` (outside the ball too, since every entry is cast before the
+    far ones are zeroed): int8 for 0/1 rows to n = 4, int16 to n = 9, int32 to
+    n = 19; rows holding 255 outside the ball take int16 to n = 4.  The result
+    stays in that dtype; parity_extend_batch widens it.
     """
     tables = _check_extension(n, center, radius, tables)
     far = distances(n, center) > radius
@@ -146,8 +153,12 @@ def _low_degree_extend(
         return op
 
     # Mobius then zeta; mod 2 both are xor
-    ops = [stage(np.bitwise_xor)] * 2 if mod2 else [stage(np.subtract), stage(np.add)]
-    x = _batch_array(tables, np.uint8 if mod2 else np.int64)
+    if mod2:
+        ops, dtype = [stage(np.bitwise_xor)] * 2, np.uint8
+    else:
+        top = max(int(tables.max(initial=0)), -int(tables.min(initial=0)))
+        ops, dtype = [stage(np.subtract), stage(np.add)], _exact_int(top * 3**n)
+    x = _batch_array(tables, dtype)
     for op in ops:
         x[..., far] = 0
         _butterfly(x, op)
@@ -167,8 +178,9 @@ def f2_extend(advice: BallAdvice) -> TruthTable:
 def parity_extend_batch(n: int, center: int, radius: int, tables: np.ndarray) -> np.ndarray:
     """Parity rule over many functions: rows are full tables whose values
     outside B(center, radius) are ignored.  Returns the int64 extensions,
-    one row each; for a tall batch they are a transposed view."""
-    return _low_degree_extend(n, center, radius, tables, mod2=False)
+    one row each, widened from the engine's work dtype in its layout: for a tall
+    batch they are a transposed view."""
+    return _low_degree_extend(n, center, radius, tables, mod2=False).astype(np.int64, order="K")
 
 
 def f2_extend_batch(n: int, center: int, radius: int, tables: np.ndarray) -> np.ndarray:
@@ -248,8 +260,8 @@ def r_bruteforce_batch(n: int, tables: np.ndarray, rule: str, centers=None) -> n
                 ext, tie = majority_extend_batch(n, center, r, rows)
                 ok = (tie < 0) & (ext == rows).all(axis=1)
             else:
-                # compared along the extension's batch-innermost layout
-                ext = parity_extend_batch(n, center, r, rows)
+                # compared in the engine's narrow dtype, along its batch-innermost layout
+                ext = _low_degree_extend(n, center, r, rows, mod2=False)
                 ok = (ext.T == rows.T).all(axis=0)
             live, rows = live[ok], rows[ok]
         first[live] = r

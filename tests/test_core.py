@@ -291,6 +291,47 @@ def test_multilinear_evaluation(f):
     assert all(evaluate_multilinear(c, Point(f.n, i)) == f(i) for i in range(1 << f.n))
 
 
+@pytest.mark.parametrize("bound,dtype", [
+    (0, np.int8), (2**7 - 1, np.int8), (2**7, np.int16), (2**15 - 1, np.int16), (2**15, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64), (2**63, object), (2**70, object),
+])
+def test_exact_int_is_the_narrowest_exact_dtype(bound, dtype):
+    assert core._exact_int(bound) == np.dtype(dtype)
+
+
+def _parity_coefficients(n, flip):
+    # parity = sum over nonempty S of (-2)^(|S|-1) x^S; its complement negates them and adds 1
+    c = [0 if S == 0 else (-2) ** (S.bit_count() - 1) for S in range(1 << n)]
+    return [1 - v if S == 0 else -v for S, v in enumerate(c)] if flip else c
+
+
+@pytest.mark.parametrize("n,dtype", [(7, np.int8), (8, np.int16), (15, np.int16), (16, np.int32)])
+def test_mobius_and_degree_exact_where_the_dtype_switches(n, dtype):
+    # |c| = 2^(n-1) at the top set: -2^(n-1) for parity, +2^(n-1) for its complement
+    assert core._exact_int(1 << (n - 1)) == dtype
+    for flip in (False, True):
+        f = parity(n).complement() if flip else parity(n)
+        c = mobius_coefficients(f)
+        assert c.values.dtype == np.int64 and c.values.tolist() == _parity_coefficients(n, flip)
+        assert degree(f) == n and core._degrees(np.stack([f.values] * 2), n).tolist() == [n, n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 15, 16])
+def test_zeta_exact_where_the_dtype_switches(n):
+    # max|c| = 2^(n-1), so the bound 2^(2n-1) takes int8 to n = 3, int16 to 7, int32 to 15
+    for flip in (False, True):
+        f = parity(n).complement() if flip else parity(n)
+        back = zeta_transform(IntegerFunction(n, _parity_coefficients(n, flip)))
+        assert back.values.dtype == np.int64 and back == f
+
+
+def test_zeta_past_int64_is_exact_or_refused():
+    # 2 * 2^62 passes int64, so the butterfly runs in Python ints
+    assert zeta_transform(IntegerFunction(1, [2**62, -(2**62)])).values.tolist() == [2**62, 0]
+    with pytest.raises(ValueError, match="int64 range"):
+        zeta_transform(IntegerFunction(1, [2**62, 2**62]))  # 2^63 would wrap to -2^63
+
+
 def test_degree_known_values():
     assert degree(parity(5)) == 5
     assert degree(dictator(4, 2)) == 1
@@ -729,6 +770,48 @@ def test_guard_sees_the_copies_it_forbids():
     kinds = [set().union(*(_kinds(e) for _, e in _counted_expressions(ast.parse(c))))
              for c in copies]
     assert kinds == [{"distance"}] * 3 + [{"rank"}]
+
+
+_WORK_DTYPE_OWNERS = {"_low_degree_extend", "_noise_numerators"}
+_WIDE_INTS = {"int32", "int64"}
+
+
+def _wide_work_dtypes(source):
+    """def:line for each np.int32/np.int64 (or "int32"/"int64") in a top-level def of
+    `source` that runs _mobius_int or _zeta_int, or in _low_degree_extend or
+    _noise_numerators: a work dtype chosen past core._exact_int."""
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.FunctionDef) or stmt.name == "_exact_int":
+            continue
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(stmt) if isinstance(node, ast.Call)}
+        if stmt.name in _WORK_DTYPE_OWNERS or called & {"_mobius_int", "_zeta_int"}:
+            for node in ast.walk(stmt):
+                literal = (node.attr if isinstance(node, ast.Attribute)
+                           else node.value if isinstance(node, ast.Constant) else None)
+                if literal in _WIDE_INTS:
+                    yield f"{stmt.name}:{node.lineno}"
+
+
+def test_only_exact_int_picks_the_integer_work_dtypes():
+    sites = [f"{path.name}:{site}" for path in sorted(Path(core.__file__).parent.glob("*.py"))
+             for site in _wide_work_dtypes(path.read_text())]
+    assert sites == [], sites
+
+
+def test_work_dtype_guard_sees_the_choices_it_forbids():
+    copies = [
+        "def mobius_coefficients(f):\n    return _mobius_int(f.values.astype(np.int64))",
+        "def _degrees(t, n):\n    return _mobius_int(_batch_array(t, np.int32))",
+        "def _low_degree_extend(t, mod2):\n    x = _batch_array(t, np.uint8 if mod2 else np.int64)",
+        "def _noise_numerators(v, n, q):\n    a = np.array(v, dtype=np.int64 if q**n < 1 << 63 else object)",
+        "def zeta(c):\n    wide = 'int64'\n    return _zeta_int(c.values.astype(wide))",
+    ]
+    assert [list(_wide_work_dtypes(c)) for c in copies] == [
+        ["mobius_coefficients:2"], ["_degrees:2"], ["_low_degree_extend:2"], ["_noise_numerators:2"],
+        ["zeta:2"]]
+    # the widening at a public boundary is not a work dtype
+    assert not list(_wide_work_dtypes("def parity_extend_batch(t):\n    return _low_degree_extend(t).astype(np.int64)"))
 
 
 def _public_names_without_a_use(root):

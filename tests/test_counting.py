@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,25 @@ def test_all_tables_shape():
     t = all_tables(3)
     assert t.shape == (256, 8)
     assert len(np.unique(t, axis=0)) == 256
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_tables_rows_are_the_bits_of_their_codes(n):
+    t = all_tables(n)
+    codes = np.arange(1 << (1 << n))
+    assert t.dtype == np.uint8 and t.flags.c_contiguous
+    assert np.array_equal(t, (codes[:, None] >> np.arange(1 << n)) & 1)
+
+
+def test_all_tables_peak_memory():
+    # unpacked from the codes' bytes: at n = 4 the 1 MiB output is the only large array
+    tracemalloc.start()
+    try:
+        all_tables(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 def test_small_class_sizes():

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.stats import binom
 
-from senslab import verify
+from senslab import evaluate, verify
+from senslab.cli import main
 from senslab.core import (
     Point, TruthTable, lower_neighbors, restrict_to_ball, seeded_rng, sensitivity,
     set_bit_positions, weights_vector,
 )
 from senslab.evaluate import (
+    PARALLEL_MAX_DRAWS,
     EvalStats,
     _bit_plan,
     _shift_plan,
@@ -32,6 +34,7 @@ from senslab.evaluate import (
     top_down_visit_profile,
 )
 from senslab.families import dictator, or_fn, parity, random_dt, random_function, tribes
+from senslab.io import write_ball_advice
 
 
 def _advice(f, s, factor=2):
@@ -509,6 +512,67 @@ def test_parallel_criterion_fails_a_function_that_never_recurses(monkeypatch):
     monkeypatch.setattr(verify, "parallel_corpus", lambda: [("dt-16", 2, random_dt(16, 2, seed=5))])
     result = verify.criterion_parallel_error()
     assert not result.ok and result.detail == "dt-16: n=16 <= 10s, recurses at no point"
+
+
+# ---------------------------------------------------------------------------
+# the draw limit: counted from the weights, checked before the first draw
+
+@pytest.mark.parametrize("n,s,weights", [(12, 1, (10, 11, 12)), (14, 1, (13, 14)), (22, 2, (21, 22))])
+def test_parallel_draw_counts_match_the_samplers(n, s, weights):
+    draws, f = evaluate._parallel_draws(n, s), random_dt(n, s, seed=n)
+    rng = seeded_rng(n, "draw-count")
+    for w in weights:
+        stats = EvalStats()
+        parallel_eval(_advice(f, s, 10), s, Point(n, (1 << w) - 1), rng, stats)
+        assert stats.rng_draws == draws[w]
+    if n <= 20:
+        # the batch takes one double a draw: trials * the sum of draws[wt(x)]
+        pts = np.arange(1 << n)[::37]
+        per_trial = sum(draws[int(w)] for w in weights_vector(n)[pts])
+        rng, ref = seeded_rng(n, "draw-count-batch"), seeded_rng(n, "draw-count-batch")
+        parallel_eval_batch(f, s, pts, 3, rng)
+        ref.random(3 * per_trial)
+        assert rng.bytes(8) == ref.bytes(8)
+
+
+def test_parallel_samplers_refuse_a_call_over_the_draw_limit():
+    f16 = dictator(16)
+    advice, top = _advice(f16, 1, 10), Point(16, (1 << 16) - 1)
+    draws = evaluate._parallel_draws(16, 1)
+    assert draws[15] * 7 > PARALLEL_MAX_DRAWS >> 10 >= draws[15] and draws[16] > PARALLEL_MAX_DRAWS >> 10
+    # perfbench's call (n = 16, every point, 40 trials) is admitted, 118 trials are not
+    per_trial = sum(comb(16, w) * d for w, d in enumerate(draws))
+    assert 40 * per_trial <= PARALLEL_MAX_DRAWS < 118 * per_trial
+    f19, every19 = dictator(19), np.arange(1 << 19)
+    weights_vector(19)  # the cached weights, outside the traced calls
+    cases = [
+        lambda rng: parallel_eval(advice, 1, top, rng),
+        lambda rng: amplified_eval(advice, 1, Point(16, (1 << 15) - 1), Fraction(1, 4096), rng),
+        lambda rng: parallel_eval_batch(f16, 1, every19[: 1 << 16], 118, rng),
+        lambda rng: parallel_eval_batch(f19, 1, every19, 1, rng),
+        lambda rng: parallel_eval_batch(f19, 1, every19, 0, rng),
+    ]
+    for i, call in enumerate(cases):
+        rng, fresh = seeded_rng(i, "limit"), seeded_rng(i, "limit")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="draws, over the limit of"):
+                call(rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rng.bytes(8) == fresh.bytes(8)  # no draw
+        assert peak < 8 * 2**20, (i, peak)  # no level arrays (n = 19 would take about 3 GiB)
+
+
+def test_eval_parallel_over_the_draw_limit_exits_two(tmp_path, capsys):
+    ball = str(tmp_path / "d16.ball")
+    write_ball_advice(_advice(dictator(16), 1, 10), ball)
+    assert main(["eval", "--algo", "parallel", "--advice", ball, "--s", "1", "--x", "1" * 16]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parallel evaluation at n=16, s=1 would make 137256 draws")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from senslab import core, reconstruct
 from senslab.core import (
     TALL_ROWS,
     BallAdvice,
@@ -247,6 +248,44 @@ def test_low_degree_paths_match_reference(n, data):
         out = extend(n, center, radius, tables)
         for row, ext in zip(tables, out):
             assert (ext == _reference_low_degree(n, center, radius, row, mod2)).all()
+
+
+def _int64_low_degree(n, center, radius, rows):
+    # the parity rule's two butterflies on an int64 copy, translated to center 0 and back
+    idx = np.arange(1 << n) ^ center
+    far = weights_vector(n) > radius
+    x = np.where(far, 0, rows[:, idx]).astype(np.int64)
+    core._mobius_int(x)
+    x[:, far] = 0
+    return core._zeta_int(x)[:, idx]
+
+
+@pytest.mark.parametrize("n,dtype", [(4, np.int8), (5, np.int16), (9, np.int16), (10, np.int32),
+                                     (19, np.int32), (20, np.int64)])
+def test_parity_extension_exact_where_the_dtype_switches(n, dtype):
+    # 0/1 rows take _exact_int(3^n); rows holding 255 outside the ball take _exact_int(255 3^n)
+    rng = seeded_rng(n, "dtype-switch")
+    rows = np.stack([np.ones(1 << n, dtype=np.uint8), parity(n).values, parity(n).complement().values,
+                     rng.integers(0, 2, size=1 << n, dtype=np.uint8)])
+    center, radius = int(rng.integers(1 << n)), n // 2
+    ref = _int64_low_degree(n, center, radius, rows)
+    held = np.where(distances(n, center) <= radius, rows, np.uint8(255))
+    for tables, work in ((rows, dtype), (held, core._exact_int(255 * 3**n))):
+        ext = reconstruct._low_degree_extend(n, center, radius, tables, mod2=False)
+        assert ext.dtype == work and (ext == ref).all()
+    assert (parity_extend(BallAdvice(Point(n, center), radius, held[1])).values == ref[1]).all()
+
+
+def test_parity_radius_scan_peak_memory():
+    # 0/1 rows at n = 4 extend in int8: one call's extensions take 1 MiB, not 8
+    tables = all_tables(4)
+    tracemalloc.start()
+    try:
+        r_bruteforce_batch(4, tables, "par")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak
 
 
 def test_f2_recovers_at_f2_degree():
