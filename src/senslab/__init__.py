@@ -20,10 +20,8 @@ from .core import (
     check_bias_bound,
     degree,
     degree_f2,
-    distance_fraction,
     mobius_coefficients,
     mobius_coefficients_f2,
-    neighborhood,
     point,
     pointwise_sensitivity,
     profile,
@@ -42,7 +40,6 @@ from .counting import (
     enumerate_class,
     interpolation_experiment,
     interpolation_sample_size,
-    xor_sensitivity_check,
 )
 from .evaluate import (
     EvalStats,

@@ -32,16 +32,6 @@ from .io import FormatError, read_ball_advice, read_truth_table, write_truth_tab
 def _json_default(o):
     if isinstance(o, Fraction):
         return f"{o.numerator}/{o.denominator}"
-    if isinstance(o, (frozenset, set)):
-        return sorted(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, Point):
-        return o.bits()
     raise TypeError(f"cannot serialize {type(o)!r}")
 
 

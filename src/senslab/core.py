@@ -35,6 +35,15 @@ def check_n(n: int, cap: int | None = None) -> None:
         raise ValueError(f"n={n} outside supported range [1, {limit}]")
 
 
+def exact_fraction(value, refusal: str) -> Fraction:
+    """value as an exact Fraction.  A float is refused, not converted, with
+    ValueError(refusal.format(value)): Fraction(0.05) is 3602879701896397/2^56,
+    not 1/20."""
+    if isinstance(value, float):
+        raise ValueError(refusal.format(value))
+    return Fraction(value)
+
+
 def popcount(x: int) -> int:
     return int(x).bit_count()
 
@@ -263,13 +272,6 @@ def all_neighbors(x: Point) -> list[Point]:
     return [Point(x.n, x.index ^ (1 << i)) for i in range(x.n)]
 
 
-def neighbors_at_weight(x: Point, r: int) -> list[Point]:
-    """N_r(x): neighbors of x having Hamming weight exactly r."""
-    if not 0 <= r <= x.n:
-        raise ValueError(f"weight {r} out of range")
-    return [y for y in all_neighbors(x) if weight(y) == r]
-
-
 def ball_indices(n: int, center: int, r: int) -> list[int]:
     """B(center, r), sorted by index."""
     if not 0 <= r <= n:
@@ -297,21 +299,6 @@ def lower_shadow(x: Point, t: int) -> list[Point]:
     return [
         Point(x.n, x.index ^ sum(1 << p for p in pos)) for pos in combinations(ones, t)
     ]
-
-
-def neighborhood(x: Point, kind: str, param: int | None = None) -> list[Point]:
-    """Dispatcher over the neighborhood enumerations."""
-    if kind == "all-neighbors":
-        return all_neighbors(x)
-    if kind == "at-weight":
-        return neighbors_at_weight(x, param)
-    if kind == "ball":
-        return ball_points(x, param)
-    if kind == "sphere":
-        return sphere_points(x, param)
-    if kind == "lower-shadow":
-        return lower_shadow(x, param)
-    raise ValueError(f"unknown neighborhood kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +601,6 @@ def check_bias_bound(f: TruthTable) -> BiasBoundReport:
 def relevant_variables(f: TruthTable) -> frozenset[int]:
     """1-based indices i such that f(x) != f(x ^ e_i) for some x."""
     return frozenset(i + 1 for i, flips in enumerate(_coordinate_flips(f.values, f.n)) if flips.any())
-
-
-def distance_fraction(f: TruthTable, g: TruthTable) -> Fraction:
-    if f.n != g.n:
-        raise ValueError("dimension mismatch")
-    return Fraction(int((f.values != g.values).sum()), 1 << f.n)
 
 
 # ---------------------------------------------------------------------------

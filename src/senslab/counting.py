@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .core import TruthTable, _check_tables, _degrees, _sensitivity_counts, sensitivity
+from .core import _check_tables, _degrees, _sensitivity_counts
 
 ENUM_MAX_N = 4
 LONG_ENUM_N = 5
@@ -145,12 +145,6 @@ def build_census(n: int, allow_long: bool = False) -> ClassCensus:
     )
 
 
-def xor_sensitivity_check(f1: TruthTable, f2: TruthTable) -> bool:
-    if f1.n != f2.n:
-        raise ValueError("dimension mismatch")
-    return sensitivity(f1 ^ f2).s <= sensitivity(f1).s + sensitivity(f2).s
-
-
 INTERPOLATION_C = 3
 # Bytes of one trial's projection of F(min(2s, n), n) onto k sample points, one
 # uint8 per member and point.  The F(s, n) projection and np.unique's sorted copy
@@ -199,7 +193,6 @@ def interpolation_experiment(
     k: int,
     trials: int,
     rng: np.random.Generator,
-    fixed_sample: np.ndarray | None = None,
 ) -> InterpolationResult:
     """Draw k uniform points (with replacement) per trial; interpolation
     succeeds when every pair of distinct members of F(s,n) differs somewhere
@@ -217,27 +210,23 @@ def interpolation_experiment(
     small = tables[sens <= s]
     double = tables[sens <= min(2 * s, n)]
     nonzero_double = double[double.any(axis=1)]
-    size = k if fixed_sample is None else len(fixed_sample)
-    if size * len(double) > INTERPOLATION_MAX_BYTES:
-        raise ValueError(f"interpolation sample of {size} points projects {len(double)} members onto "
-                         f"{size * len(double)} bytes per trial, over the {INTERPOLATION_MAX_BYTES} limit")
-    work = trials * size * (len(double) + INTERPOLATION_SAMPLE_BYTES)
+    if k * len(double) > INTERPOLATION_MAX_BYTES:
+        raise ValueError(f"interpolation sample of {k} points projects {len(double)} members onto "
+                         f"{k * len(double)} bytes per trial, over the {INTERPOLATION_MAX_BYTES} limit")
+    work = trials * k * (len(double) + INTERPOLATION_SAMPLE_BYTES)
     if work > INTERPOLATION_MAX_WORK:
-        raise ValueError(f"{trials} interpolation trials project {trials * size * len(double)} bytes and "
-                         f"draw {trials * size} samples, {work} priced bytes in all, "
+        raise ValueError(f"{trials} interpolation trials project {trials * k * len(double)} bytes and "
+                         f"draw {trials * k} samples, {work} priced bytes in all, "
                          f"over the {INTERPOLATION_MAX_WORK} limit")
     interp_ok = 0
     hit_ok = 0
     agree = True
     for _ in range(trials):
-        if fixed_sample is not None:
-            sample = np.asarray(fixed_sample, dtype=np.int64)
-        else:
-            sample = rng.integers(0, 1 << n, size=k)
+        sample = rng.integers(0, 1 << n, size=k)
         # each member's projection is one opaque k-byte row: np.unique sorts them
         # with memcmp, where unique(axis=0) builds a structured dtype of k fields
         proj = np.take(small, sample, axis=1)
-        distinct = len(np.unique(proj.view(f"V{len(sample)}"))) if len(sample) else 1
+        distinct = len(np.unique(proj.view(f"V{k}"))) if k else 1
         interp = distinct == len(small)
         hit = bool(nonzero_double[:, sample].any(axis=1).all()) if len(nonzero_double) else True
         if hit and not interp:

@@ -36,6 +36,7 @@ from .core import (
     TruthTable,
     all_set_bit_positions,
     check_n,
+    exact_fraction,
     lower_neighbors,
     popcount,
     set_bit_positions,
@@ -104,8 +105,9 @@ def majority_threshold_c(mu, delta_target) -> int:
     """Smallest odd c with Pr[Bin(c, mu) > c/2] <= delta_target (exact integer
     binomial tails; odd so the majority is never tied).  Refuses a search whose
     Hoeffding bound on c exceeds THRESHOLD_C_LIMIT."""
-    mu = Fraction(mu)
-    delta_target = Fraction(delta_target)
+    mu = exact_fraction(mu, "mu must be an exact rational, not the float {!r}")
+    delta_target = exact_fraction(delta_target,
+                                  "delta_target must be an exact rational, not the float {!r}")
     if not 0 <= mu < Fraction(1, 2):
         raise ValueError("mu must lie in [0, 1/2)")
     if not 0 < delta_target < 1:
@@ -431,7 +433,7 @@ def amplified_eval(
     """Repeat parallel_eval c(1/20, target_error) times and take the
     majority; refused before the first draw when the c runs together would pass
     parallel_eval's draw limit."""
-    target = Fraction(target_error)
+    target = exact_fraction(target_error, "target error must be an exact rational, not the float {!r}")
     if not 0 < target <= PARALLEL_BASE_ERROR:
         raise ValueError("target error must lie in (0, 1/20]")
     c = majority_threshold_c(PARALLEL_BASE_ERROR, target)

@@ -35,6 +35,7 @@ from .core import (
     _exact_int,
     _point_indices,
     check_n,
+    exact_fraction,
     lower_shadow,
     weight,
     weights_vector,
@@ -51,11 +52,8 @@ DOWNWARD_TABLE_MAX_BYTES = 1 << 31
 
 
 def noise_rate(value) -> Fraction:
-    """Validate a noise rate delta as an exact rational in (0, 1/2]; a float is
-    refused, since Fraction(0.05) is 3602879701896397/2^56, not 1/20."""
-    if isinstance(value, float):
-        raise ValueError(f"noise rate must be an exact rational, not the float {value!r}")
-    delta = Fraction(value)
+    """Validate a noise rate delta as an exact rational in (0, 1/2]; a float is refused."""
+    delta = exact_fraction(value, "noise rate must be an exact rational, not the float {!r}")
     if not 0 < delta <= Fraction(1, 2):
         raise ValueError(f"noise rate {delta} outside (0, 1/2]")
     return delta
@@ -204,9 +202,7 @@ def noise_sensitivity_below(f: TruthTable, delta, bound) -> np.ndarray:
     """NS_delta[f](x) < bound at every x (bool), by the exact signs of T_{1-2delta} f - bound
     where f = 0 and of T_{1-2delta} f - (1 - bound) where f = 1; a float bound is refused."""
     delta = noise_rate(delta)
-    if isinstance(bound, float):
-        raise ValueError(f"bound must be an exact rational, not the float {bound!r}")
-    bound = Fraction(bound)
+    bound = exact_fraction(bound, "bound must be an exact rational, not the float {!r}")
     below, above = _noise_signs(f.values, f.n, delta, [bound, 1 - bound])
     return np.where(f.values == 1, above > 0, below < 0)
 

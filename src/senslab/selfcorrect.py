@@ -20,7 +20,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .core import BLOCK_BYTES, Point, TruthTable, distances
+from .core import BLOCK_BYTES, Point, TruthTable, _point_indices, distances, exact_fraction
 from .evaluate import majority_threshold_c
 from .noise import _noise_signs, lambda_set, noise_rate
 
@@ -34,12 +34,10 @@ class CorruptedOracle:
     _flipped: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.corrupted = frozenset(int(i) for i in self.corrupted)
-        bad = [i for i in self.corrupted if not 0 <= i < (1 << self.truth.n)]
-        if bad:
-            raise ValueError(f"corrupted points out of range: {bad[:3]}")
+        indices = _point_indices(self.truth.n, self.corrupted)
+        self.corrupted = frozenset(indices.tolist())
         self._flipped = np.zeros(1 << self.truth.n, dtype=np.uint8)
-        self._flipped[list(self.corrupted)] = 1
+        self._flipped[indices] = 1
         self._flipped.setflags(write=False)
 
     def answer_batch(self, indices: np.ndarray) -> np.ndarray:
@@ -72,9 +70,11 @@ class CorrectorParams:
             raise ValueError("self-correction needs s >= 1")
         d = noise_rate(self.delta if self.delta is not None else Fraction(1, 20 * self.s))
         object.__setattr__(self, "delta", d)
-        if isinstance(self.epsilon, float) or not 0 < Fraction(self.epsilon) < 1:
-            raise ValueError(f"epsilon must be an exact rational in (0, 1), not {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        refusal = "epsilon must be an exact rational in (0, 1), not {!r}"
+        epsilon = exact_fraction(self.epsilon, refusal)
+        if not 0 < epsilon < 1:
+            raise ValueError(refusal.format(self.epsilon))
+        object.__setattr__(self, "epsilon", epsilon)
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -93,7 +93,7 @@ def corrupt(
     f: TruthTable, rate, rng: np.random.Generator
 ) -> tuple[CorruptedOracle, TruthTable]:
     """Flip a uniformly random set of round(rate * 2^n) points."""
-    rate = Fraction(rate)
+    rate = exact_fraction(rate, "corruption rate must be an exact rational, not the float {!r}")
     if not 0 <= rate <= 1:
         raise ValueError("corruption rate must lie in [0, 1]")
     size = 1 << f.n
@@ -108,6 +108,7 @@ def corrupt_targeted(f: TruthTable, x: Point, count: int) -> tuple[CorruptedOrac
     (increasing distance, then index) — the region local queries sample."""
     if not 0 <= count <= (1 << f.n):
         raise ValueError("count out of range")
+    f(x)  # refuses a Point of another cube
     # a stable sort by distance keeps ties in index order
     nearest = np.argsort(distances(f.n, x.index), kind="stable")[:count]
     oracle = CorruptedOracle(f, frozenset(nearest.tolist()))
@@ -196,6 +197,8 @@ def _tree_shape(params: CorrectorParams, n: int, k: int | None) -> tuple[int, in
     tree; refuses a tree of more than MAX_LOCAL_QUERIES leaves."""
     if k is None:
         k = params.k if params.k is not None else params.default_k(n)
+    if k < 0:
+        raise ValueError(f"local tree depth k={k} must be >= 0")
     c = params.local_c()
     if c**k > MAX_LOCAL_QUERIES:
         raise ValueError(f"local correction would issue c^k = {c}^{k} queries; pass a smaller --k")

@@ -2,9 +2,9 @@
 
 Each test prints its own pass/fail line (run pytest with -s or check the
 captured output on failure) and asserts the battery's verdict.  Every
-battery takes under 2 s on a 2-vCPU VM; the parallel-error battery, which
-builds six tables at n = 22, is the slowest at about 1.5 s (the whole suite
-takes about 35 s).
+battery takes under 1 s on a 2-vCPU VM; the parallel-error battery, which
+builds six tables at n = 22, is the slowest at about 0.7 s (the 13 take
+about 2.3 s, the whole suite 27-35 s).
 """
 import pytest
 

@@ -87,6 +87,45 @@ def test_extend_maj_stdout_is_pinned(tmp_path, capsys, case, f, center, radius, 
         assert read_truth_table(out_tt) == f
 
 
+EXTEND_STDOUT = {
+    "par-n6": '{"command": "extend", "ok": true, "outputs": {"boolean": true, "status": "extended", '
+              '"values": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, '
+              '0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, '
+              '0, 0, 0, 0, 1, 1, 1, 1]}, "parameters": {"advice": "<advice>", "out": "<out>", "rule": '
+              '"par"}, "seed": null}\n',
+    "par-n4-integer": '{"command": "extend", "ok": true, "outputs": {"boolean": false, "status": '
+                      '"extended", "values": [0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 1, -1]}, '
+                      '"parameters": {"advice": "<advice>", "out": "<out>", "rule": "par"}, "seed": null}\n',
+    "par-n10": '{"command": "extend", "ok": true, "outputs": {"boolean": true, "status": "extended"}, '
+               '"parameters": {"advice": "<advice>", "out": "<out>", "rule": "par"}, "seed": null}\n',
+    "f2-n6": '{"command": "extend", "ok": true, "outputs": {"bits": "000000000000000000001111000011110000'
+             '0000000000000000111100001111", "ones": 16, "status": "extended"}, "parameters": {"advice": '
+             '"<advice>", "out": "<out>", "rule": "f2"}, "seed": null}\n',
+    "f2-n10": '{"command": "extend", "ok": true, "outputs": {"ones": 256, "status": "extended"}, '
+              '"parameters": {"advice": "<advice>", "out": "<out>", "rule": "f2"}, "seed": null}\n',
+}
+
+
+@pytest.mark.parametrize("case, f, center, radius", [
+    ("par-n6", random_dt(6, 2, seed=8), 45, 2),
+    ("par-n4-integer", random_function(4, seed=4), 2, 2),
+    ("par-n10", random_dt(10, 2, seed=3), 1000, 4),
+    ("f2-n6", random_dt(6, 2, seed=8), 45, 2),
+    ("f2-n10", random_dt(10, 2, seed=3), 1000, 4),
+])
+def test_extend_par_and_f2_stdout_is_pinned(tmp_path, capsys, case, f, center, radius):
+    ball, out = str(tmp_path / "f.ball"), tmp_path / "ext.out"
+    write_ball_advice(restrict_to_ball(f, Point(f.n, center), radius), ball)
+    assert main(["extend", "--rule", case.split("-")[0], "--advice", ball, "--out", str(out)]) == 0
+    expected = EXTEND_STDOUT[case].replace("<advice>", ball).replace("<out>", str(out))
+    assert capsys.readouterr().out == expected
+    if case == "par-n4-integer":  # a non-Boolean extension is written as index/value lines
+        values = json.loads(expected)["outputs"]["values"]
+        assert out.read_text() == "".join(f"{i} {v}\n" for i, v in enumerate(values))
+    else:
+        assert read_truth_table(out) == f
+
+
 def test_eval_cli_matches_truth(tmp_path, capsys):
     f = dictator(8)
     ball = str(tmp_path / "f.ball")
@@ -97,6 +136,48 @@ def test_eval_cli_matches_truth(tmp_path, capsys):
         )
         assert code == 0
         assert reports[0]["outputs"]["value"] == 1
+
+
+EVAL_STDOUT = {
+    "bottom-up": '{"command": "eval", "ok": true, "outputs": {"stats": {"ball_shifts": 12, '
+                 '"majority_votes": 660, "max_depth": 0, "points_by_weight": {"0": 1, "1": 13, "10": 79, '
+                 '"11": 13, "12": 1, "2": 79, "3": 79, "4": 79, "5": 79, "6": 79, "7": 79, "8": 79, "9": '
+                 '79}, "points_computed": 739, "rng_draws": 0}, "value": 1}, "parameters": {"advice": '
+                 '"<advice>", "algo": "bottom-up", "s": 1, "x": "111111111111"}, "seed": null}\n',
+    "top-down": '{"command": "eval", "ok": true, "outputs": {"stats": {"ball_shifts": 0, '
+                '"majority_votes": 220, "max_depth": 0, "points_by_weight": {"10": 6, "11": 3, "12": 1, '
+                '"2": 66, "3": 55, "4": 45, "5": 36, "6": 28, "7": 21, "8": 15, "9": 10}, '
+                '"points_computed": 286, "rng_draws": 0}, "value": 1}, "parameters": {"advice": '
+                '"<advice>", "algo": "top-down", "s": 1, "x": "111111111111"}, "seed": null}\n',
+    "parallel": '{"command": "eval", "ok": true, "outputs": {"stats": {"ball_shifts": 0, '
+                '"majority_votes": 8, "max_depth": 2, "points_by_weight": {"10": 49}, "points_computed": '
+                '49, "rng_draws": 56}, "value": 1}, "parameters": {"advice": "<advice>", "algo": '
+                '"parallel", "s": 1, "x": "111111111111"}, "seed": 3}\n',
+    "amplified": '{"command": "eval", "ok": true, "outputs": {"stats": {"ball_shifts": 0, '
+                 '"majority_votes": 24, "max_depth": 2, "points_by_weight": {"10": 147}, '
+                 '"points_computed": 147, "rng_draws": 168}, "value": 1}, "parameters": {"advice": '
+                 '"<advice>", "algo": "amplified", "s": 1, "target": "1/100", "x": "111111111111"}, '
+                 '"seed": 3}\n',
+    "amplified-no-stats": '{"command": "eval", "ok": true, "outputs": {"value": 1}, "parameters": '
+                          '{"advice": "<advice>", "algo": "amplified", "s": 1, "target": "1/20", "x": '
+                          '"111111111111"}, "seed": 3}\n',
+}
+
+
+@pytest.mark.parametrize("case, flags", [
+    ("bottom-up", ["--stats"]),
+    ("top-down", ["--stats"]),
+    ("parallel", ["--stats", "--seed", "3"]),
+    ("amplified", ["--target", "1/100", "--seed", "3", "--stats"]),
+    ("amplified-no-stats", ["--seed", "3"]),
+])
+def test_eval_stdout_is_pinned(tmp_path, capsys, case, flags):
+    # radius 10 at n = 12: the parallel evaluator recurses at the all-ones point
+    ball = str(tmp_path / "f.ball")
+    write_ball_advice(restrict_to_ball(dictator(12, 4), Point(12, 0), 10), ball)
+    argv = ["eval", "--algo", case.split("-no-")[0], "--advice", ball, "--s", "1", "--x", "1" * 12]
+    assert main(argv + flags) == 0
+    assert capsys.readouterr().out == EVAL_STDOUT[case].replace("<advice>", ball)
 
 
 def test_ns_cli_exact_strings(tmp_path, capsys):
@@ -206,6 +287,13 @@ def test_correct_local_refuses_huge_default_k(tmp_path, capsys):
     )
 
 
+def test_correct_local_without_x_exits_two(tmp_path, capsys):
+    path = str(tmp_path / "f.tt")
+    write_truth_table(dictator(6), path)
+    assert main(["correct", "--mode", "local", "--in", path, "--s", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: local mode needs --x\n")
+
+
 def test_enumerate_cli(capsys, monkeypatch):
     code, reports = run(capsys, "enumerate", "--n", "3")
     assert code == 0
@@ -232,14 +320,13 @@ def test_interpolate_cli_deterministic(capsys):
     assert first == second  # byte-identical reports for identical seeds
 
 
-def test_verify_suite_cli(capsys):
-    code, reports = run(capsys, "verify", "--suite", "counting")
-    assert code == 0
-    assert [r["parameters"]["criterion"] for r in reports] == [12, 13]
-    assert all(r["ok"] for r in reports)
-
-
 VERIFY_STDOUT = {
+    "ball": [
+        '{"command": "verify", "ok": true, "outputs": {"detail": "all 1048576 (function, center) '
+        'extensions exact at n=4; 200 scalar spot checks bind the batch engine", "name": '
+        '"ball-reconstruction", "ok": true}, "parameters": {"criterion": 1, "suite": "ball"}, "seed": '
+        'null}',
+    ],
     "rules": [
         '{"command": "verify", "ok": true, "outputs": {"detail": "brute-force majority radius equals '
         'min(2s, n) on 66812 functions (exhaustive n <= 4, 500 random each at n = 5, 6)", "name": '
@@ -248,6 +335,20 @@ VERIFY_STDOUT = {
         'deg(f) on all 65812 functions with n <= 4; single-center and all-center radii identical", '
         '"name": "parity-radius", "ok": true}, "parameters": {"criterion": 3, "suite": "rules"}, '
         '"seed": null}',
+    ],
+    "evaluators": [
+        '{"command": "verify", "ok": true, "outputs": {"detail": "bottom-up, top-down and the truth '
+        'table agree on all 2^n points of 300 random decision trees (n in (8, 12), depth in (1, 2, '
+        '3))", "name": "evaluator-agreement", "ok": true}, "parameters": {"criterion": 4, "suite": '
+        '"evaluators"}, "seed": null}',
+        '{"command": "verify", "ok": true, "outputs": {"detail": "visit counts within C(d-k+2s, d-k) '
+        'at every weight for all 13056 start points (the visit set depends only on x, s, n); '
+        'instrumented runs match the profile rows exactly", "name": "topdown-visit-bound", "ok": '
+        'true}, "parameters": {"criterion": 5, "suite": "evaluators"}, "seed": null}',
+        '{"command": "verify", "ok": true, "outputs": {"detail": "10 corpus functions, each recursing '
+        'somewhere: exact worst Pr[error] 0.001907 (s=1, n=16), 0.002272 (s=2, n=22) <= 1/20 at every '
+        'point", "name": "parallel-error", "ok": true}, "parameters": {"criterion": 6, "suite": '
+        '"evaluators"}, "seed": null}',
     ],
     "noise": [
         '{"command": "verify", "ok": true, "outputs": {"detail": "39424 exact pointwise '
@@ -272,6 +373,16 @@ VERIFY_STDOUT = {
         'probe points; corrupted query point recovered 1000/1000 times with exactly c^k = 2401 '
         'queries per call", "name": "local-correction", "ok": true}, "parameters": {"criterion": 11, '
         '"suite": "selfcorrect"}, "seed": null}',
+    ],
+    "counting": [
+        '{"command": "verify", "ok": true, "outputs": {"detail": "class counts within the '
+        'product/degree bounds for every s at n <= 4; |F(0,n)| = 2, |F(1,n)| = 2 + 2n, |F(n,n)| = '
+        '2^(2^n) anchors exact", "name": "class-counts", "ok": true}, "parameters": {"criterion": 12, '
+        '"suite": "counting"}, "seed": null}',
+        '{"command": "verify", "ok": true, "outputs": {"detail": "s <= 4*deg^2, deg <= s^2 (Huang) '
+        'and |relevant| <= s*4^s on all 65574 functions (full n=4 census plus the corpus at n in (6, '
+        '9, 10))", "name": "cross-measures", "ok": true}, "parameters": {"criterion": 13, "suite": '
+        '"counting"}, "seed": null}',
     ],
 }
 

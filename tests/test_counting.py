@@ -19,7 +19,6 @@ from senslab.counting import (
     interpolation_sample_size,
     per_function_degree,
     per_function_sensitivity,
-    xor_sensitivity_check,
 )
 from senslab.families import dictator, parity, random_dt
 
@@ -222,18 +221,28 @@ def test_chunk_filter_matches_scalar_sensitivity():
 
 
 def test_xor_sensitivity_subadditive():
-    assert xor_sensitivity_check(dictator(4), dictator(4, 2))
-    assert xor_sensitivity_check(parity(4), parity(4))
-    for seed in range(5):
-        assert xor_sensitivity_check(random_dt(6, 2, seed=seed), random_dt(6, 3, seed=seed + 50))
+    pairs = [(dictator(4), dictator(4, 2)), (parity(4), parity(4))]
+    pairs += [(random_dt(6, 2, seed=seed), random_dt(6, 3, seed=seed + 50)) for seed in range(5)]
+    for f, g in pairs:
+        assert sensitivity(f ^ g).s <= sensitivity(f).s + sensitivity(g).s
 
 
 # ---------------------------------------------------------------------------
 # interpolation experiment
 
+class FixedSample:
+    """A stand-in generator whose every draw is `sample`."""
+
+    def __init__(self, sample):
+        self.sample = np.asarray(sample, dtype=np.int64)
+
+    def integers(self, low, high, size):
+        assert size == len(self.sample)
+        return self.sample
+
+
 def test_interpolation_full_sample_always_succeeds():
-    rng = seeded_rng(1, "interp")
-    res = interpolation_experiment(3, 1, 0, 5, rng, fixed_sample=np.arange(8))
+    res = interpolation_experiment(3, 1, 8, 5, FixedSample(np.arange(8)))
     assert res.interpolation_successes == 5
     assert res.hitting_successes == 5
     assert res.success_fraction == 1
@@ -241,8 +250,7 @@ def test_interpolation_full_sample_always_succeeds():
 
 
 def test_interpolation_empty_sample_always_fails():
-    rng = seeded_rng(1, "interp")
-    res = interpolation_experiment(3, 1, 0, 4, rng, fixed_sample=np.empty(0, dtype=np.int64))
+    res = interpolation_experiment(3, 1, 0, 4, seeded_rng(1, "interp"))
     assert res.interpolation_successes == 0
     assert res.hitting_successes == 0
 
@@ -260,12 +268,10 @@ def test_interpolation_refuses_a_huge_sample_before_drawing():
     state = rng.bit_generator.state
     members = enumerate_class(3, 2)  # F(min(2s, n), n) at s = 1
     k = INTERPOLATION_MAX_BYTES // members + 1
-    with pytest.raises(ValueError, match=f"projects {members} members onto {k * members} bytes") as e:
+    with pytest.raises(ValueError, match=f"projects {members} members onto {k * members} bytes "
+                                         "per trial, over the 268435456 limit") as e:
         interpolation_experiment(3, 1, k, 1, rng)
     assert "\n" not in str(e.value)
-    assert rng.bit_generator.state == state
-    with pytest.raises(ValueError, match="over the 268435456 limit"):
-        interpolation_experiment(3, 1, 0, 1, rng, fixed_sample=np.zeros(k, dtype=np.int64))
     assert rng.bit_generator.state == state
 
 
@@ -288,7 +294,7 @@ def test_interpolation_distinct_rows_match_the_row_unique():
     for k in (1, 2, 3, 4, 6, 9, 40):
         sample = rng.integers(0, 16, size=k)
         expect = len(np.unique(small[:, sample], axis=0)) == len(small)
-        res = interpolation_experiment(4, 1, 0, 1, rng, fixed_sample=sample)
+        res = interpolation_experiment(4, 1, k, 1, FixedSample(sample))
         assert res.interpolation_successes == expect
         outcomes.add(expect)
     assert outcomes == {False, True}

@@ -102,6 +102,14 @@ def test_threshold_c_validation():
         majority_threshold_c(Fraction(1, 5), Fraction(0))
 
 
+def test_threshold_c_refuses_floats():
+    # Fraction(0.1) is 3602879701896397/2^55, not 1/10
+    with pytest.raises(ValueError, match="mu must be an exact rational, not the float 0.1"):
+        majority_threshold_c(0.1, Fraction(1, 20))
+    with pytest.raises(ValueError, match="delta_target must be an exact rational, not the float 0.05"):
+        majority_threshold_c(Fraction(1, 10), 0.05)
+
+
 # ---------------------------------------------------------------------------
 # bottom-up
 
@@ -418,6 +426,12 @@ def test_amplified_target_range():
     rng = seeded_rng(1, "amp-range")
     with pytest.raises(ValueError):
         amplified_eval(adv, 1, Point(6, 0), Fraction(1, 10), rng)
+
+
+def test_amplified_refuses_a_float_target():
+    adv = restrict_to_ball(dictator(6), Point(6, 0), 6)
+    with pytest.raises(ValueError, match="target error must be an exact rational, not the float 0.01"):
+        amplified_eval(adv, 1, Point(6, 0), 0.01, seeded_rng(1, "amp-float"))
 
 
 def test_parallel_batch_deterministic_region():

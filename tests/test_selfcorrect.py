@@ -55,6 +55,13 @@ def test_oracle_rejects_out_of_range():
         CorruptedOracle(dictator(3), frozenset({9}))
 
 
+@pytest.mark.parametrize("member", [0.7, True], ids=["float", "bool"])
+def test_oracle_refuses_members_that_are_not_point_indices(member):
+    # int() would corrupt point 0 for 0.7 and point 1 for True
+    with pytest.raises(ValueError, match=f"member of type {type(member).__name__} is not a point index"):
+        CorruptedOracle(dictator(8), {member})
+
+
 def test_corrupt_exact_count():
     f = random_dt(12, 2, seed=4)
     rng = seeded_rng(6, "corrupt")
@@ -71,6 +78,19 @@ def test_corrupt_targeted_takes_nearest():
     assert oracle.corrupted == frozenset({0, 1, 2, 4, 8})
     oracle, _ = corrupt_targeted(f, Point(4, 0), 1)
     assert oracle.corrupted == frozenset({0})
+
+
+def test_corrupt_targeted_refuses_a_point_of_another_cube():
+    with pytest.raises(ValueError, match="is not a point of the 8-cube"):
+        corrupt_targeted(dictator(8), Point(4, 3), 2)
+
+
+def test_corrupt_refuses_a_float_rate():
+    rng = seeded_rng(6, "corrupt")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="corruption rate must be an exact rational, not the float 0.25"):
+        corrupt(dictator(8), 0.25, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +232,17 @@ def test_local_correction_refuses_huge_trees():
     with pytest.raises(ValueError, match=r"c\^k = 7\^10 queries"):
         local_correct_batch(oracle, Point(12, 0), params, 1, seeded_rng(1, "guard"), k=10)
     assert oracle.query_count == 0
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_local_correction_refuses_a_negative_depth(k):
+    # a depth-k tree has c^k leaves; k < 0 used to run a depth-1 tree of 7 queries
+    oracle = CorruptedOracle(dictator(8), frozenset())
+    rng = seeded_rng(1, "negative-depth")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"local tree depth k={k} must be >= 0"):
+        local_correct(oracle, Point(8, 3), CorrectorParams(s=1), rng, k=k)
+    assert oracle.query_count == 0 and rng.bit_generator.state == state
 
 
 def test_local_batch_chunks_stay_under_the_query_guard(monkeypatch):
