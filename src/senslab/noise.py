@@ -303,7 +303,8 @@ class SseReport:
 def expansion_reports(n: int, members: Iterable, delta, thetas: Iterable) -> list[SseReport]:
     """One SseReport per theta for S = members: the members are read once, into an
     index array, and T_{1-2delta} 1_S is computed once for every theta."""
-    delta, thetas = noise_rate(delta), [Fraction(theta) for theta in thetas]
+    refusal = "threshold theta must be an exact rational, not the float {!r}"
+    delta, thetas = noise_rate(delta), [exact_fraction(theta, refusal) for theta in thetas]
     for theta in thetas:
         if not 0 < theta <= 1:
             raise ValueError(f"threshold theta {theta} outside (0, 1]")

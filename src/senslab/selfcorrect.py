@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, log2
 
 import numpy as np
@@ -30,29 +31,29 @@ class CorruptedOracle:
     truth: TruthTable
     corrupted: frozenset[int]
     query_count: int = 0
-    # _flipped[x] = 1 iff x is corrupted; built once from `corrupted`
-    _flipped: np.ndarray = field(init=False, repr=False, compare=False)
+    # the corrupted table: truth.values with every member of `corrupted` flipped
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indices = _point_indices(self.truth.n, self.corrupted)
         self.corrupted = frozenset(indices.tolist())
-        self._flipped = np.zeros(1 << self.truth.n, dtype=np.uint8)
-        self._flipped[indices] = 1
-        self._flipped.setflags(write=False)
+        self._values = self.truth.values.copy()
+        self._values[indices] ^= 1
+        self._values.setflags(write=False)
 
     def answer_batch(self, indices: np.ndarray) -> np.ndarray:
         self.query_count += len(indices)
-        return self.truth.values[indices] ^ self._flipped[indices]
+        return self._values[indices]
 
     def corrupted_table(self) -> TruthTable:
-        return TruthTable(self.truth.n, self.truth.values ^ self._flipped)
+        return TruthTable(self.truth.n, self._values)
 
 
 K_FACTOR = 4  # default k = K_FACTOR * s * log2(n/s); the analysis leaves it open
 LOCAL_TRIAL_CHUNK = 200  # trials per batch chunk; it fixes the seeded stream
 # c^k oracle queries per local correction.  A batch chunk of up to this many leaves
-# holds about 5/c bytes a leaf plus about 1 MiB of blocks (0.9 bytes a leaf
-# measured at c = 7, 7^8 leaves), so about 70 MiB at this limit for c = 7.
+# holds about 5/c bytes a leaf plus about 1 MiB of blocks (0.90-0.91 bytes a leaf
+# measured at c = 7, 7^8 leaves, n = 12..24), so about 70 MiB at this limit for c = 7.
 MAX_LOCAL_QUERIES = 10**8
 
 
@@ -221,6 +222,24 @@ def local_correct(
     return int(bit), oracle.query_count - before
 
 
+@lru_cache(maxsize=8)
+def _flip_table(p: int, q: int) -> tuple[int, np.ndarray | None]:
+    """(m, table) for flips at rate p/q: m, at most 8, is the number of base-q digits
+    one draw in [0, q^m) carries, the largest with q^m <= 2^18 (a table of at most
+    256 KiB); bit i of table[v] is set iff digit i of v (least significant first) is
+    below p.  At m = 1 (q > 512) the table is None: a draw flips iff it is below p."""
+    m = max((m for m in range(1, 9) if q**m <= 1 << 18), default=1)
+    if m == 1:
+        return 1, None
+    # v = q*rest + digit 0, so table[v] = bit(digit 0) | table'[rest] << 1
+    bit = (np.arange(q) < p).view(np.uint8)
+    table = bit
+    for _ in range(m - 1):
+        table = ((table[:, None] << 1) | bit).ravel()
+    table.setflags(write=False)
+    return m, table
+
+
 def local_correct_batch(
     oracle: CorruptedOracle,
     x: Point,
@@ -232,10 +251,15 @@ def local_correct_batch(
     """`trials` independent local corrections of the same point, expanded
     level-by-level as arrays (local_correct is one trial).
 
-    The seeded stream is one `rng.integers(0, q, size=(L, n))` call per level
-    of L noisy copies, row i flipping bit j when its draw j is below p, for
-    delta = p/q.  uint32 draws (q <= 2^32) give the same values and stream as
-    int64 draws: numpy draws both widths with 32-bit Lemire rejection there.
+    The seeded stream is one `rng.integers(0, q^m, size=(L, ceil(n/m)))` call per
+    level of L noisy copies, for delta = p/q and m from _flip_table (4 at q = 20,
+    3 at q = 40, 8 at q = 2, and 1 for q > 512).  A row flips bit m*j + i when
+    base-q digit i of its draw j (least significant first) is below p; the last
+    draw's digits past bit n - 1 are drawn and ignored.  The m digits of a uniform
+    draw are independent and uniform, so each bit flips independently with
+    probability exactly p/q.  The draws are uint32 when q^m <= 2^32, which
+    give the same values and stream as int64 draws (numpy draws both widths with
+    32-bit Lemire rejection there), and int64 otherwise, which only m = 1 reaches.
     That call is made in row blocks of about BLOCK_BYTES, which gives the same
     values and leaves the same generator state: bounded draws are made one
     value at a time, and the bit generator keeps its spare 32-bit half between
@@ -245,23 +269,25 @@ def local_correct_batch(
     n = oracle.truth.n
     k, c = _tree_shape(params, n, k)
     p, q = params.delta.numerator, params.delta.denominator
-    draw_dtype = np.uint32 if q <= 1 << 32 else np.int64
-    # rows per block: whole sibling groups whose draws fill at most BLOCK_BYTES
+    m, table = _flip_table(p, q)
+    words = -(-n // m)  # draws a row
+    draw_dtype = np.uint32 if q**m <= 1 << 32 else np.int64
+    # rows per block: whole sibling groups whose draws would fill at most BLOCK_BYTES
+    # at one draw a coordinate; a row takes ceil(n/m) draws, so at m > 1 a block's
+    # draws, flip patterns and masks fill well under it
     groups = max(1, BLOCK_BYTES // (c * n * np.dtype(draw_dtype).itemsize))
     block = groups * c
-    row_bytes = (n + 7) // 8
+    spare = (1 << (n - m * (words - 1))) - 1  # the last draw's digits below n
 
     def noisy(kids: np.ndarray) -> np.ndarray:
         """Flip each bit of each of `kids` (int32 points) at rate delta, in place."""
-        # bit i of a flip mask is draw i of its row: rows padded to whole
-        # bytes pack in one flat pass (a per-row packbits axis is several
-        # times slower), and a row's bytes, zero-extended to 4, read as
-        # one little-endian int32 (n <= 24 fills at most 3)
-        flips = np.zeros((len(kids), 8 * row_bytes), dtype=bool)
-        np.less(rng.integers(0, q, size=(len(kids), n), dtype=draw_dtype), p, out=flips[:, :n])
-        masks = np.zeros((len(kids), 4), dtype=np.uint8)
-        masks[:, :row_bytes] = np.packbits(flips.reshape(-1), bitorder="little").reshape(-1, row_bytes)
-        kids ^= masks.view("<i4")[:, 0]
+        draws = rng.integers(0, q**m, size=(len(kids), words), dtype=draw_dtype)
+        flips = draws < p if table is None else table[draws]  # m-bit patterns
+        mask = (flips[:, -1] & spare).astype(np.int32)
+        for j in range(words - 2, -1, -1):
+            mask <<= m
+            mask |= flips[:, j]
+        kids ^= mask
         return kids
 
     def majority(votes: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st

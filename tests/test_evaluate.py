@@ -33,7 +33,7 @@ from senslab.evaluate import (
     top_down_eval,
     top_down_visit_profile,
 )
-from senslab.families import dictator, or_fn, parity, random_dt, random_function, tribes
+from senslab.families import dictator, random_dt, random_function, tribes
 from senslab.io import write_ball_advice
 
 

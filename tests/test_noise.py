@@ -495,6 +495,12 @@ def test_expansion_functions_refuse_theta_outside_unit_interval(fn, theta):
         fn(6, [0, 1], Fraction(1, 20), theta)
 
 
+def test_lambda_set_refuses_a_float_theta():
+    # Fraction(0.4) is 3602879701896397/2^53, not 2/5
+    with pytest.raises(ValueError, match="threshold theta must be an exact rational, not the float 0.4"):
+        lambda_set(6, [0, 1], Fraction(1, 20), 0.4)
+
+
 def test_expansion_functions_accept_points_and_numpy_indices():
     members = [Point(6, 0), np.int64(1), np.uint8(2), 3]
     rep = hypercontractivity_check(6, members, Fraction(1, 20), Fraction(1, 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from senslab.core import Point, TruthTable, seeded_rng
+from senslab.core import Point, seeded_rng
 from senslab.families import dictator, random_dt, random_function, tribes
 from senslab.selfcorrect import (
     CorrectorParams,
@@ -16,6 +16,7 @@ from senslab.selfcorrect import (
     global_correct,
     local_correct,
     local_correct_batch,
+    _flip_table,
     majority_step,
 )
 
@@ -201,7 +202,7 @@ def test_local_query_count_exact():
 
 # local_correct's bits at x = 718 for seeds 0..5, per k; the tree's draws are made
 # level by level, as in local_correct_batch
-LOCAL_SCALAR_BITS = {0: "111111", 1: "011111", 2: "111110", 4: "100010"}
+LOCAL_SCALAR_BITS = {0: "111111", 1: "111111", 2: "111111", 4: "101111"}
 
 
 def test_local_correct_is_one_trial_of_the_batch():
@@ -295,16 +296,17 @@ def test_local_batch_memory_does_not_grow_with_leaves_times_n(n, k, trials):
     finally:
         tracemalloc.stop()
     assert out.shape == (trials,)
-    assert peak <= 4 * trials * 7**k  # measured 1.6 and 2.4 bytes a leaf
+    assert peak <= 4 * trials * 7**k  # measured 1.3 and 1.4 bytes a leaf
 
 
 # ---------------------------------------------------------------------------
 # seeded streams: local_correct_batch must replay byte for byte
 
-@pytest.mark.parametrize("q,dtype", [(20, np.uint32), (3 * 10**9 + 7, np.uint32), ((1 << 40) + 1, np.int64)])
+@pytest.mark.parametrize("q,dtype", [(20, np.uint32), (20**4, np.uint32), (3 * 10**9 + 7, np.uint32),
+                                     ((1 << 40) + 1, np.int64)])
 def test_bounded_draws_split_by_rows(q, dtype):
-    # local_correct_batch draws each level's (L, n) matrix in row blocks and
-    # relies on this: the blocks give the same values and leave the same state
+    # local_correct_batch draws each level's (L, ceil(n/m)) matrix in row blocks
+    # and relies on this: the blocks give the same values and leave the same state
     whole_rng, split_rng = seeded_rng(3, "split", q), seeded_rng(3, "split", q)
     whole = whole_rng.integers(0, q, size=(101, 13), dtype=dtype)
     split = [split_rng.integers(0, q, size=(rows, 13), dtype=dtype) for rows in (1, 7, 33, 3, 57)]
@@ -314,13 +316,13 @@ def test_bounded_draws_split_by_rows(q, dtype):
 
 
 LOCAL_STREAMS = {  # (n, k): (sha256 of outputs, next 8 stream bytes, dtype, shape)
-    (13, 2): ("e12280c0c688d6706beab94d4c1a62dc89a2322bbf4e2ce07388e600c20edfb0", "1565d0226c4091c5",
+    (13, 2): ("427a57083299cda25bf7590825b2f46a37280317f66efc162eb9a970309b9e91", "801396674e66fda7",
               "uint8", (450,)),
-    (13, 4): ("0aa7dd1f83acd80dafacce371652b524d437cba71086d425b08c5a899fac604b", "8c1f9a983c83499f",
+    (13, 4): ("a7d9a523f624f01845def69768824d7074dd92b4d0b5230eb89eed65bb25f5c7", "f96828fe3fa152d4",
               "uint8", (450,)),
-    (16, 2): ("8200cf0597aa77007a4ee71c9dee750ab41cfde914cbe862c2d94172ba8da238", "eaac62225dd79e6e",
+    (16, 2): ("65b5b4a45966d48da8793e80e1aca821b116b27e9cc4b5a46f32d5920eec17fa", "7614ec002b158c5a",
               "uint8", (450,)),
-    (16, 4): ("3936cebb88e1e3444ad4433eebc2854b789453e299362515b74e286f432a5daf", "13b7f73e942d77ca",
+    (16, 4): ("06539f39b59122a11b2eb0c23f375caf18e0bdfb910e6136b9ebbd2154171ff5", "2e0821b67b7cd0b1",
               "uint8", (450,)),
 }
 
@@ -348,3 +350,65 @@ def test_local_batch_stream_is_pinned(n, k):
     digest = (hashlib.sha256(out.tobytes()).hexdigest(), rng.bytes(8).hex(), str(out.dtype), out.shape)
     assert digest == LOCAL_STREAMS[n, k]
     assert oracle.query_count == 450 * 7**k
+
+
+# ---------------------------------------------------------------------------
+# the flip law: one draw in [0, q^m) carries the flips of m coordinates
+
+@pytest.mark.parametrize("p,q,m", [(1, 20, 4), (1, 40, 3), (1, 8, 6), (1, 2, 8), (3, 7, 6)])
+def test_flip_table_gives_each_pattern_its_exact_weight(p, q, m):
+    # the q^m draw values are equally likely, so the law of the m flips is exactly
+    # Bernoulli(p/q)^m iff pattern P is the entry of p^|P| (q-p)^(m-|P|) values
+    got, table = _flip_table(p, q)
+    assert got == m and table.shape == (q**m,) and not table.flags.writeable
+    counts = np.bincount(table, minlength=1 << m)
+    assert len(counts) == 1 << m
+    for pattern, count in enumerate(counts.tolist()):
+        ones = pattern.bit_count()
+        assert count == p**ones * (q - p) ** (m - ones), pattern
+
+
+def test_flip_table_is_not_built_past_q_512():
+    assert _flip_table(1, 512)[0] == 2
+    assert _flip_table(1, 513) == (1, None)
+    assert _flip_table(1, (1 << 40) + 1) == (1, None)
+
+
+@pytest.mark.parametrize("n,delta", [(13, Fraction(1, 20)), (13, Fraction(3, 7)), (5, Fraction(1, 2)),
+                                     (11, Fraction(100, 1009))], ids=str)
+def test_noisy_copies_replay_the_documented_digits(n, delta, monkeypatch):
+    # row r flips bit m*j + i iff base-q digit i of its draw j is below p; the last
+    # draw's digits past bit n - 1 are drawn, do flip, and must change nothing
+    p, q = delta.numerator, delta.denominator
+    m = _flip_table(p, q)[0]
+    oracle = CorruptedOracle(dictator(n), frozenset())
+    leaves = []
+    answer = oracle.answer_batch
+    monkeypatch.setattr(oracle, "answer_batch", lambda idx: leaves.append(idx.copy()) or answer(idx))
+    x = 0b1011001110101 % (1 << n)
+    rng, replay = seeded_rng(8, "digits", n, q), seeded_rng(8, "digits", n, q)
+    local_correct_batch(oracle, Point(n, x), CorrectorParams(s=1, delta=delta), 300, rng, k=1)
+    expect, spare_flips = [], 0
+    for row in replay.integers(0, q**m, size=(300 * 7, -(-n // m)), dtype=np.int64).tolist():
+        flips = [draw // q**i % q < p for draw in row for i in range(m)]
+        spare_flips += sum(flips[n:])
+        expect.append(x ^ sum(1 << bit for bit in range(n) if flips[bit]))
+    assert np.concatenate(leaves).tolist() == expect
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert spare_flips > 0 or n % m == 0
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1000, 1 << 16])
+def test_local_batch_is_identical_across_row_blocks(block_bytes, monkeypatch):
+    # BLOCK_BYTES sets the rows of each draw call and must not enter the stream;
+    # at the default one block holds a whole level here
+    from senslab import selfcorrect
+
+    oracle, _ = corrupt(random_function(13, seed=4), Fraction(1, 64), seeded_rng(2, "blocks", "corrupt"))
+    x, params = Point(13, 4321), CorrectorParams(s=1)
+    whole_rng, split_rng = seeded_rng(2, "blocks"), seeded_rng(2, "blocks")
+    whole = local_correct_batch(oracle, x, params, 60, whole_rng, k=3)
+    monkeypatch.setattr(selfcorrect, "BLOCK_BYTES", block_bytes)
+    split = local_correct_batch(oracle, x, params, 60, split_rng, k=3)
+    assert whole.tobytes() == split.tobytes()
+    assert whole_rng.bit_generator.state == split_rng.bit_generator.state
