@@ -349,11 +349,13 @@ def top_down_all(f: TruthTable, s: int) -> TruthTable:
 PARALLEL_BASE_ERROR = Fraction(1, 20)
 PARALLEL_SAMPLE_ERROR = Fraction(1, 5)
 # The most draws one parallel-evaluation call may make, counted from the weights of its
-# points before its first draw or allocation.  parallel_eval_batch costs about 23 ns and
-# 7-9 bytes of level arrays per draw of a trial (n = 16..18, every point, one trial;
-# 2-vCPU VM), so a call at the limit takes about 3 s and at most about 1.2 GB.  A draw
-# of the scalar sampler (noise.downward_sample in a Python frame) costs about 23 us, 2^10
-# batch draws, so parallel_eval and amplified_eval may make 2^-10 of the limit, about 3 s.
+# points before its first draw or allocation: the draws of the tree parallel_eval walks
+# (_parallel_draws).  parallel_eval_batch settles the 56 such draws under a weight-12
+# node with 7 random integers, and costs about 2-5 ns and 3-4 bytes of arrays per
+# counted draw of a trial (n = 16..18, every point, one trial; 2-vCPU VM), so a call at
+# the limit takes well under a second and at most about 0.5 GB.  A draw of the scalar
+# sampler (noise.downward_sample in a Python frame) costs about 16-23 us, so
+# parallel_eval and amplified_eval may make 2^-10 of the limit, about 2-3 s.
 PARALLEL_MAX_DRAWS = 1 << 27
 
 
@@ -442,6 +444,34 @@ def amplified_eval(
     return 1 if 2 * votes > c else 0
 
 
+def _majority_tail(c: int, a, b):
+    """sum over j > c/2 of C(c, j) a^j b^(c-j).  With floats (a, 1 - a) it is the
+    majority tail Pr[Bin(c, a) > c/2]; with integers (k, L - k) it is that tail at
+    a = k/L times L^c, exactly.
+
+    As a function of a with b = 1 - a its derivative is c C(c-1, m) a^m (1-a)^m for
+    c = 2m + 1, that is 140 a^3 (1-a)^3 <= 140/64 < 2.2 at c = 7."""
+    return sum(comb(c, j) * a**j * b ** (c - j) for j in range(c // 2 + 1, c + 1))
+
+
+def _leaf_numerators(f: TruthTable, leaf: int, c: int) -> np.ndarray:
+    """below[x] = N[k] = _majority_tail(c, k, L - k) at each x of weight L = leaf,
+    with k the lower neighbours of x where f = 1, and 0 elsewhere: a weight-L node
+    that votes over c uniform lower neighbours outputs 1 with probability exactly
+    below[x] / L^c.  uint32 while (L + 1) L^c <= 2^32, else int64: the dtype of
+    parallel_eval_batch's draws at weights L and L + 1."""
+    n = f.n
+    numer = np.array([_majority_tail(c, k, leaf - k) for k in range(leaf + 1)],
+                     dtype=np.uint32 if (leaf + 1) * leaf**c <= 1 << 32 else np.int64)
+    cut = np.flatnonzero(weights_vector(n) == leaf)
+    k = np.zeros(len(cut), dtype=np.uint8)
+    for q in lower_neighbors(cut, leaf):
+        k += f.values[q]
+    below = np.zeros(1 << n, dtype=numer.dtype)
+    below[cut] = numer[k]
+    return below
+
+
 def parallel_eval_batch(
     f: TruthTable, s: int, points: np.ndarray, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -453,13 +483,25 @@ def parallel_eval_batch(
 
     Since n <= 20, every point that recurses has s = 1 (for s >= 2 the
     cutoff min(10s, n) is n) and weight 11..20, so t = floor(wt/11) = 1: each
-    sample clears one uniformly chosen set bit.
+    sample clears one uniformly chosen set bit.  A node of weight L = cutoff + 1
+    votes over c uniform lower neighbours, all read from f.  With k of its L lower
+    neighbours where f = 1 it outputs 1 with probability exactly N[k] / L^c, where
+    N[k] = _majority_tail(c, k, L - k), so one uniform draw in [0, L^c) that falls
+    below N[k] decides it, and weight-L nodes are never built.
 
-    Stream contract: trials run one after another; within a trial each
-    level of the tree takes one rng.random(c * L) call for its L live nodes,
-    shaped (c, L), and sample j of node i clears set bit floor(u[j, i] * wt).
-    The next level holds the children of the deeper nodes in (node, sample)
-    order.  Seeded outputs replay byte for byte.
+    Stream contract: trials run one after another.  In one trial the nodes of
+    weight d are the points of weight d in input order, followed by the children
+    of the weight-(d + 1) nodes in (node, sample) order, and the weights are
+    drawn from the highest down, one call each:
+      * d > L + 1: rng.integers(0, d, size=(nodes, c), dtype=np.uint8); pick j
+        clears the node's j-th lowest set bit (j from 0);
+      * d = L + 1: rng.integers(0, (L + 1) L^c, size=(nodes, c)); draw v picks
+        child v // L^c, which votes 1 iff v mod L^c < N[k(child)];
+      * d = L: rng.integers(0, L^c, size=points of weight L); a point votes 1
+        iff its draw is below N[k(point)].
+    The draws of the last two are uint32 while (L + 1) L^c <= 2^32 (12 * 11^7 at
+    s = 1) and int64 beyond.  The votes fold back up weight by weight.  Seeded
+    outputs replay byte for byte.
 
     A call whose draws, or those of one trial when trials = 0, would pass
     PARALLEL_MAX_DRAWS is refused before its first draw or allocation.
@@ -474,51 +516,64 @@ def parallel_eval_batch(
                                           _parallel_draws(n, s)))
     _check_draws(n, s, max(trials, 1) * per_trial, PARALLEL_MAX_DRAWS)
     c = parallel_sample_count()
-    bits = set_bits_table(n).reshape(-1)  # flat index x * n + j
-    cutoff = min(10 * s, n)
-    # leafval[x * n + j] = f(x with its j-th set bit cleared), filled at weight
-    # cutoff + 1 only: those nodes vote straight from the advice region
-    leafval = np.zeros((1 << n) * n, dtype=np.uint8)
-    leaf_rows = np.flatnonzero(w == cutoff + 1)  # empty when cutoff = n
-    for j in range(min(cutoff + 1, n)):
-        at = leaf_rows * n + j
-        leafval[at] = f.values[leaf_rows ^ (1 << bits[at].astype(np.int64))]
-
-    recurse = w[points] > cutoff
     results = np.empty((len(points), trials), dtype=np.uint8)
     results[:] = f.values[points][:, None]
-    if not recurse.any():
+    leaf = min(10 * s, n) + 1  # L, the lowest weight that recurses
+    weights = w[points]
+    roots = {d: np.flatnonzero(weights == d) for d in range(leaf, n + 1)}
+    top = max((d for d, at in roots.items() if len(at)), default=None)
+    if top is None:
         return results
-    # the tree's shape depends on the weights alone: a node of weight wt > cutoff + 1
-    # has c children of weight wt - 1.  So every trial refills the same level arrays,
-    # and the levels share one buffer for their draws and one for their flat indices:
-    # a trial allocates (and page-faults) none of its large arrays anew
-    wts, deeps = [], []
-    wt = w[points[recurse]]
-    while len(wt):
-        wts.append(wt)
-        deeps.append(np.flatnonzero(wt > cutoff + 1))
-        wt = np.repeat(wt[deeps[-1]] - 1, c)
-    lives = [points[recurse]] + [np.empty(len(wt), dtype=np.int64) for wt in wts[1:]]
-    votes = [np.empty(len(wt), dtype=np.uint8) for wt in wts]
-    widest = c * max(map(len, wts))
-    u_buf, flat_buf = np.empty(widest), np.empty(widest, dtype=np.int64)
+
+    span = leaf**c  # the c samples of a weight-L node, as one draw
+    below = _leaf_numerators(f, leaf, c)
+    dtype = below.dtype
+    bits = set_bits_table(n)
+    if top > leaf:
+        # v mod L^c < N[k(child v // L^c)] iff v < bar[rank[x] + v // L^c], with
+        # rank[x] = (L + 1) * (the place of x among the points of weight L + 1) and
+        # bar[rank[x] + j] = j L^c + N[k(x with its j-th set bit cleared)]
+        up = np.flatnonzero(w == leaf + 1)
+        rank = np.zeros(1 << n, dtype=np.int32)
+        rank[up] = np.arange(0, len(up) * (leaf + 1), leaf + 1)
+        children = up[:, None] ^ (1 << bits[up, : leaf + 1].astype(np.int64))
+        bar = (np.arange(leaf + 1, dtype=dtype) * span + below[children]).ravel()
+    bits = bits.reshape(-1)  # flat index x * n + j
+
+    # the node count of each weight depends on the weights alone, so every trial
+    # refills the same arrays: a trial allocates (and page-faults) only its draws
+    nodes, size = {}, 0
+    for d in range(top, leaf, -1):
+        size = len(roots[d]) + c * size
+        nodes[d] = np.empty(size, dtype=np.int64)
+        nodes[d][: len(roots[d])] = points[roots[d]]
+    widest = c * size  # weight L + 1 holds the most nodes
+    flat_buf, bit_buf = np.empty(widest, dtype=np.int64), np.empty(widest, dtype=np.uint8)
+    bar_buf, vote_buf = np.empty(widest, dtype=dtype), np.empty(widest, dtype=bool)
+    ones_c = np.ones(c, dtype=np.uint8)  # a row's votes, summed by one matmul
+    at_leaf = roots[leaf]
+    leaf_numer = below[points[at_leaf]]
     for tr in range(trials):
-        for i, (wt, deep, live) in enumerate(zip(wts, deeps, lives)):
-            u = rng.random(out=u_buf[: c * len(live)].reshape(c, -1))
-            u *= wt
-            flat = flat_buf[: u.size].reshape(c, -1)
-            np.copyto(flat, u, casting="unsafe")  # floor(u * wt), then the flat index
-            flat += live * n
-            # right at weight cutoff + 1; the deeper nodes are overwritten below
-            leafval[flat].sum(axis=0, dtype=np.uint8, out=votes[i])
-            if len(deep):
-                # children in (node, sample) order
-                np.bitwise_xor(live[deep, None], 1 << bits[flat[:, deep].T].astype(np.int64),
-                               out=lives[i + 1].reshape(-1, c))
-        for i in range(len(wts) - 2, -1, -1):
-            votes[i][deeps[i]] = (votes[i + 1] > c // 2).reshape(-1, c).sum(axis=1, dtype=np.uint8)
-        results[recurse, tr] = votes[0] > c // 2  # c is odd
+        for d in range(top, leaf + 1, -1):
+            node = nodes[d]
+            flat = np.multiply(node[:, None], n, out=flat_buf[: c * len(node)].reshape(-1, c))
+            flat += rng.integers(0, d, size=(len(node), c), dtype=np.uint8)
+            kids = nodes[d - 1][len(roots[d - 1]) :].reshape(-1, c)
+            np.left_shift(np.int64(1), bits.take(flat, out=bit_buf[: flat.size].reshape(-1, c)),
+                          out=kids)
+            kids ^= node[:, None]
+        if top > leaf:
+            node = nodes[leaf + 1]
+            draw = rng.integers(0, (leaf + 1) * span, size=(len(node), c), dtype=dtype)
+            flat = np.add(draw // span, rank[node][:, None], out=flat_buf[: draw.size].reshape(-1, c))
+            votes = np.less(draw, bar.take(flat, out=bar_buf[: draw.size].reshape(-1, c)),
+                            out=vote_buf[: draw.size].reshape(-1, c))
+            for d in range(leaf + 1, top + 1):
+                won = votes.view(np.uint8) @ ones_c > c // 2  # c is odd
+                results[roots[d], tr] = won[: len(roots[d])]
+                votes = won[len(roots[d]) :].reshape(-1, c)
+        if len(at_leaf):
+            results[at_leaf, tr] = rng.integers(0, span, size=len(at_leaf), dtype=dtype) < leaf_numer
     return results
 
 
@@ -534,8 +589,8 @@ def parallel_eval_law(f: TruthTable, s: int) -> np.ndarray:
 
     Round-off: the mean of d <= 24 values in [0, 1] adds at most 24 units of
     2^-53 to the error of its inputs, and the tail at most 16 more.  The tail's
-    derivative is 140 a^3 (1-a)^3 <= 140/64 < 2.2 (c = 7), so one level turns an
-    error e into at most 2.2 e + 69 * 2^-53.  At most 11 levels recurse (s = 1,
+    derivative is below 2.2 (_majority_tail), so one level turns an error e into
+    at most 2.2 e + 69 * 2^-53.  At most 11 levels recurse (s = 1,
     n <= 21), so |p - exact| < 69 * 2^-53 * 2.2^11 / 1.2 < 4e-11.
 
     Refuses s < 1, and an n where a recursing level has t >= 2 (n >= 20s + 2,
@@ -556,5 +611,5 @@ def parallel_eval_law(f: TruthTable, s: int) -> np.ndarray:
         for q in lower_neighbors(pts, level):
             a += p[q]
         a /= level
-        p[pts] = sum(comb(c, k) * a**k * (1 - a) ** (c - k) for k in range(c // 2 + 1, c + 1))
+        p[pts] = _majority_tail(c, a, 1 - a)
     return p

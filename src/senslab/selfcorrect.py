@@ -282,7 +282,15 @@ def local_correct_batch(
     def noisy(kids: np.ndarray) -> np.ndarray:
         """Flip each bit of each of `kids` (int32 points) at rate delta, in place."""
         draws = rng.integers(0, q**m, size=(len(kids), words), dtype=draw_dtype)
-        flips = draws < p if table is None else table[draws]  # m-bit patterns
+        if table is None:
+            # m = 1: bit j flips iff draw j is below p.  Rows padded to 32 flags pack
+            # in one flat pass (a per-row packbits axis is slower), 4 bytes a row,
+            # read as one little-endian int32
+            flips = np.zeros((len(kids), 32), dtype=bool)
+            np.less(draws, p, out=flips[:, :n])
+            kids ^= np.packbits(flips.reshape(-1), bitorder="little").view("<i4")
+            return kids
+        flips = table[draws]  # m-bit patterns
         mask = (flips[:, -1] & spare).astype(np.int32)
         for j in range(words - 2, -1, -1):
             mask <<= m

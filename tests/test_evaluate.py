@@ -498,19 +498,47 @@ def test_parallel_one_level_law():
     assert abs(hits / trials - p) <= 4 * np.sqrt(p * (1 - p) / trials) < 0.0146
 
 
+def _fraction_tail(a: Fraction) -> Fraction:
+    """Pr[Bin(7, a) > 7/2] in exact rationals."""
+    c = parallel_sample_count()
+    return sum(comb(c, k) * a**k * (1 - a) ** (c - k) for k in range(c // 2 + 1, c + 1))
+
+
 @pytest.mark.parametrize("n", [12, 13])
 def test_parallel_law_matches_fractions(n):
     # the same recursion in exact rationals; the derived round-off bound is 4e-11
     f = random_function(n, seed=n)
-    c = parallel_sample_count()
     exact = [Fraction(int(v)) for v in f.values]
     for x in sorted(range(1 << n), key=lambda x: x.bit_count()):
         d = x.bit_count()
         if d > 10:
-            a = sum(exact[x ^ (1 << j)] for j in range(n) if x >> j & 1) / d
-            exact[x] = sum(comb(c, k) * a**k * (1 - a) ** (c - k) for k in range(c // 2 + 1, c + 1))
+            exact[x] = _fraction_tail(sum(exact[x ^ (1 << j)] for j in range(n) if x >> j & 1) / d)
     law = parallel_eval_law(f, 1)
     assert max(abs(Fraction(float(v)) - e) for v, e in zip(law, exact)) <= Fraction(1, 10**14)
+
+
+def test_majority_tail_numerators_are_the_fraction_tail():
+    # N[k] / 11^7 is the tail at a = k/11 exactly, and it fits the uint32 draws
+    for k in range(12):
+        numer = evaluate._majority_tail(7, k, 11 - k)
+        assert Fraction(numer, 11**7) == _fraction_tail(Fraction(k, 11))
+        assert 0 <= numer <= 11**7 and 12 * 11**7 < 2**32
+    assert evaluate._majority_tail(7, 0.25, 0.75) == float(_fraction_tail(Fraction(1, 4)))
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_leaf_numerators_are_the_law_at_weight_11(n):
+    # a weight-11 node decides its vote from one draw in [0, 11^7) against N[k(x)],
+    # so N[k(x)] / 11^7 must be the law there, and the exact tail of x's share k/11
+    f = random_function(n, seed=n)
+    below = evaluate._leaf_numerators(f, 11, parallel_sample_count())
+    w = weights_vector(n)
+    at = np.flatnonzero(w == 11)
+    assert below.dtype == np.uint32 and not below[w != 11].any()
+    assert np.abs(below[at] / 11**7 - parallel_eval_law(f, 1)[at]).max() <= 1e-15
+    for x in at.tolist():
+        share = Fraction(sum(f(x ^ (1 << j)) for j in range(n) if x >> j & 1), 11)
+        assert Fraction(int(below[x]), 11**7) == _fraction_tail(share)
 
 
 def test_parallel_law_refusals():
@@ -540,13 +568,89 @@ def test_parallel_draw_counts_match_the_samplers(n, s, weights):
         parallel_eval(_advice(f, s, 10), s, Point(n, (1 << w) - 1), rng, stats)
         assert stats.rng_draws == draws[w]
     if n <= 20:
-        # the batch takes one double a draw: trials * the sum of draws[wt(x)]
-        pts = np.arange(1 << n)[::37]
-        per_trial = sum(draws[int(w)] for w in weights_vector(n)[pts])
+        # the batch makes the calls its docstring lists: a second generator replays
+        # them, node by node, to the same outputs and the same next bytes; the last
+        # three points put roots at the two highest weights
+        pts = np.concatenate([np.arange(1 << n)[::37], np.arange(1 << n)[-3:]])
         rng, ref = seeded_rng(n, "draw-count-batch"), seeded_rng(n, "draw-count-batch")
-        parallel_eval_batch(f, s, pts, 3, rng)
-        ref.random(3 * per_trial)
+        out = parallel_eval_batch(f, s, pts, 3, rng)
+        assert (out == _documented_batch(f, pts, 3, ref)).all()
         assert rng.bytes(8) == ref.bytes(8)
+
+
+
+class _ScriptedDraws:
+    """A stand-in generator: each integers() call must carry the next expected
+    (high, size, dtype) and returns the next scripted values."""
+
+    def __init__(self, calls):
+        self.calls = list(calls)
+
+    def integers(self, low, high, size, dtype):
+        (want_high, want_size, want_dtype), values = self.calls.pop(0)
+        assert (low, high, size, np.dtype(dtype)) == (0, want_high, want_size, np.dtype(want_dtype))
+        return np.array(values, dtype=dtype).reshape(size)
+
+
+def test_parallel_batch_votes_below_the_numerator():
+    # a draw at a node's numerator votes 0 and one just below it votes 1, both for
+    # the folded draws under a weight-12 node (child j at j * 11^7 + N[k(child)])
+    # and for a weight-11 point
+    f = random_function(12, seed=5)
+    c, span = parallel_sample_count(), 11**7
+    below = evaluate._leaf_numerators(f, 11, c)
+    top, x = 4095, 4095 ^ 1 << 3
+    numer = [int(below[top ^ 1 << j]) for j in range(c)]  # the 7 lowest set bits of 4095
+    assert min(numer) > 0 and below[x] > 0
+    calls = []
+    for shift in (0, -1):
+        calls.append(((12 * span, (1, c), np.uint32), [j * span + v + shift for j, v in enumerate(numer)]))
+        calls.append(((span, 1, np.uint32), [int(below[x]) + shift]))
+    out = parallel_eval_batch(f, 1, np.array([top, x]), 2, _ScriptedDraws(calls))
+    assert out.tolist() == [[0, 1], [0, 1]]
+
+def _documented_batch(f, pts, trials, rng):
+    """parallel_eval_batch at s = 1 from its stream contract, one node at a time:
+    per trial, from the highest weight down, uint8 picks above weight 12, one draw
+    in [0, 12 * 11^7) per child of a weight-12 node, and one draw in [0, 11^7) per
+    point of weight 11."""
+    c, leaf = parallel_sample_count(), 11
+    span = leaf**c
+    pts = [int(x) for x in pts]
+
+    def lower(x):  # lower(x)[j] clears the j-th lowest set bit of x
+        return [x ^ (1 << j) for j in range(f.n) if x >> j & 1]
+
+    def numer(x):  # N[k(x)]: the vote of a weight-11 node, times 11^7
+        k = sum(f(y) for y in lower(x))
+        return sum(comb(c, j) * k**j * (leaf - k) ** (c - j) for j in range(c // 2 + 1, c + 1))
+
+    out = np.tile(f.values[pts][:, None], trials)
+    weights = [x.bit_count() for x in pts]
+    top = max(weights)
+    for tr in range(trials):
+        roots = {d: [x for x, wt in zip(pts, weights) if wt == d] for d in range(leaf, top + 1)}
+        votes, kids = {}, []
+        for d in range(top, leaf, -1):
+            nodes = roots[d] + kids
+            if d > leaf + 1:
+                picks = rng.integers(0, d, size=(len(nodes), c), dtype=np.uint8).tolist()
+                kids = [lower(x)[j] for x, row in zip(nodes, picks) for j in row]
+            else:
+                draws = rng.integers(0, (leaf + 1) * span, size=(len(nodes), c), dtype=np.uint32)
+                votes[d] = [sum(v % span < numer(lower(x)[v // span]) for v in row) > c // 2
+                            for x, row in zip(nodes, draws.tolist())]
+        for d in range(leaf + 2, top + 1):
+            below = votes[d - 1][len(roots[d - 1]):]
+            votes[d] = [sum(below[i : i + c]) > c // 2 for i in range(0, len(below), c)]
+        draws = rng.integers(0, span, size=len(roots[leaf]), dtype=np.uint32).tolist()
+        votes[leaf] = [v < numer(x) for x, v in zip(roots[leaf], draws)]
+        place = dict.fromkeys(votes, 0)
+        for i, wt in enumerate(weights):
+            if wt >= leaf:
+                out[i, tr] = votes[wt][place[wt]]
+                place[wt] += 1
+    return out
 
 
 def test_parallel_samplers_refuse_a_call_over_the_draw_limit():
@@ -616,13 +720,13 @@ def _parallel_stream_case(name):
 
 PARALLEL_STREAMS = {
     "dictator-neg-16": (
-        "1246ca03f408b9d2528d86f1d7664e4457a75c3372092e5b8f767c188b29920c", "71e24dc0d994815e",
+        "052fab31d6d8d57d1d754b7fd4a76f6d90523f38101a23fe919cafc1bb336c6d", "c3f6b10e6ba2c793",
         "uint8", (65536, 2)),
     "random-dt-12-reversed-duplicates": (
-        "d23f3f7f6f504d9abb2e2f52d32180aafa1b21da5f50f9d9f1ad166e77a5bef9", "f5eb47be407ef45e",
+        "0cc6e9492ac2228c0b59b089f120597c67762270dc455b02474ec7b77dcf400e", "b44a0595c0d3e5a0",
         "uint8", (4101, 200)),
     "random-dt-20-random-points": (
-        "444e4dacddec8df347d33489419ce07e15ef50162a2ef645e5f32b61a882730f", "87cba7cfc2924b4a",
+        "2a7531fd38243719a4db69c3cac8fb63401a669bfdd1cc553cd9cfb74e45e8f1", "02958d3cdfa263b0",
         "uint8", (2000, 4)),
     "empty": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d441c3a6811d9a34",

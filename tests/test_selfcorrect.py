@@ -375,10 +375,12 @@ def test_flip_table_is_not_built_past_q_512():
 
 
 @pytest.mark.parametrize("n,delta", [(13, Fraction(1, 20)), (13, Fraction(3, 7)), (5, Fraction(1, 2)),
-                                     (11, Fraction(100, 1009))], ids=str)
+                                     (11, Fraction(100, 1009)), (20, Fraction(500, 1009)),
+                                     (17, Fraction(1 << 39, (1 << 40) + 1))], ids=str)
 def test_noisy_copies_replay_the_documented_digits(n, delta, monkeypatch):
     # row r flips bit m*j + i iff base-q digit i of its draw j is below p; the last
-    # draw's digits past bit n - 1 are drawn, do flip, and must change nothing
+    # draw's digits past bit n - 1 are drawn, do flip, and must change nothing.  The
+    # last three cases take the packed m = 1 path, the last one with int64 draws
     p, q = delta.numerator, delta.denominator
     m = _flip_table(p, q)[0]
     oracle = CorruptedOracle(dictator(n), frozenset())
