@@ -86,7 +86,13 @@ def weight(x: Point) -> int:
 def _point_indices(n: int, members: Iterable) -> np.ndarray:
     """The indices of `members` (indices or Points of the n-cube, read once) as
     an int64 array.  Anything else is refused, not coerced: a bool, a float, an
-    index outside [0, 2^n) or a Point of another dimension."""
+    index outside [0, 2^n) or a Point of another dimension.  A 1-d integer array
+    is checked in numpy, without a Python object a member, and may be returned
+    as it is."""
+    if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "iu":
+        if len(members) and not (0 <= members.min() and members.max() < 1 << n):
+            raise ValueError(f"member outside [0, {1 << n}) for n={n}")
+        return members.astype(np.int64, copy=False)
     items = list(members)
     kinds = set(map(type, items))  # one type test per kind, not per member
     if any(issubclass(k, Point) for k in kinds):

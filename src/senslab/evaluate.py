@@ -34,6 +34,7 @@ from .core import (
     BallAdvice,
     Point,
     TruthTable,
+    _point_indices,
     all_set_bit_positions,
     check_n,
     exact_fraction,
@@ -351,9 +352,9 @@ PARALLEL_SAMPLE_ERROR = Fraction(1, 5)
 # The most draws one parallel-evaluation call may make, counted from the weights of its
 # points before its first draw or allocation: the draws of the tree parallel_eval walks
 # (_parallel_draws).  parallel_eval_batch settles the 56 such draws under a weight-12
-# node with 7 random integers, and costs about 2-5 ns and 3-4 bytes of arrays per
+# node with 7 random integers, and costs about 1-2 ns and 1-1.5 bytes of arrays per
 # counted draw of a trial (n = 16..18, every point, one trial; 2-vCPU VM), so a call at
-# the limit takes well under a second and at most about 0.5 GB.  A draw of the scalar
+# the limit takes well under a second and at most about 0.2 GB.  A draw of the scalar
 # sampler (noise.downward_sample in a Python frame) costs about 16-23 us, so
 # parallel_eval and amplified_eval may make 2^-10 of the limit, about 2-3 s.
 PARALLEL_MAX_DRAWS = 1 << 27
@@ -458,11 +459,11 @@ def _leaf_numerators(f: TruthTable, leaf: int, c: int) -> np.ndarray:
     """below[x] = N[k] = _majority_tail(c, k, L - k) at each x of weight L = leaf,
     with k the lower neighbours of x where f = 1, and 0 elsewhere: a weight-L node
     that votes over c uniform lower neighbours outputs 1 with probability exactly
-    below[x] / L^c.  uint32 while (L + 1) L^c <= 2^32, else int64: the dtype of
+    below[x] / L^c.  uint32 while (L + 1) L^c < 2^32, else int64: the dtype of
     parallel_eval_batch's draws at weights L and L + 1."""
     n = f.n
     numer = np.array([_majority_tail(c, k, leaf - k) for k in range(leaf + 1)],
-                     dtype=np.uint32 if (leaf + 1) * leaf**c <= 1 << 32 else np.int64)
+                     dtype=np.uint32 if (leaf + 1) * leaf**c < 1 << 32 else np.int64)
     cut = np.flatnonzero(weights_vector(n) == leaf)
     k = np.zeros(len(cut), dtype=np.uint8)
     for q in lower_neighbors(cut, leaf):
@@ -470,6 +471,22 @@ def _leaf_numerators(f: TruthTable, leaf: int, c: int) -> np.ndarray:
     below = np.zeros(1 << n, dtype=numer.dtype)
     below[cut] = numer[k]
     return below
+
+
+def _vote_thresholds(f: TruthTable, leaf: int, c: int) -> np.ndarray:
+    """thresh[x]: the draws of parallel_eval_batch's last two levels vote 1 below
+    it.  At weight L = leaf it is N[k(x)] (_leaf_numerators), for one draw in
+    [0, L^c).  At weight L + 1 it is A(x) = the sum of N[k(y)] over the L + 1 lower
+    neighbours y of x, so one draw in [0, (L + 1) L^c) votes 1 with probability
+    A(x) / ((L + 1) L^c), the mean of N[k(y)] / L^c over a uniform y: the vote of a
+    uniformly picked child.  A(x) <= (L + 1) L^c fits the dtype of N."""
+    thresh = _leaf_numerators(f, leaf, c)
+    up = np.flatnonzero(weights_vector(f.n) == leaf + 1)
+    total = np.zeros(len(up), dtype=thresh.dtype)
+    for q in lower_neighbors(up, leaf + 1):
+        total += thresh[q]
+    thresh[up] = total
+    return thresh
 
 
 def parallel_eval_batch(
@@ -487,7 +504,10 @@ def parallel_eval_batch(
     votes over c uniform lower neighbours, all read from f.  With k of its L lower
     neighbours where f = 1 it outputs 1 with probability exactly N[k] / L^c, where
     N[k] = _majority_tail(c, k, L - k), so one uniform draw in [0, L^c) that falls
-    below N[k] decides it, and weight-L nodes are never built.
+    below N[k] decides it, and weight-L nodes are never built.  A sample of a
+    weight-(L + 1) node x is then a uniform child's vote, 1 with probability
+    A(x) / ((L + 1) L^c) where A(x) sums N over x's L + 1 lower neighbours
+    (_vote_thresholds), so one draw below A(x) decides it.
 
     Stream contract: trials run one after another.  In one trial the nodes of
     weight d are the points of weight d in input order, followed by the children
@@ -495,15 +515,17 @@ def parallel_eval_batch(
     drawn from the highest down, one call each:
       * d > L + 1: rng.integers(0, d, size=(nodes, c), dtype=np.uint8); pick j
         clears the node's j-th lowest set bit (j from 0);
-      * d = L + 1: rng.integers(0, (L + 1) L^c, size=(nodes, c)); draw v picks
-        child v // L^c, which votes 1 iff v mod L^c < N[k(child)];
+      * d = L + 1: rng.integers(0, (L + 1) L^c, size=(nodes, c)); a node's
+        draw votes 1 iff it is below A(node);
       * d = L: rng.integers(0, L^c, size=points of weight L); a point votes 1
         iff its draw is below N[k(point)].
-    The draws of the last two are uint32 while (L + 1) L^c <= 2^32 (12 * 11^7 at
+    The draws of the last two are uint32 while (L + 1) L^c < 2^32 (12 * 11^7 at
     s = 1) and int64 beyond.  The votes fold back up weight by weight.  Seeded
     outputs replay byte for byte.
 
-    A call whose draws, or those of one trial when trials = 0, would pass
+    Points are refused, not coerced, unless they are indices of the n-cube
+    (core._point_indices): no negative index wraps and no float is truncated.  A
+    call whose draws, or those of one trial when trials = 0, would pass
     PARALLEL_MAX_DRAWS is refused before its first draw or allocation.
     """
     if s < 1:
@@ -511,7 +533,7 @@ def parallel_eval_batch(
     n = f.n
     check_n(n, 20)
     w = weights_vector(n)
-    points = np.asarray(points, dtype=np.int64)
+    points = _point_indices(n, points)
     per_trial = sum(k * d for k, d in zip(np.bincount(w[points], minlength=n + 1).tolist(),
                                           _parallel_draws(n, s)))
     _check_draws(n, s, max(trials, 1) * per_trial, PARALLEL_MAX_DRAWS)
@@ -526,19 +548,9 @@ def parallel_eval_batch(
         return results
 
     span = leaf**c  # the c samples of a weight-L node, as one draw
-    below = _leaf_numerators(f, leaf, c)
-    dtype = below.dtype
-    bits = set_bits_table(n)
-    if top > leaf:
-        # v mod L^c < N[k(child v // L^c)] iff v < bar[rank[x] + v // L^c], with
-        # rank[x] = (L + 1) * (the place of x among the points of weight L + 1) and
-        # bar[rank[x] + j] = j L^c + N[k(x with its j-th set bit cleared)]
-        up = np.flatnonzero(w == leaf + 1)
-        rank = np.zeros(1 << n, dtype=np.int32)
-        rank[up] = np.arange(0, len(up) * (leaf + 1), leaf + 1)
-        children = up[:, None] ^ (1 << bits[up, : leaf + 1].astype(np.int64))
-        bar = (np.arange(leaf + 1, dtype=dtype) * span + below[children]).ravel()
-    bits = bits.reshape(-1)  # flat index x * n + j
+    thresh = _vote_thresholds(f, leaf, c)
+    dtype = thresh.dtype
+    bits = set_bits_table(n).reshape(-1)  # flat index x * n + j
 
     # the node count of each weight depends on the weights alone, so every trial
     # refills the same arrays: a trial allocates (and page-faults) only its draws
@@ -547,12 +559,12 @@ def parallel_eval_batch(
         size = len(roots[d]) + c * size
         nodes[d] = np.empty(size, dtype=np.int64)
         nodes[d][: len(roots[d])] = points[roots[d]]
-    widest = c * size  # weight L + 1 holds the most nodes
-    flat_buf, bit_buf = np.empty(widest, dtype=np.int64), np.empty(widest, dtype=np.uint8)
-    bar_buf, vote_buf = np.empty(widest, dtype=dtype), np.empty(widest, dtype=bool)
+    # weight L + 1 holds the most nodes: `size` picks lead to them, c * size draws leave them
+    flat_buf, bit_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.uint8)
+    vote_buf = np.empty(c * size, dtype=bool)
     ones_c = np.ones(c, dtype=np.uint8)  # a row's votes, summed by one matmul
     at_leaf = roots[leaf]
-    leaf_numer = below[points[at_leaf]]
+    leaf_thresh = thresh[points[at_leaf]]
     for tr in range(trials):
         for d in range(top, leaf + 1, -1):
             node = nodes[d]
@@ -565,15 +577,14 @@ def parallel_eval_batch(
         if top > leaf:
             node = nodes[leaf + 1]
             draw = rng.integers(0, (leaf + 1) * span, size=(len(node), c), dtype=dtype)
-            flat = np.add(draw // span, rank[node][:, None], out=flat_buf[: draw.size].reshape(-1, c))
-            votes = np.less(draw, bar.take(flat, out=bar_buf[: draw.size].reshape(-1, c)),
+            votes = np.less(draw, thresh.take(node)[:, None],
                             out=vote_buf[: draw.size].reshape(-1, c))
             for d in range(leaf + 1, top + 1):
                 won = votes.view(np.uint8) @ ones_c > c // 2  # c is odd
                 results[roots[d], tr] = won[: len(roots[d])]
                 votes = won[len(roots[d]) :].reshape(-1, c)
         if len(at_leaf):
-            results[at_leaf, tr] = rng.integers(0, span, size=len(at_leaf), dtype=dtype) < leaf_numer
+            results[at_leaf, tr] = rng.integers(0, span, size=len(at_leaf), dtype=dtype) < leaf_thresh
     return results
 
 

@@ -29,6 +29,8 @@ from .noise import _noise_signs, lambda_set, noise_rate
 @dataclass
 class CorruptedOracle:
     truth: TruthTable
+    # given as indices or Points of the truth's cube (an integer array is checked in
+    # numpy, core._point_indices), kept as a frozenset of indices
     corrupted: frozenset[int]
     query_count: int = 0
     # the corrupted table: truth.values with every member of `corrupted` flipped
@@ -52,8 +54,9 @@ class CorruptedOracle:
 K_FACTOR = 4  # default k = K_FACTOR * s * log2(n/s); the analysis leaves it open
 LOCAL_TRIAL_CHUNK = 200  # trials per batch chunk; it fixes the seeded stream
 # c^k oracle queries per local correction.  A batch chunk of up to this many leaves
-# holds about 5/c bytes a leaf plus about 1 MiB of blocks (0.90-0.91 bytes a leaf
-# measured at c = 7, 7^8 leaves, n = 12..24), so about 70 MiB at this limit for c = 7.
+# holds about 5/c bytes a leaf plus about 0.6 MiB of blocks (0.78-0.82 bytes a leaf
+# measured at c = 7, 7^8 leaves, n = 12..24, and 1.3 and 2.0 at 7^7 and 200 x 7^4
+# leaves), so about 70 MiB at this limit for c = 7.
 MAX_LOCAL_QUERIES = 10**8
 
 
@@ -100,7 +103,7 @@ def corrupt(
     size = 1 << f.n
     count = round(rate * size)
     chosen = rng.choice(size, size=count, replace=False) if count else np.empty(0, dtype=np.int64)
-    oracle = CorruptedOracle(f, frozenset(int(i) for i in chosen))
+    oracle = CorruptedOracle(f, chosen)
     return oracle, oracle.corrupted_table()
 
 
@@ -112,7 +115,7 @@ def corrupt_targeted(f: TruthTable, x: Point, count: int) -> tuple[CorruptedOrac
     f(x)  # refuses a Point of another cube
     # a stable sort by distance keeps ties in index order
     nearest = np.argsort(distances(f.n, x.index), kind="stable")[:count]
-    oracle = CorruptedOracle(f, frozenset(nearest.tolist()))
+    oracle = CorruptedOracle(f, nearest)
     return oracle, oracle.corrupted_table()
 
 
@@ -249,39 +252,50 @@ def local_correct_batch(
     k: int | None = None,
 ) -> np.ndarray:
     """`trials` independent local corrections of the same point, expanded
-    level-by-level as arrays (local_correct is one trial).
+    level-by-level as arrays (local_correct is one trial).  A Point of another
+    cube is refused before any draw or query.
 
-    The seeded stream is one `rng.integers(0, q^m, size=(L, ceil(n/m)))` call per
-    level of L noisy copies, for delta = p/q and m from _flip_table (4 at q = 20,
-    3 at q = 40, 8 at q = 2, and 1 for q > 512).  A row flips bit m*j + i when
-    base-q digit i of its draw j (least significant first) is below p; the last
-    draw's digits past bit n - 1 are drawn and ignored.  The m digits of a uniform
-    draw are independent and uniform, so each bit flips independently with
-    probability exactly p/q.  The draws are uint32 when q^m <= 2^32, which
-    give the same values and stream as int64 draws (numpy draws both widths with
-    32-bit Lemire rejection there), and int64 otherwise, which only m = 1 reaches.
+    A row's n flips are read from base-q digits, for delta = p/q and m from
+    _flip_table (4 at q = 20, 3 at q = 40, 8 at q = 2, and 1 for q > 512): bit
+    m*j + i flips when digit i of word j (least significant first) is below p,
+    and the last word's digits past bit n - 1 are drawn and ignored.  A uniform
+    word in [0, q^m) has m independent uniform digits, so each bit flips
+    independently with probability exactly p/q.  The seeded stream is one
+    `rng.integers` call per level of L noisy copies:
+      * m = 1: size (L, n) in [0, q), one word a draw; uint32 draws when
+        q <= 2^32 and int64 otherwise;
+      * m >= 2: size (L, ceil(w/2)) in [0, q^2m), uint64, for the w = ceil(n/m)
+        words of a row: draw d carries word 2d as its low base-q^m digit and
+        word 2d + 1 as its high one, and an odd w leaves the last high digit
+        drawn and ignored.  q^2m <= 2^36, and numpy draws uint64 below 2^32
+        with 32-bit Lemire rejection, as it does uint32.
     That call is made in row blocks of about BLOCK_BYTES, which gives the same
     values and leaves the same generator state: bounded draws are made one
     value at a time, and the bit generator keeps its spare 32-bit half between
     calls.  So no array grows with leaves x n: a level holds its int32 points
     and the last level is answered and folded block by block, each block a
     whole number of sibling groups."""
+    oracle.truth(x)  # refuses a Point of another cube
     n = oracle.truth.n
     k, c = _tree_shape(params, n, k)
     p, q = params.delta.numerator, params.delta.denominator
     m, table = _flip_table(p, q)
-    words = -(-n // m)  # draws a row
-    draw_dtype = np.uint32 if q**m <= 1 << 32 else np.int64
+    words = -(-n // m)  # m-digit words a row
+    if table is None:
+        span, per_row, draw_dtype = q, n, np.uint32 if q <= 1 << 32 else np.int64
+    else:
+        qm = np.uint64(q**m)  # the range of one word
+        span, per_row, draw_dtype = q ** (2 * m), -(-words // 2), np.uint64
     # rows per block: whole sibling groups whose draws would fill at most BLOCK_BYTES
-    # at one draw a coordinate; a row takes ceil(n/m) draws, so at m > 1 a block's
-    # draws, flip patterns and masks fill well under it
-    groups = max(1, BLOCK_BYTES // (c * n * np.dtype(draw_dtype).itemsize))
+    # at one 4-byte draw a coordinate (8 for int64 draws); at m > 1 a block's draws,
+    # words and masks fill well under it
+    groups = max(1, BLOCK_BYTES // (c * n * (8 if draw_dtype is np.int64 else 4)))
     block = groups * c
-    spare = (1 << (n - m * (words - 1))) - 1  # the last draw's digits below n
+    spare = (1 << (n - m * (words - 1))) - 1  # the last word's digits below n
 
     def noisy(kids: np.ndarray) -> np.ndarray:
         """Flip each bit of each of `kids` (int32 points) at rate delta, in place."""
-        draws = rng.integers(0, q**m, size=(len(kids), words), dtype=draw_dtype)
+        draws = rng.integers(0, span, size=(len(kids), per_row), dtype=draw_dtype)
         if table is None:
             # m = 1: bit j flips iff draw j is below p.  Rows padded to 32 flags pack
             # in one flat pass (a per-row packbits axis is slower), 4 bytes a row,
@@ -290,16 +304,27 @@ def local_correct_batch(
             np.less(draws, p, out=flips[:, :n])
             kids ^= np.packbits(flips.reshape(-1), bitorder="little").view("<i4")
             return kids
-        flips = table[draws]  # m-bit patterns
-        mask = (flips[:, -1] & spare).astype(np.int32)
-        for j in range(words - 2, -1, -1):
-            mask <<= m
-            mask |= flips[:, j]
-        kids ^= mask
+        # one draw column at a time (faster than decoding the strided whole array):
+        # its high word is v // q^m and its low word v - q^m (v // q^m); each word's
+        # m-bit pattern is shifted to bits m*j.. and xored in
+        v, low, high = np.empty((3, len(kids)), dtype=np.uint64)
+        flips, shifted = np.empty(len(kids), dtype=np.uint8), np.empty(len(kids), dtype=np.int32)
+        for j in range(words):
+            if j % 2 == 0:
+                np.copyto(v, draws[:, j // 2])
+                np.floor_divide(v, qm, out=high)
+                np.subtract(v, np.multiply(high, qm, out=low), out=low)
+            table.take((high if j % 2 else low).view(np.int64), out=flips)
+            if j == words - 1:
+                flips &= spare
+            kids ^= np.left_shift(flips, m * j, out=shifted, dtype=np.int32)
         return kids
 
+    # a sibling group's votes, summed by one matmul; uint8 sums hold c < 256 votes
+    ones_c = np.ones(c, dtype=np.uint8 if c < 256 else np.int64)
+
     def majority(votes: np.ndarray) -> np.ndarray:
-        return (votes.reshape(-1, c).sum(axis=1) > c // 2).astype(np.uint8)  # c is odd
+        return (votes.reshape(-1, c) @ ones_c > c // 2).view(np.uint8)  # c is odd
 
     # a chunk holds at most MAX_LOCAL_QUERIES leaves; _tree_shape makes it >= 1 tree
     chunk = min(LOCAL_TRIAL_CHUNK, MAX_LOCAL_QUERIES // c**k)

@@ -161,6 +161,19 @@ def test_from_indices_refuses_bad_members(bad):
         TruthTable.from_indices(2, [0, bad])
 
 
+@pytest.mark.parametrize("bad", [np.array([0, -1]), np.array([4], dtype=np.uint64), np.array([0, 3.7]),
+                                 np.array([True])], ids=["negative", "uint64-past-end", "float", "bool"])
+def test_from_indices_refuses_bad_arrays(bad):
+    # an integer array is checked in numpy; any other dtype takes the member path
+    with pytest.raises(ValueError, match="member"):
+        TruthTable.from_indices(2, bad)
+
+
+def test_from_indices_accepts_integer_arrays():
+    for ones in (np.array([5, 1, 1], dtype=np.int32), np.array([1, 5], dtype=np.uint8), np.empty(0, dtype=int)):
+        assert TruthTable.from_indices(3, ones) == TruthTable.from_indices(3, ones.tolist())
+
+
 def test_from_indices_accepts_iterators_and_points():
     f = TruthTable.from_indices(3, iter([Point(3, 5), 1, np.int32(1)]))
     assert f.values.tolist() == [0, 1, 0, 0, 0, 1, 0, 0]

@@ -442,6 +442,18 @@ def test_parallel_batch_deterministic_region():
     assert (out == f.values[:, None]).all()
 
 
+@pytest.mark.parametrize("points", [[-1], [4095.7], [4096], np.array([-1]), np.array([4095.7]),
+                                    np.array([4096], dtype=np.uint16)],
+                         ids=["negative", "float", "past-end", "negative-array", "float-array", "past-end-array"])
+def test_parallel_batch_refuses_points_off_the_cube(points):
+    # -1 used to wrap to 4095, 4095.7 to be truncated to 4095, 4096 to raise IndexError
+    rng = seeded_rng(3, "off-cube")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="member") as err:
+        parallel_eval_batch(dictator(12), 1, points, 2, rng)
+    assert "\n" not in str(err.value) and rng.bit_generator.state == state
+
+
 def test_parallel_batch_error_rate_high_weight():
     f = dictator(12)
     pts = np.array([(1 << 12) - 1, (1 << 12) - 2])
@@ -593,27 +605,48 @@ class _ScriptedDraws:
 
 
 def test_parallel_batch_votes_below_the_numerator():
-    # a draw at a node's numerator votes 0 and one just below it votes 1, both for
-    # the folded draws under a weight-12 node (child j at j * 11^7 + N[k(child)])
-    # and for a weight-11 point
+    # a draw at a node's threshold votes 0 and one just below it votes 1, both for
+    # the draws of a weight-12 node's children (A(x), the sum of N[k] over its 12
+    # lower neighbours) and for a weight-11 point (N[k(x)])
     f = random_function(12, seed=5)
     c, span = parallel_sample_count(), 11**7
     below = evaluate._leaf_numerators(f, 11, c)
     top, x = 4095, 4095 ^ 1 << 3
-    numer = [int(below[top ^ 1 << j]) for j in range(c)]  # the 7 lowest set bits of 4095
-    assert min(numer) > 0 and below[x] > 0
+    total = sum(int(below[top ^ 1 << j]) for j in range(12))
+    assert 0 < total < 12 * span and below[x] > 0
     calls = []
     for shift in (0, -1):
-        calls.append(((12 * span, (1, c), np.uint32), [j * span + v + shift for j, v in enumerate(numer)]))
+        calls.append(((12 * span, (1, c), np.uint32), [total + shift] * c))
         calls.append(((span, 1, np.uint32), [int(below[x]) + shift]))
     out = parallel_eval_batch(f, 1, np.array([top, x]), 2, _ScriptedDraws(calls))
     assert out.tolist() == [[0, 1], [0, 1]]
 
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_weight_12_thresholds_are_the_mean_child_law(n):
+    # a draw in [0, 12 * 11^7) votes 1 below A(x), so A(x) / (12 * 11^7) must be
+    # the mean of N / 11^7 over x's 12 children, the exact law of the vote of a
+    # uniformly picked child, at every weight-12 point; weight 11 keeps N, the
+    # exact tail there (test_leaf_numerators_are_the_law_at_weight_11)
+    f = random_function(n, seed=n + 1)
+    c, span = parallel_sample_count(), 11**7
+    thresh = evaluate._vote_thresholds(f, 11, c)
+    below = evaluate._leaf_numerators(f, 11, c)
+    w = weights_vector(n)
+    assert thresh.dtype == np.uint32 and not thresh[(w != 11) & (w != 12)].any()
+    assert (thresh[w == 11] == below[w == 11]).all()
+    for x in np.flatnonzero(w == 12).tolist():
+        children = [x ^ (1 << j) for j in range(n) if x >> j & 1]
+        mean = sum(Fraction(int(below[y]), span) for y in children) / 12
+        assert Fraction(int(thresh[x]), 12 * span) == mean
+
+
 def _documented_batch(f, pts, trials, rng):
     """parallel_eval_batch at s = 1 from its stream contract, one node at a time:
     per trial, from the highest weight down, uint8 picks above weight 12, one draw
-    in [0, 12 * 11^7) per child of a weight-12 node, and one draw in [0, 11^7) per
-    point of weight 11."""
+    in [0, 12 * 11^7) per child of a weight-12 node x, which votes 1 iff it is below
+    A(x) = the sum of N[k] over x's 12 lower neighbours, and one draw in [0, 11^7)
+    per point of weight 11."""
     c, leaf = parallel_sample_count(), 11
     span = leaf**c
     pts = [int(x) for x in pts]
@@ -638,7 +671,7 @@ def _documented_batch(f, pts, trials, rng):
                 kids = [lower(x)[j] for x, row in zip(nodes, picks) for j in row]
             else:
                 draws = rng.integers(0, (leaf + 1) * span, size=(len(nodes), c), dtype=np.uint32)
-                votes[d] = [sum(v % span < numer(lower(x)[v // span]) for v in row) > c // 2
+                votes[d] = [sum(v < sum(map(numer, lower(x))) for v in row) > c // 2
                             for x, row in zip(nodes, draws.tolist())]
         for d in range(leaf + 2, top + 1):
             below = votes[d - 1][len(roots[d - 1]):]
@@ -720,13 +753,13 @@ def _parallel_stream_case(name):
 
 PARALLEL_STREAMS = {
     "dictator-neg-16": (
-        "052fab31d6d8d57d1d754b7fd4a76f6d90523f38101a23fe919cafc1bb336c6d", "c3f6b10e6ba2c793",
+        "882a487058112219fb95c1357241d7107b1738e366dcb69c64ea42f697dd2d1b", "c3f6b10e6ba2c793",
         "uint8", (65536, 2)),
     "random-dt-12-reversed-duplicates": (
-        "0cc6e9492ac2228c0b59b089f120597c67762270dc455b02474ec7b77dcf400e", "b44a0595c0d3e5a0",
+        "342a474740a8b9de67b657b0c088aab3f250d4ba95a689558777d1f0555095bf", "b44a0595c0d3e5a0",
         "uint8", (4101, 200)),
     "random-dt-20-random-points": (
-        "2a7531fd38243719a4db69c3cac8fb63401a669bfdd1cc553cd9cfb74e45e8f1", "02958d3cdfa263b0",
+        "1d4e623bad6f090bee5ab7ab97fc6f76cca486d3f75da302b57a02a926026239", "02958d3cdfa263b0",
         "uint8", (2000, 4)),
     "empty": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d441c3a6811d9a34",

@@ -63,6 +63,19 @@ def test_oracle_refuses_members_that_are_not_point_indices(member):
         CorruptedOracle(dictator(8), {member})
 
 
+@pytest.mark.parametrize("members", [np.array([3, -1]), np.array([256]), np.array([0.0, 3.0])],
+                         ids=["negative", "past-end", "float"])
+def test_oracle_refuses_bad_index_arrays(members):
+    with pytest.raises(ValueError, match="member"):
+        CorruptedOracle(dictator(8), members)
+
+
+def test_oracle_takes_an_index_array():
+    oracle = CorruptedOracle(dictator(8), np.array([7, 3, 255], dtype=np.uint8))
+    assert oracle.corrupted == frozenset({3, 7, 255})
+    assert error_set(oracle.corrupted_table(), dictator(8)) == oracle.corrupted
+
+
 def test_corrupt_exact_count():
     f = random_dt(12, 2, seed=4)
     rng = seeded_rng(6, "corrupt")
@@ -202,7 +215,7 @@ def test_local_query_count_exact():
 
 # local_correct's bits at x = 718 for seeds 0..5, per k; the tree's draws are made
 # level by level, as in local_correct_batch
-LOCAL_SCALAR_BITS = {0: "111111", 1: "111111", 2: "111111", 4: "101111"}
+LOCAL_SCALAR_BITS = {0: "111111", 1: "111111", 2: "111111", 4: "011111"}
 
 
 def test_local_correct_is_one_trial_of_the_batch():
@@ -244,6 +257,33 @@ def test_local_correction_refuses_a_negative_depth(k):
     with pytest.raises(ValueError, match=f"local tree depth k={k} must be >= 0"):
         local_correct(oracle, Point(8, 3), CorrectorParams(s=1), rng, k=k)
     assert oracle.query_count == 0 and rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("x", [Point(11, 5), Point(13, 4096), Point(12, 4096)], ids=repr)
+def test_local_correction_refuses_a_point_of_another_cube(x):
+    # Point(11, 5) used to be answered as point 5 of the 12-cube, and
+    # Point(13, 4096) raised IndexError after query_count had gone up
+    oracle = CorruptedOracle(dictator(12), frozenset())
+    rng = seeded_rng(1, "other-cube")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="is not a point of the 12-cube"):
+        local_correct_batch(oracle, x, CorrectorParams(s=1), 3, rng, k=2)
+    with pytest.raises(ValueError, match="is not a point of the 12-cube"):
+        local_correct(oracle, x, CorrectorParams(s=1), rng, k=2)
+    assert oracle.query_count == 0 and rng.bit_generator.state == state
+
+
+def test_local_majority_counts_more_than_255_votes():
+    # at epsilon = 1e-18 a node takes the majority of c = 267 noisy copies; about
+    # 254 of them read f(x) on a clean oracle, so a uint8 vote sum would wrap
+    f = random_dt(12, 1, seed=21)
+    oracle = CorruptedOracle(f, frozenset())
+    params = CorrectorParams(s=1, epsilon=Fraction(1, 10**18))
+    assert params.local_c() == 267
+    for x in (0, 4095, 0b101101110010):
+        out = local_correct_batch(oracle, Point(12, x), params, 60, seeded_rng(3, "wide-c", x), k=1)
+        assert (out == f(x)).all()
+    assert oracle.query_count == 3 * 60 * 267
 
 
 def test_local_batch_chunks_stay_under_the_query_guard(monkeypatch):
@@ -303,10 +343,10 @@ def test_local_batch_memory_does_not_grow_with_leaves_times_n(n, k, trials):
 # seeded streams: local_correct_batch must replay byte for byte
 
 @pytest.mark.parametrize("q,dtype", [(20, np.uint32), (20**4, np.uint32), (3 * 10**9 + 7, np.uint32),
-                                     ((1 << 40) + 1, np.int64)])
+                                     ((1 << 40) + 1, np.int64), (2**16, np.uint64), (20**8, np.uint64)])
 def test_bounded_draws_split_by_rows(q, dtype):
-    # local_correct_batch draws each level's (L, ceil(n/m)) matrix in row blocks
-    # and relies on this: the blocks give the same values and leave the same state
+    # local_correct_batch draws each level's matrix in row blocks and relies on
+    # this: the blocks give the same values and leave the same state
     whole_rng, split_rng = seeded_rng(3, "split", q), seeded_rng(3, "split", q)
     whole = whole_rng.integers(0, q, size=(101, 13), dtype=dtype)
     split = [split_rng.integers(0, q, size=(rows, 13), dtype=dtype) for rows in (1, 7, 33, 3, 57)]
@@ -316,13 +356,13 @@ def test_bounded_draws_split_by_rows(q, dtype):
 
 
 LOCAL_STREAMS = {  # (n, k): (sha256 of outputs, next 8 stream bytes, dtype, shape)
-    (13, 2): ("427a57083299cda25bf7590825b2f46a37280317f66efc162eb9a970309b9e91", "801396674e66fda7",
+    (13, 2): ("54ba76ba4002bed5373de657bdd079299a5b6a57598efbe204a85feadda458ce", "af324de46a7303e8",
               "uint8", (450,)),
-    (13, 4): ("a7d9a523f624f01845def69768824d7074dd92b4d0b5230eb89eed65bb25f5c7", "f96828fe3fa152d4",
+    (13, 4): ("b3cf491230a84c2604fa2cd7184062bbceb2dca7b41a09578fde3dcef0833cfe", "038c74581a51ca9f",
               "uint8", (450,)),
-    (16, 2): ("65b5b4a45966d48da8793e80e1aca821b116b27e9cc4b5a46f32d5920eec17fa", "7614ec002b158c5a",
+    (16, 2): ("797e415a62a397b8dc0ff38e492b1d63fac591c923f6ef1c88dacda4de4b14c1", "01cd2ee77be38127",
               "uint8", (450,)),
-    (16, 4): ("06539f39b59122a11b2eb0c23f375caf18e0bdfb910e6136b9ebbd2154171ff5", "2e0821b67b7cd0b1",
+    (16, 4): ("074a0ab4b2328a2d3c59aa0c2874b66ffbfe7b79831ae1817b10744ee7f10b44", "27965862d8f141e4",
               "uint8", (450,)),
 }
 
@@ -375,14 +415,20 @@ def test_flip_table_is_not_built_past_q_512():
 
 
 @pytest.mark.parametrize("n,delta", [(13, Fraction(1, 20)), (13, Fraction(3, 7)), (5, Fraction(1, 2)),
+                                     (24, Fraction(1, 40)), (13, Fraction(255, 512)),
                                      (11, Fraction(100, 1009)), (20, Fraction(500, 1009)),
                                      (17, Fraction(1 << 39, (1 << 40) + 1))], ids=str)
 def test_noisy_copies_replay_the_documented_digits(n, delta, monkeypatch):
-    # row r flips bit m*j + i iff base-q digit i of its draw j is below p; the last
-    # draw's digits past bit n - 1 are drawn, do flip, and must change nothing.  The
-    # last three cases take the packed m = 1 path, the last one with int64 draws
+    # at m >= 2 a row's uint64 draw d carries words 2d and 2d + 1 as its base-q^m
+    # digits, and a row flips bit m*j + i iff base-q digit i of word j is below p;
+    # the high word of the last draw when the row's word count is odd, and digits
+    # past bit n - 1, are drawn, do flip, and must change nothing.  q = 2 at n = 5
+    # draws below 2^32, q = 40 at n = 24 four draws a row.  The last three cases take
+    # the packed m = 1 path, the last one with int64 draws
     p, q = delta.numerator, delta.denominator
     m = _flip_table(p, q)[0]
+    words = -(-n // m)
+    per_row, r, dtype = (n, 1, np.int64) if m == 1 else (-(-words // 2), 2, np.uint64)
     oracle = CorruptedOracle(dictator(n), frozenset())
     leaves = []
     answer = oracle.answer_batch
@@ -391,13 +437,54 @@ def test_noisy_copies_replay_the_documented_digits(n, delta, monkeypatch):
     rng, replay = seeded_rng(8, "digits", n, q), seeded_rng(8, "digits", n, q)
     local_correct_batch(oracle, Point(n, x), CorrectorParams(s=1, delta=delta), 300, rng, k=1)
     expect, spare_flips = [], 0
-    for row in replay.integers(0, q**m, size=(300 * 7, -(-n // m)), dtype=np.int64).tolist():
-        flips = [draw // q**i % q < p for draw in row for i in range(m)]
+    for row in replay.integers(0, q ** (m * r), size=(300 * 7, per_row), dtype=dtype).tolist():
+        flips = [draw // q**i % q < p for draw in row for i in range(m * r)]
         spare_flips += sum(flips[n:])
         expect.append(x ^ sum(1 << bit for bit in range(n) if flips[bit]))
     assert np.concatenate(leaves).tolist() == expect
     assert rng.bit_generator.state == replay.bit_generator.state
-    assert spare_flips > 0 or n % m == 0
+    assert spare_flips > 0 or n == m * r * per_row
+
+
+class _ScriptedDraws:
+    """A stand-in generator: each integers() call must carry the expected
+    (high, size, dtype) and returns the scripted values."""
+
+    def __init__(self, high, size, dtype, values):
+        self.want, self.values = (0, high, size, np.dtype(dtype)), values
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, np.dtype(dtype)) == self.want
+        return np.array(self.values, dtype=dtype).reshape(size)
+
+
+@pytest.mark.parametrize("n,delta", [(16, Fraction(1, 20)), (13, Fraction(255, 512))], ids=str)
+def test_noisy_words_are_flip_table_entries(n, delta, monkeypatch):
+    # scripted uint64 draws at 0, Q - 1, Q, Q^2 - 1 and random values, Q = q^m: draw
+    # d is word 2d + Q * word 2d + 1 of its row, and word j moves bits m*j.. by
+    # exactly its _flip_table entry (cut at bit n - 1)
+    p, q = delta.numerator, delta.denominator
+    m, table = _flip_table(p, q)
+    qm, words = q**m, -(-n // m)
+    per_row = -(-words // 2)
+    edges = [0, qm - 1, qm, qm**2 - 1, qm**2 - qm, qm + 1, qm * (qm - 1) - 1]
+    rows = [[v] * per_row for v in edges]
+    rows += seeded_rng(4, "scripted-words", n).integers(0, qm**2, size=(7, per_row), dtype=np.uint64).tolist()
+    oracle = CorruptedOracle(dictator(n), frozenset())
+    leaves = []
+    answer = oracle.answer_batch
+    monkeypatch.setattr(oracle, "answer_batch", lambda idx: leaves.append(idx.tolist()) or answer(idx))
+    x = (1 << n) - 1 - 0b1001110
+    rng = _ScriptedDraws(qm**2, (14, per_row), np.uint64, rows)
+    local_correct_batch(oracle, Point(n, x), CorrectorParams(s=1, delta=delta), 2, rng, k=1)
+    expect = []
+    for row in rows:
+        mask = 0
+        for j in range(words):
+            word = row[j // 2] // qm ** (j % 2) % qm
+            mask |= int(table[word]) << (m * j)
+        expect.append(x ^ (mask & ((1 << n) - 1)))
+    assert leaves == [expect]
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1000, 1 << 16])
