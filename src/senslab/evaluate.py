@@ -15,8 +15,9 @@ its values near 0^n:
     of 2s+1 of its lower neighbors (clear the lowest set bits one at a time).
   * parallel: randomized recursive majority over samples from the lower
     shadow D(x, t) with t = floor(wt(x)/(10s+1)); per-call error <= 1/20,
-    amplified by independent repetition.  parallel_eval_law gives its exact
-    output law at every x.
+    amplified by independent repetition.  parallel_eval_batch is the one
+    sampler, and parallel_eval and amplified_eval are calls of it.
+    parallel_eval_law gives its exact output law at every x.
 
 All majorities here have odd arity, so no tie rule is ever needed.
 """
@@ -44,7 +45,6 @@ from .core import (
     weight,
     weights_vector,
 )
-from .noise import downward_sample
 
 
 @dataclass
@@ -316,8 +316,8 @@ def set_bits_table(n: int) -> np.ndarray:
     read-only and cached per n; core.all_set_bit_positions builds it by
     doubling, 2^n * n bytes.
 
-    parallel_eval_batch is its only caller in the library: the sweeps take
-    core.lower_neighbors instead."""
+    No library path reads it: the sweeps and the parallel sampler take
+    core.lower_neighbors instead.  perfbench times its cold build."""
     t = all_set_bit_positions(n)
     t.setflags(write=False)
     return t
@@ -350,13 +350,11 @@ def top_down_all(f: TruthTable, s: int) -> TruthTable:
 PARALLEL_BASE_ERROR = Fraction(1, 20)
 PARALLEL_SAMPLE_ERROR = Fraction(1, 5)
 # The most draws one parallel-evaluation call may make, counted from the weights of its
-# points before its first draw or allocation: the draws of the tree parallel_eval walks
-# (_parallel_draws).  parallel_eval_batch settles the 56 such draws under a weight-12
-# node with 7 random integers, and costs about 1-2 ns and 1-1.5 bytes of arrays per
-# counted draw of a trial (n = 16..18, every point, one trial; 2-vCPU VM), so a call at
-# the limit takes well under a second and at most about 0.2 GB.  A draw of the scalar
-# sampler (noise.downward_sample in a Python frame) costs about 16-23 us, so
-# parallel_eval and amplified_eval may make 2^-10 of the limit, about 2-3 s.
+# points before its first draw or allocation: the draws of the recursive tree the paper's
+# sampler walks (_parallel_draws).  parallel_eval_batch settles the 56 such draws under a
+# weight-12 node with 7 random integers, and costs about 1-2 ns and 1-1.5 bytes of arrays
+# per counted draw of a trial (n = 16..18, every point, one trial; 2-vCPU VM), so a call at
+# the limit takes well under a second and at most about 0.2 GB.
 PARALLEL_MAX_DRAWS = 1 << 27
 
 
@@ -376,73 +374,57 @@ def _parallel_draws(n: int, s: int) -> tuple[int, ...]:
     return tuple(draws)
 
 
-def _check_draws(n: int, s: int, draws: int, limit: int) -> None:
-    if draws > limit:
-        raise ValueError(f"parallel evaluation at n={n}, s={s} would make {draws} draws, "
-                         f"over the limit of {limit}")
-
-
-def _check_scalar_call(advice: BallAdvice, s: int, x: Point, runs: int) -> None:
-    """Refuses s < 1, advice that does not cover radius 10s and `runs` scalar evaluations
-    at x that would pass PARALLEL_MAX_DRAWS at 2^10 batch draws a draw."""
-    if s < 1:
-        raise ValueError("parallel evaluation needs s >= 1")
-    _require_advice(advice, s, 10, x)
-    _check_draws(advice.n, s, runs * _parallel_draws(advice.n, s)[weight(x)],
-                 PARALLEL_MAX_DRAWS >> 10)
-
-
 def parallel_eval(
     advice: BallAdvice, s: int, x: Point, rng: np.random.Generator,
     stats: EvalStats | None = None,
 ) -> int:
     """Randomized recursive-majority evaluation; error probability <= 1/20.
 
-    Each child is one noise.downward_sample draw from D(p, t).  Subtrees
-    draw fresh samples (no memoization): reusing a sample across branches
-    would correlate the majority votes the analysis needs independent.
-    A call whose tree would pass 2^-10 PARALLEL_MAX_DRAWS draws (131072, about
-    3 s) is refused before its first draw.
+    One trial of parallel_eval_batch at x (_advice_trials).  A call whose tree would
+    pass PARALLEL_MAX_DRAWS draws is refused before its first draw.
     """
-    _check_scalar_call(advice, s, x, 1)
-    c = parallel_sample_count()
-
-    def rec(p: int, depth: int) -> int:
-        d = popcount(p)
-        if stats is not None:
-            stats.max_depth = max(stats.max_depth, depth)
-        if d <= min(10 * s, advice.n):
-            if stats is not None:
-                stats.record_point(d)
-            return advice[p]
-        t = d // (10 * s + 1)
-        votes = 0
-        for _ in range(c):
-            child = downward_sample(Point(advice.n, p), t, rng).index
-            if stats is not None:
-                stats.rng_draws += 1
-            votes += rec(child, depth + 1)
-        if stats is not None:
-            stats.majority_votes += 1
-        return 1 if 2 * votes > c else 0
-
-    return rec(x.index, 0)
+    return int(_advice_trials(advice, s, x, 1, rng, stats)[0])
 
 
 def amplified_eval(
     advice: BallAdvice, s: int, x: Point, target_error, rng: np.random.Generator,
     stats: EvalStats | None = None,
 ) -> int:
-    """Repeat parallel_eval c(1/20, target_error) times and take the
-    majority; refused before the first draw when the c runs together would pass
-    parallel_eval's draw limit."""
+    """The majority of c(1/20, target_error) independent parallel_eval runs at x: one
+    parallel_eval_batch call with that many trials, refused before the first draw when
+    the runs together would pass PARALLEL_MAX_DRAWS."""
     target = exact_fraction(target_error, "target error must be an exact rational, not the float {!r}")
     if not 0 < target <= PARALLEL_BASE_ERROR:
         raise ValueError("target error must lie in (0, 1/20]")
     c = majority_threshold_c(PARALLEL_BASE_ERROR, target)
-    _check_scalar_call(advice, s, x, c)
-    votes = sum(parallel_eval(advice, s, x, rng, stats) for _ in range(c))
-    return 1 if 2 * votes > c else 0
+    votes = _advice_trials(advice, s, x, c, rng, stats)
+    return 1 if 2 * int(votes.sum()) > c else 0
+
+
+def _advice_trials(advice: BallAdvice, s: int, x: Point, trials: int,
+                   rng: np.random.Generator, stats: EvalStats | None) -> np.ndarray:
+    """parallel_eval_batch's `trials` outputs at x, on the advice's table with 0 written
+    outside the ball: the batch reads f only at weights <= min(10s, n), inside it.
+
+    Every call the draw limit admits has t = 1 at every level (parallel_eval_batch), so
+    a trial at a weight w above the cutoff min(10s, n) is a full c-ary tree of depth
+    D = w - cutoff, and stats gains, a trial, c^D reads at the cutoff weight,
+    (c^D - 1)/(c - 1) majority votes and _parallel_draws[w] draws."""
+    if s < 1:
+        raise ValueError("parallel evaluation needs s >= 1")
+    cutoff = _require_advice(advice, s, 10, x)
+    f = TruthTable(advice.n, (advice.values == 1).view(np.uint8))
+    out = parallel_eval_batch(f, s, np.array([x.index]), trials, rng)[0]
+    if stats is not None:
+        c, w = parallel_sample_count(), weight(x)
+        depth = max(w - cutoff, 0)
+        leaves = trials * c**depth
+        stats.points_computed += leaves
+        stats.points_by_weight[min(w, cutoff)] = stats.points_by_weight.get(min(w, cutoff), 0) + leaves
+        stats.majority_votes += trials * (c**depth - 1) // (c - 1)
+        stats.rng_draws += trials * _parallel_draws(advice.n, s)[w]
+        stats.max_depth = max(stats.max_depth, depth)
+    return out
 
 
 def _majority_tail(c: int, a, b):
@@ -455,38 +437,53 @@ def _majority_tail(c: int, a, b):
     return sum(comb(c, j) * a**j * b ** (c - j) for j in range(c // 2 + 1, c + 1))
 
 
-def _leaf_numerators(f: TruthTable, leaf: int, c: int) -> np.ndarray:
-    """below[x] = N[k] = _majority_tail(c, k, L - k) at each x of weight L = leaf,
-    with k the lower neighbours of x where f = 1, and 0 elsewhere: a weight-L node
-    that votes over c uniform lower neighbours outputs 1 with probability exactly
-    below[x] / L^c.  uint32 while (L + 1) L^c < 2^32, else int64: the dtype of
-    parallel_eval_batch's draws at weights L and L + 1."""
-    n = f.n
+def _leaf_numerators(f: TruthTable, leaf: int, c: int, at: np.ndarray) -> np.ndarray:
+    """N[k] = _majority_tail(c, k, L - k) at each x of `at`, points of weight L = leaf,
+    with k the lower neighbours of x where f = 1: a weight-L node that votes over c
+    uniform lower neighbours outputs 1 with probability exactly N[k] / L^c.  uint32
+    while (L + 1) L^c < 2^32, else int64: the dtype of parallel_eval_batch's draws at
+    weights L and L + 1."""
     numer = np.array([_majority_tail(c, k, leaf - k) for k in range(leaf + 1)],
                      dtype=np.uint32 if (leaf + 1) * leaf**c < 1 << 32 else np.int64)
-    cut = np.flatnonzero(weights_vector(n) == leaf)
-    k = np.zeros(len(cut), dtype=np.uint8)
-    for q in lower_neighbors(cut, leaf):
+    k = np.zeros(len(at), dtype=np.uint8)
+    for q in lower_neighbors(at, leaf):
         k += f.values[q]
-    below = np.zeros(1 << n, dtype=numer.dtype)
-    below[cut] = numer[k]
-    return below
+    return numer[k]
 
 
-def _vote_thresholds(f: TruthTable, leaf: int, c: int) -> np.ndarray:
-    """thresh[x]: the draws of parallel_eval_batch's last two levels vote 1 below
-    it.  At weight L = leaf it is N[k(x)] (_leaf_numerators), for one draw in
-    [0, L^c).  At weight L + 1 it is A(x) = the sum of N[k(y)] over the L + 1 lower
-    neighbours y of x, so one draw in [0, (L + 1) L^c) votes 1 with probability
-    A(x) / ((L + 1) L^c), the mean of N[k(y)] / L^c over a uniform y: the vote of a
-    uniformly picked child.  A(x) <= (L + 1) L^c fits the dtype of N."""
-    thresh = _leaf_numerators(f, leaf, c)
-    up = np.flatnonzero(weights_vector(f.n) == leaf + 1)
-    total = np.zeros(len(up), dtype=thresh.dtype)
-    for q in lower_neighbors(up, leaf + 1):
-        total += thresh[q]
-    thresh[up] = total
-    return thresh
+def _tree_tables(f: TruthTable, leaf: int, c: int, starts: dict[int, np.ndarray]):
+    """The tables of one parallel_eval_batch call, over the points its trees reach.
+
+    starts[d] holds the roots of weight d, for d from L = leaf to the highest weight
+    with a root.  The points reached at weight d are starts[d] and the lower
+    neighbours of the points reached at d + 1.  Returns (rank, kids, below, above):
+      * rank[x], x's place among the reached points of its weight: one dense int32 map
+        over the cube, from np.zeros, so only the pages written are touched;
+      * kids[d] for L + 1 < d: (reached points of weight d, d) int32, row r the ranks of
+        the r-th point's lower neighbours in core.lower_neighbors order, so pick j
+        clears the j-th lowest set bit;
+      * below: N[k(x)] (_leaf_numerators) at the reached points of weight L;
+      * above: A(x), the sum of N[k(y)] over the L + 1 lower neighbours y of x, at the
+        reached points of weight L + 1.  A(x) <= (L + 1) L^c fits the dtype of N.
+    """
+    rank = np.zeros(1 << f.n, dtype=np.int32)
+    kids, lower = {}, []
+    for d in range(max(starts), leaf - 1, -1):
+        reach = np.concatenate([starts[d], *lower])
+        first = np.arange(len(reach), dtype=np.int32)
+        rank[reach] = first
+        reach = reach[rank[reach] == first]  # one of each point
+        rank[reach] = np.arange(len(reach))
+        children = [rank[q] for q in lower]  # of the points reached at d + 1
+        if d > leaf:
+            if children:
+                kids[d + 1] = np.stack(children, axis=1)
+            lower = list(lower_neighbors(reach, d))
+    below = _leaf_numerators(f, leaf, c, reach)
+    above = np.zeros(len(children[0]) if children else 0, dtype=below.dtype)
+    for q in children:
+        above += below[q]
+    return rank, kids, below, above
 
 
 def parallel_eval_batch(
@@ -495,19 +492,23 @@ def parallel_eval_batch(
     """Vectorized parallel evaluation: `trials` independent runs per input
     point; returns a (len(points), trials) uint8 array of outputs.
 
-    Distributionally identical to parallel_eval (same sampling law per node,
-    independent subtrees); parallel_eval_law is the exact law of both.
+    The one sampler of the paper's recursion (parallel_eval and amplified_eval are
+    calls of it): each node draws c independent samples, and subtrees draw fresh
+    samples (no memoization), since reusing a sample across branches would correlate
+    the votes the analysis needs independent.  parallel_eval_law is its exact law.
 
-    Since n <= 20, every point that recurses has s = 1 (for s >= 2 the
-    cutoff min(10s, n) is n) and weight 11..20, so t = floor(wt/11) = 1: each
-    sample clears one uniformly chosen set bit.  A node of weight L = cutoff + 1
-    votes over c uniform lower neighbours, all read from f.  With k of its L lower
-    neighbours where f = 1 it outputs 1 with probability exactly N[k] / L^c, where
-    N[k] = _majority_tail(c, k, L - k), so one uniform draw in [0, L^c) that falls
-    below N[k] decides it, and weight-L nodes are never built.  A sample of a
-    weight-(L + 1) node x is then a uniform child's vote, 1 with probability
-    A(x) / ((L + 1) L^c) where A(x) sums N over x's L + 1 lower neighbours
-    (_vote_thresholds), so one draw below A(x) decides it.
+    Every call the draw limit admits has t = floor(wt/(10s+1)) = 1 at every node: at
+    s = 1 weight 20 already takes 3.3e8 draws, over PARALLEL_MAX_DRAWS, and t = 2
+    first appears at weight 22 (2.3e9 draws); at s >= 2, t = 2 needs weight >= 42,
+    above n <= 24.  So each sample clears one uniformly chosen set bit.  A node of
+    weight L = cutoff + 1 votes over c uniform lower neighbours, all read from f.
+    With k of its L lower neighbours where f = 1 it outputs 1 with probability exactly
+    N[k] / L^c, where N[k] = _majority_tail(c, k, L - k), so one uniform draw in
+    [0, L^c) that falls below N[k] decides it, and weight-L nodes are never built.  A
+    sample of a weight-(L + 1) node x is then a uniform child's vote, 1 with
+    probability A(x) / ((L + 1) L^c) where A(x) sums N over x's L + 1 lower
+    neighbours, so one draw below A(x) decides it.  Nodes are ranks into the tables
+    of the points the trees reach (_tree_tables), built once per call.
 
     Stream contract: trials run one after another.  In one trial the nodes of
     weight d are the points of weight d in input order, followed by the children
@@ -531,60 +532,55 @@ def parallel_eval_batch(
     if s < 1:
         raise ValueError("parallel evaluation needs s >= 1")
     n = f.n
-    check_n(n, 20)
-    w = weights_vector(n)
     points = _point_indices(n, points)
-    per_trial = sum(k * d for k, d in zip(np.bincount(w[points], minlength=n + 1).tolist(),
-                                          _parallel_draws(n, s)))
-    _check_draws(n, s, max(trials, 1) * per_trial, PARALLEL_MAX_DRAWS)
+    weights = weights_vector(n)[points]
+    draws = max(trials, 1) * sum(k * d for k, d in zip(
+        np.bincount(weights, minlength=n + 1).tolist(), _parallel_draws(n, s)))
+    if draws > PARALLEL_MAX_DRAWS:
+        raise ValueError(f"parallel evaluation at n={n}, s={s} would make {draws} draws, "
+                         f"over the limit of {PARALLEL_MAX_DRAWS}")
     c = parallel_sample_count()
     results = np.empty((len(points), trials), dtype=np.uint8)
     results[:] = f.values[points][:, None]
     leaf = min(10 * s, n) + 1  # L, the lowest weight that recurses
-    weights = w[points]
     roots = {d: np.flatnonzero(weights == d) for d in range(leaf, n + 1)}
     top = max((d for d, at in roots.items() if len(at)), default=None)
     if top is None:
         return results
 
+    rank, kids, below, above = _tree_tables(
+        f, leaf, c, {d: points[roots[d]] for d in range(leaf, top + 1)})
     span = leaf**c  # the c samples of a weight-L node, as one draw
-    thresh = _vote_thresholds(f, leaf, c)
-    dtype = thresh.dtype
-    bits = set_bits_table(n).reshape(-1)  # flat index x * n + j
-
     # the node count of each weight depends on the weights alone, so every trial
     # refills the same arrays: a trial allocates (and page-faults) only its draws
     nodes, size = {}, 0
     for d in range(top, leaf, -1):
         size = len(roots[d]) + c * size
-        nodes[d] = np.empty(size, dtype=np.int64)
-        nodes[d][: len(roots[d])] = points[roots[d]]
+        nodes[d] = np.empty(size, dtype=np.int32)
+        nodes[d][: len(roots[d])] = rank[points[roots[d]]]
     # weight L + 1 holds the most nodes: `size` picks lead to them, c * size draws leave them
-    flat_buf, bit_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.uint8)
-    vote_buf = np.empty(c * size, dtype=bool)
+    flat_buf, vote_buf = np.empty(size, dtype=np.int32), np.empty(c * size, dtype=bool)
     ones_c = np.ones(c, dtype=np.uint8)  # a row's votes, summed by one matmul
     at_leaf = roots[leaf]
-    leaf_thresh = thresh[points[at_leaf]]
+    leaf_thresh = below[rank[points[at_leaf]]]
     for tr in range(trials):
         for d in range(top, leaf + 1, -1):
             node = nodes[d]
-            flat = np.multiply(node[:, None], n, out=flat_buf[: c * len(node)].reshape(-1, c))
+            flat = np.multiply(node[:, None], d, out=flat_buf[: c * len(node)].reshape(-1, c))
             flat += rng.integers(0, d, size=(len(node), c), dtype=np.uint8)
-            kids = nodes[d - 1][len(roots[d - 1]) :].reshape(-1, c)
-            np.left_shift(np.int64(1), bits.take(flat, out=bit_buf[: flat.size].reshape(-1, c)),
-                          out=kids)
-            kids ^= node[:, None]
+            # every flat index is in range; "clip" skips the buffered out of "raise"
+            kids[d].take(flat, out=nodes[d - 1][len(roots[d - 1]) :].reshape(-1, c), mode="clip")
         if top > leaf:
             node = nodes[leaf + 1]
-            draw = rng.integers(0, (leaf + 1) * span, size=(len(node), c), dtype=dtype)
-            votes = np.less(draw, thresh.take(node)[:, None],
+            draw = rng.integers(0, (leaf + 1) * span, size=(len(node), c), dtype=below.dtype)
+            votes = np.less(draw, above.take(node)[:, None],
                             out=vote_buf[: draw.size].reshape(-1, c))
             for d in range(leaf + 1, top + 1):
                 won = votes.view(np.uint8) @ ones_c > c // 2  # c is odd
                 results[roots[d], tr] = won[: len(roots[d])]
                 votes = won[len(roots[d]) :].reshape(-1, c)
         if len(at_leaf):
-            results[at_leaf, tr] = rng.integers(0, span, size=len(at_leaf), dtype=dtype) < leaf_thresh
+            results[at_leaf, tr] = rng.integers(0, span, size=len(at_leaf), dtype=below.dtype) < leaf_thresh
     return results
 
 

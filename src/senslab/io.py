@@ -54,8 +54,9 @@ def read_truth_table(path: str | Path) -> TruthTable:
 
 def write_ball_advice(adv: BallAdvice, path: str | Path) -> None:
     out = [f"n={adv.n} center={adv.center.bits()} radius={adv.radius}"]
-    for idx in np.flatnonzero(adv.values != 255).tolist():
-        out.append(f"{Point(adv.n, idx).bits()} {adv.values[idx]}")
+    idx = np.flatnonzero(adv.values != 255)
+    # Point.bits, inline: the binary digits of an index in the ball, lowest first
+    out += [f"{i:0{adv.n}b}"[::-1] + f" {v}" for i, v in zip(idx.tolist(), adv.values[idx].tolist())]
     Path(path).write_text("\n".join(out) + "\n")
 
 

@@ -210,17 +210,6 @@ def noise_sensitivity_below(f: TruthTable, delta, bound) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # downward walks
 
-def downward_sample(x: Point, t: int, rng: np.random.Generator) -> Point:
-    """Uniform over D(x, t): clear a uniform t-subset of the one-coordinates."""
-    w = weight(x)
-    if not 0 <= t <= w:
-        raise ValueError(f"t={t} exceeds weight {w}")
-    ones = [i for i in range(x.n) if (x.index >> i) & 1]
-    chosen = rng.choice(len(ones), size=t, replace=False)
-    mask = int(sum(1 << ones[int(j)] for j in chosen))
-    return Point(x.n, x.index ^ mask)
-
-
 def downward_mismatch(f: TruthTable, x: Point, t: int) -> Fraction:
     """Pr_{y in D(x,t)}[f(y) != f(x)] by full enumeration (guarded)."""
     fx, w = f(x), weight(x)

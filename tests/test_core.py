@@ -855,6 +855,37 @@ def test_use_guard_flags_what_only_its_own_body_calls(tmp_path):
     assert _public_names_without_a_use(tmp_path) == ["a.py:exported", "a.py:recursive", "a.py:Unused"]
 
 
+def _unused_imports(paths):
+    """Names bound by a module-level import that no Name in their module reads.
+    `from __future__` and the imports of an __init__.py, its re-exports, are exempt."""
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", "") != "__future__":
+                unused += [f"{path.name}:{stmt.lineno} {bound}" for alias in stmt.names
+                           if (bound := alias.asname or alias.name.split(".")[0]) not in read]
+    return unused
+
+
+def test_no_module_level_import_goes_unused():
+    root = Path(core.__file__).resolve().parents[2]
+    paths = sorted((root / "src" / "senslab").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert _unused_imports(paths) == []
+
+
+def test_import_guard_flags_only_unread_names(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from math import comb, log\n\n\ndef exported(x: np.ndarray) -> int:\n"
+        "    import sys\n    return comb(x, 2)\n")
+    assert _unused_imports(sorted(tmp_path.glob("*.py"))) == ["a.py:2 os", "a.py:4 log"]
+
+
 def test_cli_and_verify_use_only_public_noise_names():
     for module in (cli, verify):
         path = Path(module.__file__)

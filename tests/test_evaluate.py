@@ -499,15 +499,17 @@ def test_parallel_one_level_law():
     freq = parallel_eval_batch(g, 1, pts, trials, seeded_rng(5, "law-deep")).mean(axis=1)
     assert (np.abs(freq - law[pts]) <= 4 * sigma).all()
 
-    # the scalar sampler two levels deep at s = 2: the weight-22 point of criterion
-    # 6's random-dt-2c, where t = floor(22/21) = floor(21/21) = 1
+    # two levels deep in criterion 6's own regime, s = 2 at n = 22, where
+    # t = floor(22/21) = floor(21/21) = 1: every point of weight 21 and 22 of its
+    # random-dt-2c, in one batch call
     h = random_dt(22, 2, seed=verify.SEED + 3)
-    x, trials = (1 << 22) - 1, 1000
-    p = parallel_eval_law(h, 2)[x]
-    assert 0.99 < p < 1
-    adv, rng = _advice(h, 2, 10), seeded_rng(5, "law-scalar-22")
-    hits = sum(parallel_eval(adv, 2, Point(22, x), rng) for _ in range(trials))
-    assert abs(hits / trials - p) <= 4 * np.sqrt(p * (1 - p) / trials) < 0.0146
+    pts, trials = np.flatnonzero(weights_vector(22) >= 21), 4000
+    law = parallel_eval_law(h, 2)[pts]
+    assert len(pts) == 23 and 0.99 < law.max() < 1
+    sigma = np.sqrt(law * (1 - law) / trials)
+    assert (4 * sigma < 0.0146).all()
+    freq = parallel_eval_batch(h, 2, pts, trials, seeded_rng(5, "law-22")).mean(axis=1)
+    assert (np.abs(freq - law) <= 4 * sigma).all()
 
 
 def _fraction_tail(a: Fraction) -> Fraction:
@@ -543,14 +545,13 @@ def test_leaf_numerators_are_the_law_at_weight_11(n):
     # a weight-11 node decides its vote from one draw in [0, 11^7) against N[k(x)],
     # so N[k(x)] / 11^7 must be the law there, and the exact tail of x's share k/11
     f = random_function(n, seed=n)
-    below = evaluate._leaf_numerators(f, 11, parallel_sample_count())
-    w = weights_vector(n)
-    at = np.flatnonzero(w == 11)
-    assert below.dtype == np.uint32 and not below[w != 11].any()
-    assert np.abs(below[at] / 11**7 - parallel_eval_law(f, 1)[at]).max() <= 1e-15
-    for x in at.tolist():
+    at = np.flatnonzero(weights_vector(n) == 11)
+    below = evaluate._leaf_numerators(f, 11, parallel_sample_count(), at)
+    assert below.dtype == np.uint32 and below.shape == at.shape
+    assert np.abs(below / 11**7 - parallel_eval_law(f, 1)[at]).max() <= 1e-15
+    for x, numer in zip(at.tolist(), below.tolist()):
         share = Fraction(sum(f(x ^ (1 << j)) for j in range(n) if x >> j & 1), 11)
-        assert Fraction(int(below[x]), 11**7) == _fraction_tail(share)
+        assert Fraction(numer, 11**7) == _fraction_tail(share)
 
 
 def test_parallel_law_refusals():
@@ -579,15 +580,14 @@ def test_parallel_draw_counts_match_the_samplers(n, s, weights):
         stats = EvalStats()
         parallel_eval(_advice(f, s, 10), s, Point(n, (1 << w) - 1), rng, stats)
         assert stats.rng_draws == draws[w]
-    if n <= 20:
-        # the batch makes the calls its docstring lists: a second generator replays
-        # them, node by node, to the same outputs and the same next bytes; the last
-        # three points put roots at the two highest weights
-        pts = np.concatenate([np.arange(1 << n)[::37], np.arange(1 << n)[-3:]])
-        rng, ref = seeded_rng(n, "draw-count-batch"), seeded_rng(n, "draw-count-batch")
-        out = parallel_eval_batch(f, s, pts, 3, rng)
-        assert (out == _documented_batch(f, pts, 3, ref)).all()
-        assert rng.bytes(8) == ref.bytes(8)
+    # the batch makes the calls its docstring lists: a second generator replays
+    # them, node by node, to the same outputs and the same next bytes; the last
+    # three points put roots at the two highest weights
+    pts = np.concatenate([np.arange(1 << n)[::37], np.arange(1 << n)[-3:]])
+    rng, ref = seeded_rng(n, "draw-count-batch"), seeded_rng(n, "draw-count-batch")
+    out = parallel_eval_batch(f, s, pts, 3, rng)
+    assert (out == _documented_batch(f, s, pts, 3, ref)).all()
+    assert rng.bytes(8) == ref.bytes(8)
 
 
 
@@ -610,14 +610,14 @@ def test_parallel_batch_votes_below_the_numerator():
     # lower neighbours) and for a weight-11 point (N[k(x)])
     f = random_function(12, seed=5)
     c, span = parallel_sample_count(), 11**7
-    below = evaluate._leaf_numerators(f, 11, c)
     top, x = 4095, 4095 ^ 1 << 3
-    total = sum(int(below[top ^ 1 << j]) for j in range(12))
-    assert 0 < total < 12 * span and below[x] > 0
+    below = evaluate._leaf_numerators(f, 11, c, np.array([top ^ 1 << j for j in range(12)]))
+    total, at_x = int(below.sum()), int(below[3])  # x is top's lower neighbour j = 3
+    assert 0 < total < 12 * span and at_x > 0
     calls = []
     for shift in (0, -1):
         calls.append(((12 * span, (1, c), np.uint32), [total + shift] * c))
-        calls.append(((span, 1, np.uint32), [int(below[x]) + shift]))
+        calls.append(((span, 1, np.uint32), [at_x + shift]))
     out = parallel_eval_batch(f, 1, np.array([top, x]), 2, _ScriptedDraws(calls))
     assert out.tolist() == [[0, 1], [0, 1]]
 
@@ -630,31 +630,33 @@ def test_weight_12_thresholds_are_the_mean_child_law(n):
     # exact tail there (test_leaf_numerators_are_the_law_at_weight_11)
     f = random_function(n, seed=n + 1)
     c, span = parallel_sample_count(), 11**7
-    thresh = evaluate._vote_thresholds(f, 11, c)
-    below = evaluate._leaf_numerators(f, 11, c)
     w = weights_vector(n)
-    assert thresh.dtype == np.uint32 and not thresh[(w != 11) & (w != 12)].any()
-    assert (thresh[w == 11] == below[w == 11]).all()
-    for x in np.flatnonzero(w == 12).tolist():
+    at11, at12 = np.flatnonzero(w == 11), np.flatnonzero(w == 12)
+    rank, kids, below, above = evaluate._tree_tables(f, 11, c, {12: at12, 11: at11[:0]})
+    assert kids == {} and below.dtype == above.dtype == np.uint32
+    assert sorted(rank[at11].tolist()) == list(range(len(at11)))  # the roots reach every child
+    assert (below[rank[at11]] == evaluate._leaf_numerators(f, 11, c, at11)).all()
+    for x in at12.tolist():
         children = [x ^ (1 << j) for j in range(n) if x >> j & 1]
-        mean = sum(Fraction(int(below[y]), span) for y in children) / 12
-        assert Fraction(int(thresh[x]), 12 * span) == mean
+        mean = sum(Fraction(int(below[rank[y]]), span) for y in children) / 12
+        assert Fraction(int(above[rank[x]]), 12 * span) == mean
 
 
-def _documented_batch(f, pts, trials, rng):
-    """parallel_eval_batch at s = 1 from its stream contract, one node at a time:
-    per trial, from the highest weight down, uint8 picks above weight 12, one draw
-    in [0, 12 * 11^7) per child of a weight-12 node x, which votes 1 iff it is below
-    A(x) = the sum of N[k] over x's 12 lower neighbours, and one draw in [0, 11^7)
-    per point of weight 11."""
-    c, leaf = parallel_sample_count(), 11
+def _documented_batch(f, s, pts, trials, rng):
+    """parallel_eval_batch from its stream contract, one node at a time, with
+    L = min(10s, n) + 1: per trial, from the highest weight down, uint8 picks above
+    weight L + 1, one draw in [0, (L + 1) L^7) per child of a weight-(L + 1) node x,
+    which votes 1 iff it is below A(x) = the sum of N[k] over x's L + 1 lower
+    neighbours, and one draw in [0, L^7) per point of weight L."""
+    c, leaf = parallel_sample_count(), min(10 * s, f.n) + 1
     span = leaf**c
+    dtype = np.uint32 if (leaf + 1) * span < 2**32 else np.int64
     pts = [int(x) for x in pts]
 
     def lower(x):  # lower(x)[j] clears the j-th lowest set bit of x
         return [x ^ (1 << j) for j in range(f.n) if x >> j & 1]
 
-    def numer(x):  # N[k(x)]: the vote of a weight-11 node, times 11^7
+    def numer(x):  # N[k(x)]: the vote of a weight-L node, times L^7
         k = sum(f(y) for y in lower(x))
         return sum(comb(c, j) * k**j * (leaf - k) ** (c - j) for j in range(c // 2 + 1, c + 1))
 
@@ -670,13 +672,13 @@ def _documented_batch(f, pts, trials, rng):
                 picks = rng.integers(0, d, size=(len(nodes), c), dtype=np.uint8).tolist()
                 kids = [lower(x)[j] for x, row in zip(nodes, picks) for j in row]
             else:
-                draws = rng.integers(0, (leaf + 1) * span, size=(len(nodes), c), dtype=np.uint32)
+                draws = rng.integers(0, (leaf + 1) * span, size=(len(nodes), c), dtype=dtype)
                 votes[d] = [sum(v < sum(map(numer, lower(x))) for v in row) > c // 2
                             for x, row in zip(nodes, draws.tolist())]
         for d in range(leaf + 2, top + 1):
             below = votes[d - 1][len(roots[d - 1]):]
             votes[d] = [sum(below[i : i + c]) > c // 2 for i in range(0, len(below), c)]
-        draws = rng.integers(0, span, size=len(roots[leaf]), dtype=np.uint32).tolist()
+        draws = rng.integers(0, span, size=len(roots[leaf]), dtype=dtype).tolist()
         votes[leaf] = [v < numer(x) for x, v in zip(roots[leaf], draws)]
         place = dict.fromkeys(votes, 0)
         for i, wt in enumerate(weights):
@@ -687,18 +689,19 @@ def _documented_batch(f, pts, trials, rng):
 
 
 def test_parallel_samplers_refuse_a_call_over_the_draw_limit():
-    f16 = dictator(16)
-    advice, top = _advice(f16, 1, 10), Point(16, (1 << 16) - 1)
-    draws = evaluate._parallel_draws(16, 1)
-    assert draws[15] * 7 > PARALLEL_MAX_DRAWS >> 10 >= draws[15] and draws[16] > PARALLEL_MAX_DRAWS >> 10
+    f16, advice = dictator(16), _advice(dictator(20), 1, 10)
+    draws, draws20 = evaluate._parallel_draws(16, 1), evaluate._parallel_draws(20, 1)
+    # one run at weight 20 passes the limit, and so do amplified_eval's 3 runs at weight 19
+    assert draws20[20] > PARALLEL_MAX_DRAWS >= draws20[19] and 3 * draws20[19] > PARALLEL_MAX_DRAWS
+    assert majority_threshold_c(Fraction(1, 20), Fraction(1, 100)) == 3
     # perfbench's call (n = 16, every point, 40 trials) is admitted, 118 trials are not
     per_trial = sum(comb(16, w) * d for w, d in enumerate(draws))
     assert 40 * per_trial <= PARALLEL_MAX_DRAWS < 118 * per_trial
     f19, every19 = dictator(19), np.arange(1 << 19)
-    weights_vector(19)  # the cached weights, outside the traced calls
+    weights_vector(19), weights_vector(20)  # the cached weights, outside the traced calls
     cases = [
-        lambda rng: parallel_eval(advice, 1, top, rng),
-        lambda rng: amplified_eval(advice, 1, Point(16, (1 << 15) - 1), Fraction(1, 4096), rng),
+        lambda rng: parallel_eval(advice, 1, Point(20, (1 << 20) - 1), rng),
+        lambda rng: amplified_eval(advice, 1, Point(20, (1 << 19) - 1), Fraction(1, 100), rng),
         lambda rng: parallel_eval_batch(f16, 1, every19[: 1 << 16], 118, rng),
         lambda rng: parallel_eval_batch(f19, 1, every19, 1, rng),
         lambda rng: parallel_eval_batch(f19, 1, every19, 0, rng),
@@ -716,13 +719,56 @@ def test_parallel_samplers_refuse_a_call_over_the_draw_limit():
         assert peak < 8 * 2**20, (i, peak)  # no level arrays (n = 19 would take about 3 GiB)
 
 
+def test_every_admitted_call_clears_one_bit_a_sample():
+    # t = floor(w/(10s+1)) = 2 first at w = 22 for s = 1 and at w = 42 > 24 for s >= 2;
+    # at s = 1 the limit refuses every point of weight 20 and up, so no admitted tree
+    # reaches a weight with t = 2
+    for n in range(20, 25):
+        draws = evaluate._parallel_draws(n, 1)
+        assert all(draws[w] > PARALLEL_MAX_DRAWS for w in range(20, n + 1))
+    assert all(w // (10 * s + 1) <= 1 for s in range(2, 13) for w in range(25))
+
+
+@pytest.mark.parametrize("n,s", [(14, 1), (22, 2)])
+def test_parallel_batch_reads_f_only_up_to_the_cutoff(n, s):
+    # parallel_eval's table is 0 outside the advice ball, so the batch may read f only
+    # at weights <= min(10s, n): tables that differ above it give the same outputs
+    # and leave the stream at the same place
+    f = random_function(n, seed=n)
+    above = weights_vector(n) > min(10 * s, n)
+    g = TruthTable(n, np.where(above, 1 - f.values, f.values))
+    pts = np.flatnonzero(above)[::7]
+    runs = []
+    for table in (f, g):
+        rng = seeded_rng(n, "cutoff-reads")
+        runs.append((parallel_eval_batch(table, s, pts, 5, rng).tobytes(), rng.bytes(8)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("s,w,seed", [(1, 15, 3), (2, 24, 3)])
+def test_one_point_calls_at_n24_stay_small(s, w, seed):
+    # the tables cover only the points the tree reaches; the dense int32 rank map
+    # (4 * 2^n bytes) is the one array over the cube.  A whole-cube set-bit table alone
+    # would take 24 * 2^n bytes
+    n = 24
+    f, x = random_dt(n, s, seed=seed), np.array([(1 << w) - 1])
+    weights_vector(n)  # the cached weights, outside the traced call
+    tracemalloc.start()
+    try:
+        out = parallel_eval_batch(f, s, x, 3, seeded_rng(n, "n24"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 3) and peak < 8 << n, peak
+
+
 def test_eval_parallel_over_the_draw_limit_exits_two(tmp_path, capsys):
-    ball = str(tmp_path / "d16.ball")
-    write_ball_advice(_advice(dictator(16), 1, 10), ball)
-    assert main(["eval", "--algo", "parallel", "--advice", ball, "--s", "1", "--x", "1" * 16]) == 2
+    ball = str(tmp_path / "d20.ball")
+    write_ball_advice(_advice(dictator(20), 1, 10), ball)
+    assert main(["eval", "--algo", "parallel", "--advice", ball, "--s", "1", "--x", "1" * 20]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: parallel evaluation at n=16, s=1 would make 137256 draws")
+    assert captured.err.startswith("error: parallel evaluation at n=20, s=1 would make 329554456 draws")
     assert captured.err.count("\n") == 1
 
 
@@ -780,7 +826,7 @@ def test_parallel_batch_stream_is_pinned(name):
 
 # parallel_eval and amplified_eval: outputs, every EvalStats field and the next
 # 8 bytes of the stream
-SCALAR_SAMPLERS_GOLDEN = "acb8242d937dacdf48a5fc0ad8fea212b821c07a6e8952a8c569b116a772a233"
+SCALAR_SAMPLERS_GOLDEN = "d5d64bb1e1e31aed85e60d5b06bce73d5002bea91149545a2992cb10a8394580"
 
 
 def test_scalar_samplers_are_pinned():

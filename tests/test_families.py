@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from senslab.core import Point, sensitivity
+from senslab.core import sensitivity
 from senslab.families import (
     addressing,
     and_fn,

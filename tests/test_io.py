@@ -1,12 +1,11 @@
 import hashlib
 import time
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from senslab.core import Point, TruthTable, restrict_to_ball
+from senslab.core import Point, restrict_to_ball
 from senslab.families import random_dt, random_function, tribes
 from senslab.io import (
     FormatError,

@@ -20,7 +20,6 @@ from senslab.noise import (
     distance_census,
     downward_mismatch,
     downward_mismatch_table,
-    downward_sample,
     expansion_reports,
     hypercontractivity_check,
     lambda_set,
@@ -264,17 +263,6 @@ def test_point_entries_refuse_a_point_off_the_cube(call, x):
 # ---------------------------------------------------------------------------
 # downward walks
 
-def test_downward_sample_weights():
-    rng = seeded_rng(8, "down")
-    x = Point(8, 0b10110110)
-    for t in (0, 2, 5):
-        y = downward_sample(x, t, rng)
-        assert weight(y) == weight(x) - t
-        assert y.index & x.index == y.index  # stays below x
-    with pytest.raises(ValueError):
-        downward_sample(x, 6, rng)
-
-
 def test_downward_mismatch_or():
     from senslab.families import or_fn
 
@@ -357,26 +345,10 @@ def test_downward_table_memory_is_rows_plus_int32_output():
     assert peak <= (8 * (n + 1) << n) + (1 << 20)
 
 
-def downward_mismatch_sampled(f, x, t, rng, samples):
-    """Reference: a Monte Carlo estimate of downward_mismatch plus its binomial standard error."""
-    fx = f(x)
-    bad = sum(f(downward_sample(x, t, rng)) != fx for _ in range(samples))
-    p = bad / samples
-    return Fraction(bad, samples), (p * (1 - p) / samples) ** 0.5
-
-
 def ones_by_codistance(values, n):
     """z[x, j] = sum of values[y] over subsets y of x with wt(x) - wt(y) = j: the
     one-sided codistance rows behind downward_mismatch_table, as (2^n, n+1) int32."""
     return np.ascontiguousarray(noise._codistance_rows(values, n, noise._one_sided_step).T)
-
-
-def test_downward_sampled_tracks_exact():
-    f = tribes(2, 8)
-    x = Point(8, 0b11111111)
-    rng = seeded_rng(2, "down-mc")
-    est, se = downward_mismatch_sampled(f, x, 3, rng, samples=4000)
-    assert abs(float(est) - float(downward_mismatch(f, x, 3))) < 5 * max(se, 0.01)
 
 
 def test_ones_by_codistance_brute():
