@@ -162,7 +162,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     advice = read_ball_advice(args.advice)
     x = _parse_x(args.x, advice.n)
     params = {"algo": args.algo, "advice": args.advice, "s": args.s, "x": args.x}
-    stats = None
     if args.algo == "bottom-up":
         value, stats = evaluate.bottom_up_eval(advice, args.s, x)
     elif args.algo == "top-down":
@@ -177,7 +176,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rng = seeded_rng(args.seed, "cli-amplified")
         value = evaluate.amplified_eval(advice, args.s, x, args.target, rng, stats)
     outputs: dict = {"value": value}
-    if args.stats and stats is not None:
+    if args.stats:
         outputs["stats"] = {
             "points_computed": stats.points_computed,
             "points_by_weight": {str(k): v for k, v in sorted(stats.points_by_weight.items())},
@@ -237,7 +236,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     r = read_truth_table(args.infile)
     params_obj = selfcorrect.CorrectorParams(
         s=args.s,
-        delta=args.delta if args.delta is not None else None,
+        delta=args.delta,
         k=args.k,
         epsilon=args.eps,
     )
@@ -313,7 +312,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for num in numbers:
         started = time.monotonic()
         if num == 1 and args.n is not None:
-            result = verify.criterion_ball(args.n)
+            result = verify.run_criterion(1, args.n)
         else:
             result = verify.run_criterion(num)
         elapsed = time.monotonic() - started

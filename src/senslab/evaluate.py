@@ -358,8 +358,9 @@ PARALLEL_SAMPLE_ERROR = Fraction(1, 5)
 PARALLEL_MAX_DRAWS = 1 << 27
 
 
+@lru_cache(maxsize=None)
 def parallel_sample_count() -> int:
-    """c(1/5, 1/20): samples per recursion level."""
+    """c(1/5, 1/20): samples per recursion level, validated and searched once."""
     return majority_threshold_c(PARALLEL_SAMPLE_ERROR, PARALLEL_BASE_ERROR)
 
 
@@ -437,18 +438,25 @@ def _majority_tail(c: int, a, b):
     return sum(comb(c, j) * a**j * b ** (c - j) for j in range(c // 2 + 1, c + 1))
 
 
-def _leaf_numerators(f: TruthTable, leaf: int, c: int, at: np.ndarray) -> np.ndarray:
-    """N[k] = _majority_tail(c, k, L - k) at each x of `at`, points of weight L = leaf,
-    with k the lower neighbours of x where f = 1: a weight-L node that votes over c
-    uniform lower neighbours outputs 1 with probability exactly N[k] / L^c.  uint32
-    while (L + 1) L^c < 2^32, else int64: the dtype of parallel_eval_batch's draws at
-    weights L and L + 1."""
+@lru_cache(maxsize=None)
+def _tail_numerators(leaf: int, c: int) -> np.ndarray:
+    """N[k] = _majority_tail(c, k, L - k) for k = 0..L, L = leaf, read-only and cached
+    per (L, c).  uint32 while (L + 1) L^c < 2^32, else int64: the dtype of
+    parallel_eval_batch's draws at weights L and L + 1."""
     numer = np.array([_majority_tail(c, k, leaf - k) for k in range(leaf + 1)],
                      dtype=np.uint32 if (leaf + 1) * leaf**c < 1 << 32 else np.int64)
+    numer.setflags(write=False)
+    return numer
+
+
+def _leaf_numerators(f: TruthTable, leaf: int, c: int, at: np.ndarray) -> np.ndarray:
+    """N[k] at each x of `at`, points of weight L = leaf, with k the lower neighbours
+    of x where f = 1: a weight-L node that votes over c uniform lower neighbours
+    outputs 1 with probability exactly N[k] / L^c (_tail_numerators)."""
     k = np.zeros(len(at), dtype=np.uint8)
     for q in lower_neighbors(at, leaf):
         k += f.values[q]
-    return numer[k]
+    return _tail_numerators(leaf, c)[k]
 
 
 def _tree_tables(f: TruthTable, leaf: int, c: int, starts: dict[int, np.ndarray]):

@@ -95,7 +95,6 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
 def noise_operator(f: TruthTable, delta) -> RealFunction:
     """T_{1-2delta} f on the float path."""
     delta = noise_rate(delta)
-    check_n(f.n)
     rho = 1.0 - 2.0 * float(delta)
     coeffs = walsh_hadamard(f.values)
     coeffs /= 1 << f.n
@@ -234,7 +233,6 @@ def downward_mismatch_table(f: TruthTable) -> np.ndarray:
     are gathered by weight, subtracted where f = 1, and the block is written
     transposed into the output.  The rows and the output take 8 (n+1) 2^n bytes;
     refused before allocating when that passes DOWNWARD_TABLE_MAX_BYTES (n = 24)."""
-    check_n(f.n)
     n = f.n
     nbytes = (4 + 4) * (n + 1) << n
     if nbytes > DOWNWARD_TABLE_MAX_BYTES:

@@ -3,7 +3,8 @@
 Each battery pins its own sizes, trial counts, tolerances and seeds, so the
 test suite and the CLI `verify` subcommand run the identical experiment.  A
 battery stops at the first offending instance and serializes it into the
-returned detail string.
+detail string it returns as (ok, detail).  CRITERIA names and numbers the
+batteries, and run_criterion(k) wraps battery k's verdict in a CheckResult.
 """
 from __future__ import annotations
 
@@ -74,8 +75,7 @@ def _nonconstant_dt(n: int, depth: int, seed: int) -> TruthTable:
 # ---------------------------------------------------------------------------
 # criterion 1: exhaustive ball reconstruction at n = 4
 
-def criterion_ball(n: int = 4) -> CheckResult:
-    name = "ball-reconstruction"
+def criterion_ball(n: int = 4) -> tuple[bool, str]:
     if not 1 <= n <= 4:
         raise ValueError(f"exhaustive ball battery needs 1 <= n <= 4, got n={n}")
     tables = counting.all_tables(n)
@@ -92,10 +92,7 @@ def criterion_ball(n: int = 4) -> CheckResult:
                 j = int(np.flatnonzero(bad)[0])
                 i = int(rows[j])
                 why = "tie" if tie[j] >= 0 else "wrong value"
-                return CheckResult(
-                    1, name, False,
-                    f"table {i} (s={s}) not recovered from B({center}, {r}): {why}",
-                )
+                return False, f"table {i} (s={s}) not recovered from B({center}, {r}): {why}"
             pairs += len(group)
     # bind the batch engine to the scalar rule on random (function, center) pairs
     rng = seeded_rng(SEED, "ball")
@@ -106,22 +103,15 @@ def criterion_ball(n: int = 4) -> CheckResult:
         r = min(2 * sensitivity(f).s, n)
         out = reconstruct.majority_extend(restrict_to_ball(f, center, r))
         if not (out.ok and out.value == f):
-            return CheckResult(
-                1, name, False,
-                f"scalar extension of table {i} from B({center.index}, {r}) disagrees",
-            )
-    return CheckResult(
-        1, name, True,
-        f"all {pairs} (function, center) extensions exact at n={n}; "
-        "200 scalar spot checks bind the batch engine",
-    )
+            return False, f"scalar extension of table {i} from B({center.index}, {r}) disagrees"
+    return True, (f"all {pairs} (function, center) extensions exact at n={n}; "
+                  "200 scalar spot checks bind the batch engine")
 
 
 # ---------------------------------------------------------------------------
 # criteria 2-3: brute-forced reconstruction radii vs the formulas
 
-def criterion_maj_radius() -> CheckResult:
-    name = "majority-radius"
+def criterion_maj_radius() -> tuple[bool, str]:
     checked = 0
     for n in range(1, 5):
         tables = counting.all_tables(n)
@@ -130,10 +120,7 @@ def criterion_maj_radius() -> CheckResult:
         expect = np.minimum(2 * sens, n)
         if (first != expect).any():
             i = int(np.nonzero(first != expect)[0][0])
-            return CheckResult(
-                2, name, False,
-                f"n={n} table {i}: brute radius {first[i]} != min(2s, n) = {expect[i]}",
-            )
+            return False, f"n={n} table {i}: brute radius {first[i]} != min(2s, n) = {expect[i]}"
         checked += len(tables)
     rng = seeded_rng(SEED, "maj-radius")
     for n in (5, 6):
@@ -143,27 +130,17 @@ def criterion_maj_radius() -> CheckResult:
         expect = np.minimum(2 * sens, n)
         if (first != expect).any():
             i = int(np.nonzero(first != expect)[0][0])
-            return CheckResult(
-                2, name, False,
-                f"n={n} random table {i}: brute radius {first[i]} != {expect[i]}",
-            )
+            return False, f"n={n} random table {i}: brute radius {first[i]} != {expect[i]}"
         for i in rng.choice(500, size=20, replace=False).tolist():
             got = reconstruct.r_maj_bruteforce(TruthTable(n, tables[i]))
             if got != first[i]:
-                return CheckResult(
-                    2, name, False,
-                    f"n={n} table {i}: scalar brute force {got} != batch {first[i]}",
-                )
+                return False, f"n={n} table {i}: scalar brute force {got} != batch {first[i]}"
         checked += len(tables)
-    return CheckResult(
-        2, name, True,
-        f"brute-force majority radius equals min(2s, n) on {checked} functions "
-        "(exhaustive n <= 4, 500 random each at n = 5, 6)",
-    )
+    return True, (f"brute-force majority radius equals min(2s, n) on {checked} functions "
+                  "(exhaustive n <= 4, 500 random each at n = 5, 6)")
 
 
-def criterion_par_radius() -> CheckResult:
-    name = "parity-radius"
+def criterion_par_radius() -> tuple[bool, str]:
     checked = 0
     for n in range(1, 5):
         tables = counting.all_tables(n)
@@ -172,22 +149,15 @@ def criterion_par_radius() -> CheckResult:
         single = reconstruct.r_bruteforce_batch(n, tables, "par", [0])
         if (all_centers != deg).any():
             i = int(np.nonzero(all_centers != deg)[0][0])
-            return CheckResult(
-                3, name, False,
-                f"n={n} table {i}: all-center parity radius {all_centers[i]} != deg {deg[i]}",
-            )
+            return False, (f"n={n} table {i}: all-center parity radius {all_centers[i]} "
+                           f"!= deg {deg[i]}")
         if (single != all_centers).any():
             i = int(np.nonzero(single != all_centers)[0][0])
-            return CheckResult(
-                3, name, False,
-                f"n={n} table {i}: center-0 radius {single[i]} != all-center {all_centers[i]}",
-            )
+            return False, (f"n={n} table {i}: center-0 radius {single[i]} "
+                           f"!= all-center {all_centers[i]}")
         checked += len(tables)
-    return CheckResult(
-        3, name, True,
-        f"brute-force parity radius equals deg(f) on all {checked} functions with "
-        "n <= 4; single-center and all-center radii identical",
-    )
+    return True, (f"brute-force parity radius equals deg(f) on all {checked} functions with "
+                  "n <= 4; single-center and all-center radii identical")
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +168,7 @@ EVAL_SENS = (1, 2, 3)
 EVAL_FUNCTIONS = 50
 
 
-def criterion_evaluators() -> CheckResult:
-    name = "evaluator-agreement"
+def criterion_evaluators() -> tuple[bool, str]:
     rng = seeded_rng(SEED, "evaluators")
     checked = 0
     for n in EVAL_SIZES:
@@ -210,10 +179,7 @@ def criterion_evaluators() -> CheckResult:
                 td = evaluate.top_down_all(f, s)
                 if not (bu == f and td == f):
                     which = "bottom-up" if bu != f else "top-down"
-                    return CheckResult(
-                        4, name, False,
-                        f"{which} disagrees with truth: n={n} s={s} tree #{i}",
-                    )
+                    return False, f"{which} disagrees with truth: n={n} s={s} tree #{i}"
                 checked += 1
             # scalar engines on sampled points, bound to the batched sweeps
             f = families.random_dt(n, s, seed=SEED)
@@ -223,19 +189,12 @@ def criterion_evaluators() -> CheckResult:
                 vb, _ = evaluate.bottom_up_eval(advice, s, x)
                 vt, _ = evaluate.top_down_eval(advice, s, x)
                 if not vb == vt == f(x):
-                    return CheckResult(
-                        4, name, False,
-                        f"scalar evaluators disagree at n={n} s={s} x={x.index}",
-                    )
-    return CheckResult(
-        4, name, True,
-        f"bottom-up, top-down and the truth table agree on all 2^n points of "
-        f"{checked} random decision trees (n in {EVAL_SIZES}, depth in {EVAL_SENS})",
-    )
+                    return False, f"scalar evaluators disagree at n={n} s={s} x={x.index}"
+    return True, (f"bottom-up, top-down and the truth table agree on all 2^n points of "
+                  f"{checked} random decision trees (n in {EVAL_SIZES}, depth in {EVAL_SENS})")
 
 
-def criterion_visit_bound() -> CheckResult:
-    name = "topdown-visit-bound"
+def criterion_visit_bound() -> tuple[bool, str]:
     rng = seeded_rng(SEED, "visit-bound")
     total = 0
     for n in EVAL_SIZES:
@@ -250,11 +209,8 @@ def criterion_visit_bound() -> CheckResult:
             viol = prof > bound[w]
             if viol.any():
                 x, k = (int(v[0]) for v in np.nonzero(viol))
-                return CheckResult(
-                    5, name, False,
-                    f"n={n} s={s} x={x}: {prof[x, k]} weight-{k} points visited, "
-                    f"bound C({w[x] - k + 2 * s}, {w[x] - k}) = {bound[w[x], k]}",
-                )
+                return False, (f"n={n} s={s} x={x}: {prof[x, k]} weight-{k} points visited, "
+                               f"bound C({w[x] - k + 2 * s}, {w[x] - k}) = {bound[w[x], k]}")
             total += prof.shape[0]
             # the profile rows are exactly the instrumented scalar counts
             f = families.random_dt(n, s, seed=SEED)
@@ -264,17 +220,11 @@ def criterion_visit_bound() -> CheckResult:
                 _, stats = evaluate.top_down_eval(advice, s, Point(n, x))
                 counted = {k: int(c) for k, c in enumerate(prof[x]) if c}
                 if stats.points_by_weight != counted:
-                    return CheckResult(
-                        5, name, False,
-                        f"n={n} s={s} x={x}: instrumented counts "
-                        f"{stats.points_by_weight} != profile row {counted}",
-                    )
-    return CheckResult(
-        5, name, True,
-        f"visit counts within C(d-k+2s, d-k) at every weight for all {total} "
-        "start points (the visit set depends only on x, s, n); instrumented "
-        "runs match the profile rows exactly",
-    )
+                    return False, (f"n={n} s={s} x={x}: instrumented counts "
+                                   f"{stats.points_by_weight} != profile row {counted}")
+    return True, (f"visit counts within C(d-k+2s, d-k) at every weight for all {total} "
+                  "start points (the visit set depends only on x, s, n); instrumented "
+                  "runs match the profile rows exactly")
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +249,8 @@ def parallel_corpus() -> list[tuple[str, int, TruthTable]]:
     ]
 
 
-def criterion_parallel_error() -> CheckResult:
+def criterion_parallel_error() -> tuple[bool, str]:
     """Pr[parallel evaluation errs at x] <= 1/20 at every x, from the exact law."""
-    name = "parallel-error"
     # the law's round-off is below 4e-11 (derived at evaluate.parallel_eval_law), so
     # a point passes only if its error clears 1/20 by more than that
     allowed = 1 / 20 - 1e-10
@@ -309,23 +258,17 @@ def criterion_parallel_error() -> CheckResult:
     corpus = parallel_corpus()
     for fname, s, f in corpus:
         if f.n <= 10 * s:
-            return CheckResult(6, name, False, f"{fname}: n={f.n} <= 10s, recurses at no point")
+            return False, f"{fname}: n={f.n} <= 10s, recurses at no point"
         if sensitivity(f).s > s:
-            return CheckResult(6, name, False, f"{fname}: sensitivity above claimed {s}")
+            return False, f"{fname}: sensitivity above claimed {s}"
         err = np.abs(evaluate.parallel_eval_law(f, s) - f.values)
         x = int(err.argmax())
         if err[x] > allowed:
-            return CheckResult(
-                6, name, False,
-                f"{fname}: Pr[error] at point {x} is {err[x]:.6f}, above 1/20 - 1e-10",
-            )
+            return False, f"{fname}: Pr[error] at point {x} is {err[x]:.6f}, above 1/20 - 1e-10"
         worst[s, f.n] = max(worst.get((s, f.n), 0.0), float(err[x]))
     errors = ", ".join(f"{e:.6f} (s={s}, n={n})" for (s, n), e in worst.items())
-    return CheckResult(
-        6, name, True,
-        f"{len(corpus)} corpus functions, each recursing somewhere: exact worst "
-        f"Pr[error] {errors} <= 1/20 at every point",
-    )
+    return True, (f"{len(corpus)} corpus functions, each recursing somewhere: exact worst "
+                  f"Pr[error] {errors} <= 1/20 at every point")
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +277,7 @@ def criterion_parallel_error() -> CheckResult:
 NOISE_SIZES = (6, 9, 10)
 
 
-def criterion_noise_stability() -> CheckResult:
-    name = "noise-stability"
+def criterion_noise_stability() -> tuple[bool, str]:
     total = 0
     for n in NOISE_SIZES:
         for fname, f in standard_corpus(n):
@@ -347,21 +289,15 @@ def criterion_noise_stability() -> CheckResult:
                 below = noise.noise_sensitivity_below(f, delta, bound)
                 if not below.all():
                     x = int(np.argmin(below))  # the first failing point
-                    return CheckResult(
-                        7, name, False,
-                        f"{fname} at n={n}, delta={delta}: NS(x={x}) = "
-                        f"{noise.noise_sensitivity_at(f, Point(n, x), delta)} not < 2*delta*s = {bound}",
-                    )
+                    value = noise.noise_sensitivity_at(f, Point(n, x), delta)
+                    return False, (f"{fname} at n={n}, delta={delta}: NS(x={x}) = "
+                                   f"{value} not < 2*delta*s = {bound}")
                 total += len(below)
-    return CheckResult(
-        7, name, True,
-        f"{total} exact pointwise noise-sensitivity values strictly below "
-        f"2*delta*s (corpus at n in {NOISE_SIZES}, delta in 1/(20s), 1/(4s))",
-    )
+    return True, (f"{total} exact pointwise noise-sensitivity values strictly below "
+                  f"2*delta*s (corpus at n in {NOISE_SIZES}, delta in 1/(20s), 1/(4s))")
 
 
-def criterion_downward() -> CheckResult:
-    name = "downward-mismatch"
+def criterion_downward() -> tuple[bool, str]:
     total = 0
     for n in NOISE_SIZES:
         w = weights_vector(n).astype(np.int64)
@@ -380,17 +316,11 @@ def criterion_downward() -> CheckResult:
             viol = valid & (lhs > rhs)
             if viol.any():
                 x, tt = (int(v[0]) for v in np.nonzero(viol))
-                return CheckResult(
-                    8, name, False,
-                    f"{fname} at n={n}: x={x} (wt {w[x]}), t={tt}: "
-                    f"{table[x, tt]}/{chooser[w[x], tt]} mismatches exceeds st/(d-t)",
-                )
+                return False, (f"{fname} at n={n}: x={x} (wt {w[x]}), t={tt}: "
+                               f"{table[x, tt]}/{chooser[w[x], tt]} mismatches exceeds st/(d-t)")
             total += int(valid.sum())
-    return CheckResult(
-        8, name, True,
-        f"{total} exact downward-mismatch bounds hold on every point with "
-        f"wt >= s, every walk length (corpus at n in {NOISE_SIZES})",
-    )
+    return True, (f"{total} exact downward-mismatch bounds hold on every point with "
+                  f"wt >= s, every walk length (corpus at n in {NOISE_SIZES})")
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +331,7 @@ SSE_SETS_SMALL = 150
 SSE_SETS_ANY = 50
 
 
-def criterion_sse() -> CheckResult:
-    name = "small-set-expansion"
+def criterion_sse() -> tuple[bool, str]:
     n, delta = SSE_N, Fraction(1, 20)
     rng = seeded_rng(SEED, "sse")
     sets = []
@@ -417,25 +346,16 @@ def criterion_sse() -> CheckResult:
     for members in sets:
         for rep in noise.expansion_reports(n, members, delta, (Fraction(2, 5), Fraction(1, 10))):
             if not rep.holds:
-                return CheckResult(
-                    9, name, False,
-                    f"|S|={len(members)}, theta={rep.theta}: mu(Lambda)={rep.mu_Lambda} "
-                    f"exceeds (mu(S)/theta^2)^(1+2delta)={rep.rhs}",
-                )
+                return False, (f"|S|={len(members)}, theta={rep.theta}: mu(Lambda)="
+                               f"{rep.mu_Lambda} exceeds (mu(S)/theta^2)^(1+2delta)={rep.rhs}")
             if rep.premise and not rep.bound:
-                return CheckResult(
-                    9, name, False,
-                    f"|S|={len(members)}, theta={rep.theta}: corollary premise holds "
-                    f"but mu(Lambda) > mu(S)^(1+delta)",
-                )
+                return False, (f"|S|={len(members)}, theta={rep.theta}: corollary premise "
+                               "holds but mu(Lambda) > mu(S)^(1+delta)")
             premise_hits += rep.premise
             checked += 1
-    return CheckResult(
-        9, name, True,
-        f"{checked} expansion instances hold at n={n}, delta=1/20, theta in "
-        f"(2/5, 1/10); corollary premise met {premise_hits} times and its bound "
-        "held every time",
-    )
+    return True, (f"{checked} expansion instances hold at n={n}, delta=1/20, theta in "
+                  f"(2/5, 1/10); corollary premise met {premise_hits} times and its bound "
+                  "held every time")
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +366,7 @@ CORRECT_DELTA = Fraction(1, 8)
 CORRECT_FUNCTIONS = 10
 
 
-def criterion_global_correction() -> CheckResult:
-    name = "global-correction"
+def criterion_global_correction() -> tuple[bool, str]:
     n = CORRECT_N
     recovered = 0
     for s in (1, 2):
@@ -460,29 +379,16 @@ def criterion_global_correction() -> CheckResult:
             _, r = selfcorrect.corrupt(f, Fraction(count, 1 << n), rng)
             res = selfcorrect.global_correct(r, params, truth=f, check_contraction=True)
             if res.table != f:
-                return CheckResult(
-                    10, name, False,
-                    f"s={s} tree #{i}: not recovered within k={k} "
-                    f"(trace {res.trace})",
-                )
+                return False, f"s={s} tree #{i}: not recovered within k={k} (trace {res.trace})"
             if not res.contraction_ok:
-                return CheckResult(
-                    10, name, False,
-                    f"s={s} tree #{i}: error set escaped Lambda_(delta,2/5) "
-                    f"(trace {res.trace})",
-                )
+                return False, (f"s={s} tree #{i}: error set escaped Lambda_(delta,2/5) "
+                               f"(trace {res.trace})")
             if not (res.converged and res.iterations <= k):
-                return CheckResult(
-                    10, name, False,
-                    f"s={s} tree #{i}: no fixpoint within k={k} iterations",
-                )
+                return False, f"s={s} tree #{i}: no fixpoint within k={k} iterations"
             recovered += 1
-    return CheckResult(
-        10, name, True,
-        f"{recovered}/20 corrupted tables (64 flips at s=1, 1 flip at s=2, "
-        f"n={n}) recovered exactly with delta={CORRECT_DELTA}, k=15/21; "
-        "every error set stayed inside Lambda_(delta,2/5) of its predecessor",
-    )
+    return True, (f"{recovered}/20 corrupted tables (64 flips at s=1, 1 flip at s=2, "
+                  f"n={n}) recovered exactly with delta={CORRECT_DELTA}, k=15/21; "
+                  "every error set stayed inside Lambda_(delta,2/5) of its predecessor")
 
 
 LOCAL_TRIALS = 1000
@@ -490,8 +396,7 @@ LOCAL_CLEAN_K = 3
 LOCAL_ADVERSARIAL_K = 4
 
 
-def criterion_local_correction() -> CheckResult:
-    name = "local-correction"
+def criterion_local_correction() -> tuple[bool, str]:
     n = CORRECT_N
     f = families.dictator(n, 1)
     params = selfcorrect.CorrectorParams(s=1)  # delta=1/20, epsilon=1/10
@@ -509,14 +414,11 @@ def criterion_local_correction() -> CheckResult:
         )
         rate = float((outs != f(x)).mean())
         if rate > bound:
-            return CheckResult(
-                11, name, False,
-                f"clean oracle at x={x_idx}: failure rate {rate} > {bound:.4f}",
-            )
+            return False, f"clean oracle at x={x_idx}: failure rate {rate} > {bound:.4f}"
     rng = seeded_rng(SEED, "local-scalar")
     _, used = selfcorrect.local_correct(clean, Point(n, 0), params, rng, k=LOCAL_CLEAN_K)
     if used != c**LOCAL_CLEAN_K:
-        return CheckResult(11, name, False, f"clean query count {used} != {c**LOCAL_CLEAN_K}")
+        return False, f"clean query count {used} != {c**LOCAL_CLEAN_K}"
     # adversarial corruption sitting exactly on the query point
     x = Point(n, 0)
     oracle, _ = selfcorrect.corrupt_targeted(f, x, 1)
@@ -526,57 +428,37 @@ def criterion_local_correction() -> CheckResult:
     outs = selfcorrect.local_correct_batch(oracle, x, params, LOCAL_TRIALS, rng, k=k)
     used = oracle.query_count - before
     if used != LOCAL_TRIALS * c**k:
-        return CheckResult(
-            11, name, False,
-            f"adversarial query count {used} != {LOCAL_TRIALS} * {c**k}",
-        )
+        return False, f"adversarial query count {used} != {LOCAL_TRIALS} * {c**k}"
     good = int((outs == f(x)).sum())
     if good < 990:
-        return CheckResult(
-            11, name, False,
-            f"adversarial recovery {good}/{LOCAL_TRIALS} below 990",
-        )
+        return False, f"adversarial recovery {good}/{LOCAL_TRIALS} below 990"
     _, used_scalar = selfcorrect.local_correct(oracle, x, params, rng, k=k)
     if used_scalar != c**k:
-        return CheckResult(11, name, False, f"scalar query count {used_scalar} != {c**k}")
-    return CheckResult(
-        11, name, True,
-        f"clean failure rate <= {bound:.4f} at 3 probe points; corrupted query "
-        f"point recovered {good}/{LOCAL_TRIALS} times with exactly c^k = {c**k} "
-        "queries per call",
-    )
+        return False, f"scalar query count {used_scalar} != {c**k}"
+    return True, (f"clean failure rate <= {bound:.4f} at 3 probe points; corrupted query "
+                  f"point recovered {good}/{LOCAL_TRIALS} times with exactly c^k = {c**k} "
+                  "queries per call")
 
 
 # ---------------------------------------------------------------------------
 # criteria 12-13: counting and cross-measure inequalities
 
-def criterion_counting() -> CheckResult:
-    name = "class-counts"
+def criterion_counting() -> tuple[bool, str]:
     for n in range(1, 5):
         census = counting.build_census(n)
         for s in range(n + 1):
             if not census.lower[s] <= census.counts[s] <= census.upper[s]:
-                return CheckResult(
-                    12, name, False,
-                    f"n={n}, s={s}: count {census.counts[s]} outside "
-                    f"[{census.lower[s]}, {census.upper[s]}]",
-                )
+                return False, (f"n={n}, s={s}: count {census.counts[s]} outside "
+                               f"[{census.lower[s]}, {census.upper[s]}]")
         anchors = {0: 2, 1: 2 + 2 * n, n: 1 << (1 << n)}
         for s, expect in anchors.items():
             if census.counts[s] != expect:
-                return CheckResult(
-                    12, name, False,
-                    f"n={n}: |F({s},{n})| = {census.counts[s]}, expected {expect}",
-                )
-    return CheckResult(
-        12, name, True,
-        "class counts within the product/degree bounds for every s at n <= 4; "
-        "|F(0,n)| = 2, |F(1,n)| = 2 + 2n, |F(n,n)| = 2^(2^n) anchors exact",
-    )
+                return False, f"n={n}: |F({s},{n})| = {census.counts[s]}, expected {expect}"
+    return True, ("class counts within the product/degree bounds for every s at n <= 4; "
+                  "|F(0,n)| = 2, |F(1,n)| = 2 + 2n, |F(n,n)| = 2^(2^n) anchors exact")
 
 
-def criterion_cross_measures() -> CheckResult:
-    name = "cross-measures"
+def criterion_cross_measures() -> tuple[bool, str]:
     n = 4
     tables = counting.all_tables(n)
     sens = counting.per_function_sensitivity(tables, n).astype(np.int64)
@@ -584,23 +466,14 @@ def criterion_cross_measures() -> CheckResult:
     relcnt = sum(flips.any(axis=1) for flips in _coordinate_flips(tables, n))
     if (sens > 4 * deg * deg).any():
         i = int(np.nonzero(sens > 4 * deg * deg)[0][0])
-        return CheckResult(
-            13, name, False,
-            f"n=4 table {i}: s = {sens[i]} > 4*deg^2 = {4 * deg[i] ** 2}",
-        )
+        return False, f"n=4 table {i}: s = {sens[i]} > 4*deg^2 = {4 * deg[i] ** 2}"
     if (deg > sens * sens).any():
         i = int(np.nonzero(deg > sens * sens)[0][0])
-        return CheckResult(
-            13, name, False,
-            f"n=4 table {i}: deg = {deg[i]} > s^2 = {sens[i] ** 2} (Huang)",
-        )
+        return False, f"n=4 table {i}: deg = {deg[i]} > s^2 = {sens[i] ** 2} (Huang)"
     if (relcnt > sens * 4**sens).any():
         i = int(np.nonzero(relcnt > sens * 4**sens)[0][0])
-        return CheckResult(
-            13, name, False,
-            f"n=4 table {i}: {relcnt[i]} relevant variables > s*4^s = "
-            f"{sens[i] * 4 ** sens[i]}",
-        )
+        return False, (f"n=4 table {i}: {relcnt[i]} relevant variables > s*4^s = "
+                       f"{sens[i] * 4 ** sens[i]}")
     checked = len(tables)
     for nn in NOISE_SIZES:
         for fname, f in standard_corpus(nn):
@@ -608,17 +481,11 @@ def criterion_cross_measures() -> CheckResult:
             d = degree(f)
             rel = len(relevant_variables(f))
             if not (s <= 4 * d * d and d <= s * s and rel <= s * 4**s):
-                return CheckResult(
-                    13, name, False,
-                    f"{fname} at n={nn}: s={s}, deg={d}, relevant={rel} "
-                    "violate a cross-measure bound",
-                )
+                return False, (f"{fname} at n={nn}: s={s}, deg={d}, relevant={rel} "
+                               "violate a cross-measure bound")
             checked += 1
-    return CheckResult(
-        13, name, True,
-        f"s <= 4*deg^2, deg <= s^2 (Huang) and |relevant| <= s*4^s on all {checked} "
-        f"functions (full n=4 census plus the corpus at n in {NOISE_SIZES})",
-    )
+    return True, (f"s <= 4*deg^2, deg <= s^2 (Huang) and |relevant| <= s*4^s on all {checked} "
+                  f"functions (full n=4 census plus the corpus at n in {NOISE_SIZES})")
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +514,12 @@ SUITES: dict[str, list[int]] = {
     "noise": [7, 8, 9],
     "selfcorrect": [10, 11],
     "counting": [12, 13],
-    "all": list(range(1, 14)),
+    "all": sorted(CRITERIA),
 }
 
 
-def run_criterion(number: int) -> CheckResult:
-    _, fn = CRITERIA[number]
-    return fn()
+def run_criterion(number: int, *args) -> CheckResult:
+    """Run battery `number` of CRITERIA on `args` (criterion 1 takes n) and name its
+    (ok, detail) verdict."""
+    name, battery = CRITERIA[number]
+    return CheckResult(number, name, *battery(*args))

@@ -393,8 +393,12 @@ def test_verify_stdout_is_pinned(capsys, suite):
 
 
 def test_verify_ball_small_n(capsys):
-    code, reports = run(capsys, "verify", "--suite", "ball", "--n", "3")
-    assert code == 0 and reports[0]["outputs"]["ok"]
+    assert main(["verify", "--suite", "ball", "--n", "3"]) == 0
+    assert capsys.readouterr().out == (
+        '{"command": "verify", "ok": true, "outputs": {"detail": "all 2048 (function, center) '
+        'extensions exact at n=3; 200 scalar spot checks bind the batch engine", "name": '
+        '"ball-reconstruction", "ok": true}, "parameters": {"criterion": 1, "suite": "ball"}, '
+        '"seed": null}\n')
 
 
 @pytest.mark.parametrize("argv", [

@@ -899,3 +899,60 @@ def test_cli_and_verify_use_only_public_noise_names():
                 continue
             private = sorted(name for name in names if name.startswith("_"))
             assert not private, f"{path.name}:{node.lineno} uses noise.{private}"
+
+
+def _verdict_breaches(source):
+    """def:line what for each breach of the verdict layout in `source`: a CheckResult
+    built outside run_criterion; and, in a battery that CRITERIA lists, a local
+    `name`, a criterion name spelled out, or a return other than (True or False,
+    detail)."""
+    tree = ast.parse(source)
+    names, batteries = set(), set()
+    for stmt in tree.body:
+        target = stmt.target if isinstance(stmt, ast.AnnAssign) else None
+        if getattr(target, "id", None) == "CRITERIA":
+            names = {entry.elts[0].value for entry in stmt.value.values}
+            batteries = {entry.elts[1].id for entry in stmt.value.values}
+    for stmt in tree.body:
+        where = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"
+                    and where != "run_criterion"):
+                yield f"{where}:{node.lineno} CheckResult"
+            if where not in batteries:
+                continue
+            if isinstance(node, ast.Name) and node.id == "name" and isinstance(node.ctx, ast.Store):
+                yield f"{where}:{node.lineno} name"
+            if isinstance(node, ast.Constant) and node.value in names:
+                yield f"{where}:{node.lineno} {node.value!r}"
+            if isinstance(node, ast.Return) and not (
+                    isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2
+                    and isinstance(node.value.elts[0], ast.Constant)
+                    and type(node.value.elts[0].value) is bool):
+                yield f"{where}:{node.lineno} return"
+
+
+def test_batteries_return_verdicts_and_only_criteria_names_them():
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        assert list(_verdict_breaches(path.read_text())) == [], path.name
+    assert verify.SUITES["all"] == sorted(verify.CRITERIA)
+    assert all(set(suite) <= set(verify.CRITERIA) for suite in verify.SUITES.values())
+
+
+def test_verdict_guard_flags_what_it_forbids():
+    source = Path(verify.__file__).read_text()
+    law = '    """Pr[parallel evaluation errs at x] <= 1/20 at every x, from the exact law."""\n'
+    at = source[: source.index(law)].count("\n") + 2
+    planted = source.replace(law, law + '    return CheckResult(6, "x", True, "")\n')
+    assert list(_verdict_breaches(planted)) == [
+        f"criterion_parallel_error:{at} return", f"criterion_parallel_error:{at} CheckResult"]
+    copies = (
+        "def criterion_a():\n    name = 'a-name'\n    if x:\n        return 1, 'd'\n"
+        "    return False, name\n\n\n"
+        "def criterion_b():\n    return CheckResult(2, 'b-name', True, 'd')\n\n\n"
+        "def run_criterion(number):\n    return CheckResult(number, 'a-name', True, 'd')\n\n\n"
+        "def helper():\n    name = 'a-name'\n    return name\n\n\n"
+        "CRITERIA: dict = {1: ('a-name', criterion_a), 2: ('b-name', criterion_b)}\n")
+    assert list(_verdict_breaches(copies)) == [
+        "criterion_a:2 name", "criterion_a:2 'a-name'", "criterion_a:4 return",
+        "criterion_b:9 return", "criterion_b:9 CheckResult", "criterion_b:9 'b-name'"]

@@ -565,7 +565,7 @@ def test_parallel_law_refusals():
 def test_parallel_criterion_fails_a_function_that_never_recurses(monkeypatch):
     # at n = 16 the s = 2 cutoff is min(20, 16) = 16: no point recurses
     monkeypatch.setattr(verify, "parallel_corpus", lambda: [("dt-16", 2, random_dt(16, 2, seed=5))])
-    result = verify.criterion_parallel_error()
+    result = verify.run_criterion(6)
     assert not result.ok and result.detail == "dt-16: n=16 <= 10s, recurses at no point"
 
 

@@ -237,7 +237,7 @@ def test_criterion_noise_stability_prints_the_exact_failing_value(monkeypatch):
         return below
 
     monkeypatch.setattr(noise, "noise_sensitivity_below", failing)
-    result = verify.criterion_noise_stability()
+    result = verify.run_criterion(7)
     n = verify.NOISE_SIZES[0]
     fname, f = next((name, g) for name, g in verify.standard_corpus(n) if verify.sensitivity(g).s)
     delta = Fraction(1, 20 * verify.sensitivity(f).s)
@@ -444,7 +444,7 @@ def test_criterion_sse_runs_one_noise_operator_per_set(monkeypatch):
     calls = []
     real = noise.noise_operator
     monkeypatch.setattr(noise, "noise_operator", lambda *args: calls.append(args) or real(*args))
-    assert verify.criterion_sse().ok
+    assert verify.run_criterion(9).ok
     assert len(calls) == verify.SSE_SETS_SMALL + verify.SSE_SETS_ANY == 200
 
 
