@@ -263,7 +263,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     x = _parse_x(args.x, r.n)
     oracle = selfcorrect.CorruptedOracle(r, frozenset())
     rng = seeded_rng(args.seed, "cli-local")
-    value, used = selfcorrect.local_correct(oracle, x, params_obj, rng, k=args.k)
+    value, used = selfcorrect.local_correct(oracle, x, params_obj, rng)
     emit("correct", {"mode": "local", "in": args.infile, "s": args.s, "x": args.x,
                      "delta": str(params_obj.delta), "epsilon": str(params_obj.epsilon),
                      "k": args.k},

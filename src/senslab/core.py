@@ -237,17 +237,6 @@ def distances(n: int, center: int) -> np.ndarray:
     return np.add.outer(hi, lo).reshape(-1)
 
 
-def set_bit_positions(masks: np.ndarray, n: int, width: int) -> np.ndarray:
-    """table[j, c] = position of the c-th lowest set bit of masks[j] (bits below
-    n), for c < width, as uint8; 255 where masks[j] has at most c set bits."""
-    table = np.full((len(masks), width), 255, dtype=np.uint8)
-    for q in range(n):
-        rows = np.flatnonzero((masks >> q) & 1)
-        # bit q is the c-th lowest set bit of its row, c = wt(row & (2^q - 1))
-        table[rows, np.bitwise_count(masks[rows] & ((1 << q) - 1))] = q
-    return table
-
-
 def lower_neighbors(x, k: int, center: int = 0):
     """Yield k neighbours of x one step nearer to center, for an index or a signed
     integer index array: x with the lowest, then the next lowest, ... set bit of
@@ -261,9 +250,11 @@ def lower_neighbors(x, k: int, center: int = 0):
 
 
 def all_set_bit_positions(n: int) -> np.ndarray:
-    """set_bit_positions(arange(2^n), n, n), built by doubling: bit k is the
-    highest set bit of x | 2^k for x < 2^k, so rows [2^k, 2^(k+1)) are rows
-    [0, 2^k) with k written at column wt(x)."""
+    """table[x, j] = position of the j-th lowest set bit of x, as uint8 (255
+    where x has at most j set bits), for every x of the n-cube: the bits that
+    core.lower_neighbors clears in turn.  Built by doubling: bit k is the highest
+    set bit of x | 2^k for x < 2^k, so rows [2^k, 2^(k+1)) are rows [0, 2^k) with
+    k written at column wt(x)."""
     table = np.full((1 << n, n), 255, dtype=np.uint8)
     flat = table.reshape(-1)
     w = weights_vector(n)

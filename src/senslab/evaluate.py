@@ -11,8 +11,9 @@ its values near 0^n:
     The sweep keeps only the rows something reads: a shift by bit k reads
     offsets with no bit below k and the output reads offset 0, so the ball
     at x with top bit k is read only at offsets above bit k.
-  * top-down: memoized recursion; a point of weight > 2s takes the majority
-    of 2s+1 of its lower neighbors (clear the lowest set bits one at a time).
+  * top-down: a point of weight > 2s takes the majority of 2s+1 of its lower
+    neighbors (clear the lowest set bits one at a time); top_down_eval folds the
+    levels x reaches (_reach, the parallel sampler's walk), top_down_all the cube.
   * parallel: randomized recursive majority over samples from the lower
     shadow D(x, t) with t = floor(wt(x)/(10s+1)); per-call error <= 1/20,
     amplified by independent repetition.  parallel_eval_batch is the one
@@ -40,8 +41,6 @@ from .core import (
     check_n,
     exact_fraction,
     lower_neighbors,
-    popcount,
-    set_bit_positions,
     weight,
     weights_vector,
 )
@@ -56,12 +55,8 @@ class EvalStats:
     rng_draws: int = 0
     max_depth: int = 0
 
-    def record_point(self, w: int) -> None:
-        self.points_computed += 1
-        self.points_by_weight[w] = self.points_by_weight.get(w, 0) + 1
-
     def record_points(self, indices: np.ndarray) -> None:
-        """record_point for every index, by its weight."""
+        """Count every index as a computed point, by its weight."""
         for w, k in enumerate(np.bincount(np.bitwise_count(indices)).tolist()):
             if k:
                 self.points_by_weight[w] = self.points_by_weight.get(w, 0) + k
@@ -147,7 +142,7 @@ def bottom_up_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats
     stats = EvalStats()
     r = _require_advice(advice, s, 2, x)
     if weight(x) <= advice.radius:
-        stats.record_point(weight(x))
+        stats.record_points(np.array([x.index]))
         return advice[x], stats
 
     masks = np.flatnonzero(weights_vector(x.n) <= r)  # the offsets of B(0, r)
@@ -186,11 +181,10 @@ def _bit_plan(rows: np.ndarray, masks: np.ndarray, rank: np.ndarray, n: int, r: 
     copy_src[kept] = row_of(old[kept])
     new_rows = np.flatnonzero(~kept)
     fresh = old[new_rows]  # weight r + 1
-    bits = set_bit_positions(fresh, n, r + 1).astype(np.int64)
     # searched column by column: for sorted rows each column's queries rise with
     # fresh, which keeps the search in cache (row by row took 1.6x as long at
     # n = 20, r = 4, 2-vCPU VM)
-    gather = row_of((fresh[:, None] ^ (1 << bits)).T).T
+    gather = np.array([row_of(q) for q in lower_neighbors(fresh, r + 1)]).T
     return copy_src, new_rows, gather
 
 
@@ -256,36 +250,54 @@ def bottom_up_all(f: TruthTable, s: int) -> TruthTable:
 # ---------------------------------------------------------------------------
 # top-down
 
+def _reach(n: int, starts: dict[int, np.ndarray], stop: int, arity: int):
+    """The points that trees rooted at starts[d] (roots of weight d >= stop) reach,
+    level by level down to weight stop, where a point of weight d > stop has its
+    first min(arity, d) core.lower_neighbors as children.  Returns (rank, reach, kids):
+      * reach[d], the reached points of weight d, each once;
+      * rank[x], x's place in reach[wt(x)]: one dense int32 map over the cube, from
+        np.zeros, so only the pages written are touched;
+      * kids[d] for d > stop: (len(reach[d]), min(arity, d)) int32, row r the ranks of
+        the r-th point's children, so column j clears the j-th lowest set bit.
+    """
+    rank = np.zeros(1 << n, dtype=np.int32)
+    reach, kids, lower = {}, {}, []
+    for d in range(max(starts), stop - 1, -1):
+        at = np.concatenate([starts.get(d, np.empty(0, dtype=np.int64)), *lower])
+        first = np.arange(len(at), dtype=np.int32)
+        rank[at] = first
+        at = at[rank[at] == first]  # one of each point
+        rank[at] = np.arange(len(at))
+        if lower:
+            kids[d + 1] = np.stack([rank[q] for q in lower], axis=1)
+        reach[d] = at
+        lower = list(lower_neighbors(at, min(arity, d))) if d > stop else []
+    return rank, reach, kids
+
+
 def top_down_eval(advice: BallAdvice, s: int, x: Point) -> tuple[int, EvalStats]:
-    """Memoized recursion on the first 2s+1 core.lower_neighbors of each point."""
-    stats = EvalStats()
+    """The majority of the first 2s+1 core.lower_neighbors of each point, on the
+    levels x reaches down to the cutoff min(2s, n) (_reach), folded up from the advice."""
     cutoff = _require_advice(advice, s, 2, x)  # min(2s, n), at most the radius
-    memo: dict[int, int] = {}
-
-    def rec(p: int) -> int:
-        got = memo.get(p)
-        if got is not None:
-            return got
-        w = popcount(p)
-        if w <= cutoff:
-            v = advice[p]
-        else:
-            votes = sum(rec(q) for q in lower_neighbors(p, 2 * s + 1))
-            stats.majority_votes += 1
-            v = 1 if 2 * votes > 2 * s + 1 else 0
-        memo[p] = v
-        stats.record_point(w)
-        return v
-
-    return rec(x.index), stats
+    w = weight(x)
+    root = {w: np.array([x.index])}
+    # at or below the cutoff one advice read, without _reach's 2^n rank map
+    reach, kids = (root, {}) if w <= cutoff else _reach(x.n, root, cutoff, 2 * s + 1)[1:]
+    votes = advice.values[reach[min(w, cutoff)]]
+    by_weight = {d: len(at) for d, at in reach.items()}
+    stats = EvalStats(sum(by_weight.values()), by_weight)
+    stats.majority_votes = stats.points_computed - len(votes)
+    for d in range(cutoff + 1, w + 1):
+        votes = votes[kids[d]].sum(axis=1) > s
+    return int(votes[0]), stats
 
 
 def top_down_visit_profile(n: int, s: int) -> np.ndarray:
-    """profile[x, k] = number of distinct weight-k points the top-down
-    recursion started at x visits.  The visit set is determined by (x, s, n)
-    alone — the recursion always descends into the same 2s+1 lower neighbors
-    regardless of the advice values — so one bitset closure over the cube
-    covers every possible run."""
+    """profile[x, k] = number of distinct weight-k points top_down_eval at x
+    visits.  The visit set is determined by (x, s, n) alone — every point above
+    the cutoff reads the same 2s+1 lower neighbors whatever the advice values
+    are — so one bitset closure over the cube covers every possible run.  It is
+    computed here apart from _reach's walk, so each checks the other."""
     check_n(n, 13)
     _require_s(s)
     r = min(2 * s, n)
@@ -463,34 +475,17 @@ def _tree_tables(f: TruthTable, leaf: int, c: int, starts: dict[int, np.ndarray]
     """The tables of one parallel_eval_batch call, over the points its trees reach.
 
     starts[d] holds the roots of weight d, for d from L = leaf to the highest weight
-    with a root.  The points reached at weight d are starts[d] and the lower
-    neighbours of the points reached at d + 1.  Returns (rank, kids, below, above):
-      * rank[x], x's place among the reached points of its weight: one dense int32 map
-        over the cube, from np.zeros, so only the pages written are touched;
-      * kids[d] for L + 1 < d: (reached points of weight d, d) int32, row r the ranks of
-        the r-th point's lower neighbours in core.lower_neighbors order, so pick j
-        clears the j-th lowest set bit;
+    with a root, and every point's children are all its lower neighbours (_reach).
+    Returns (rank, kids, below, above):
+      * rank and kids[d] for L + 1 < d, from _reach;
       * below: N[k(x)] (_leaf_numerators) at the reached points of weight L;
       * above: A(x), the sum of N[k(y)] over the L + 1 lower neighbours y of x, at the
         reached points of weight L + 1.  A(x) <= (L + 1) L^c fits the dtype of N.
     """
-    rank = np.zeros(1 << f.n, dtype=np.int32)
-    kids, lower = {}, []
-    for d in range(max(starts), leaf - 1, -1):
-        reach = np.concatenate([starts[d], *lower])
-        first = np.arange(len(reach), dtype=np.int32)
-        rank[reach] = first
-        reach = reach[rank[reach] == first]  # one of each point
-        rank[reach] = np.arange(len(reach))
-        children = [rank[q] for q in lower]  # of the points reached at d + 1
-        if d > leaf:
-            if children:
-                kids[d + 1] = np.stack(children, axis=1)
-            lower = list(lower_neighbors(reach, d))
-    below = _leaf_numerators(f, leaf, c, reach)
-    above = np.zeros(len(children[0]) if children else 0, dtype=below.dtype)
-    for q in children:
-        above += below[q]
+    rank, reach, kids = _reach(f.n, starts, leaf, f.n)
+    below = _leaf_numerators(f, leaf, c, reach[leaf])
+    children = kids.pop(leaf + 1, np.zeros((0, 0), dtype=np.int32))  # none when max(starts) = L
+    above = below[children].sum(axis=1, dtype=below.dtype)
     return rank, kids, below, above
 
 

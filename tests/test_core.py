@@ -40,7 +40,6 @@ from senslab.core import (
     seeded_rng,
     sensitivity,
     sensitivity_at,
-    set_bit_positions,
     sphere_points,
     zeta_transform,
 )
@@ -130,12 +129,6 @@ def test_distances_match_popcount_at_large_n():
         assert dist[probe].tolist() == [(int(i) ^ center).bit_count() for i in probe]
     with pytest.raises(ValueError, match="out of range"):
         distances(4, 16)
-
-
-def test_set_bit_positions():
-    table = set_bit_positions(np.array([0, 1, 6, 0b101001], dtype=np.int64), 6, 3)
-    assert table.dtype == np.uint8
-    assert table.tolist() == [[255, 255, 255], [0, 255, 255], [1, 2, 255], [0, 3, 5]]
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +723,9 @@ def test_only_core_computes_distances_and_set_bit_ranks():
         for node, expr in _counted_expressions(ast.parse(path.read_text(), filename=str(path))):
             for kind in _kinds(expr):
                 found[kind].append(f"{path.name}:{node.lineno}")
-    # core.distances and core.set_bit_positions, once each
+    # core.distances, once; set-bit ranks come from core.lower_neighbors' walk
     assert [site.split(":")[0] for site in found["distance"]] == ["core.py"], found
-    assert [site.split(":")[0] for site in found["rank"]] == ["core.py"], found
+    assert found["rank"] == [], found
 
 
 def _lowest_set_bit_sites(path):

@@ -13,7 +13,7 @@ from senslab import evaluate, verify
 from senslab.cli import main
 from senslab.core import (
     Point, TruthTable, lower_neighbors, restrict_to_ball, seeded_rng, sensitivity,
-    set_bit_positions, weights_vector,
+    weights_vector,
 )
 from senslab.evaluate import (
     PARALLEL_MAX_DRAWS,
@@ -329,9 +329,30 @@ def test_top_down_all_matches_scalar_eval(s):
     f = random_function(10, 7)
     swept = top_down_all(f, s)
     advice = _advice(f, s)
-    for x in (0, 0b1111111, 0b1010101011, 0b1111111110, (1 << 10) - 1):
-        v, _ = top_down_eval(advice, s, Point(10, x))
+    prof = top_down_visit_profile(10, s)
+    for x in range(1 << 10):
+        v, stats = top_down_eval(advice, s, Point(10, x))
         assert v == swept.values[x]
+        assert stats.points_by_weight == {k: int(c) for k, c in enumerate(prof[x]) if c}
+
+
+@pytest.mark.parametrize("n,s,total", [(22, 3, 245_157), (24, 3, 480_700)])
+def test_top_down_eval_meets_the_visit_bound_past_the_profile(n, s, total):
+    # from 1^n the walk reaches C(n - k + 2s, n - k) points of each weight k >= 2s,
+    # the visit bound with equality, C(n + 1, 2s + 1) in all; the dense int32 rank
+    # map (4 * 2^n bytes) is the one array over the cube
+    f, x = random_dt(n, s, seed=n), Point(n, (1 << n) - 1)
+    advice = _advice(f, s)
+    tracemalloc.start()
+    try:
+        v, stats = top_down_eval(advice, s, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == f(x)
+    assert stats.points_by_weight == {k: comb(n - k + 2 * s, n - k) for k in range(2 * s, n + 1)}
+    assert stats.points_computed == comb(n + 1, 2 * s + 1) == total
+    assert peak < 8 << n, peak
 
 
 # sha256 of top_down_visit_profile(n, s) (int64, shape (2^n, n + 1))
@@ -386,7 +407,10 @@ def test_set_bits_table_padding():
 def test_set_bits_table_matches_set_bit_positions(n):
     t = set_bits_table(n)
     assert t.dtype == np.uint8 and t.shape == (1 << n, n) and not t.flags.writeable
-    assert t.tobytes() == set_bit_positions(np.arange(1 << n), n, n).tobytes()
+    x = np.arange(1 << n)
+    # past wt(x) the walk stays at x, the 255 padding
+    expect = [np.where(q == x, 255, np.bitwise_count((x ^ q) - 1)) for q in lower_neighbors(x, n)]
+    assert t.tobytes() == np.stack(expect, axis=1).astype(np.uint8).tobytes()
 
 
 # ---------------------------------------------------------------------------
